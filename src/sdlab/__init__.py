@@ -82,7 +82,6 @@ from .serialize import (
 from .sweeps import (
     DEFAULT_SEED,
     SweepConfig,
-    SweepRow,
     find_beta_threshold,
     is_stable,
     measure_vmax,
@@ -121,7 +120,7 @@ __all__ = [
     "perfect_sample_error", "error_curve", "order_fit",
     "first_order_quantize", "reconstruction_error_of",
     # sweeps
-    "DEFAULT_SEED", "SweepConfig", "SweepRow", "is_stable",
+    "DEFAULT_SEED", "SweepConfig", "is_stable",
     "find_beta_threshold", "measure_vmax", "run_fig1", "run_fig2",
     "run_fig3", "run_fig4", "vmax_at_theoretical",
     # serialize

@@ -145,6 +145,20 @@ def _validate_alpha_lambda(alpha: float, lam: float):
         raise InvalidInputError(f"lambda must be >= 1, got {lam!r}")
 
 
+def _canonical_certificate(alpha: float, lam: float, epsilon: float, beta: float,
+                           variant: str) -> StabilityCertificate:
+    """Certificate on the canonical region C = 2dH/dL with gamma = dL/dH."""
+    dL, dH = 1.0 - alpha, 1.0 + alpha
+    C = 2.0 * dH / dL
+    gamma = dL / dH
+    return StabilityCertificate(
+        alpha=alpha, lam=lam, epsilon=epsilon, C=C,
+        gamma=gamma, gamma_lo=gamma, gamma_hi=gamma,
+        beta=beta, v_max_bound=C + dL / 8.0,
+        u0=corner_u0(RegionSpec(alpha, C)), u1=dH, variant=variant,
+    )
+
+
 def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) -> StabilityCertificate:
     """Certificate with the canonical fixed multiplier and smallest region.
 
@@ -171,15 +185,7 @@ def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) ->
             f"positivity requires lambda <= {cutoff!r}",
         )
     epsilon = 2.0 * dH * (lam - 1.0) / dL
-    C = 2.0 * dH / dL
-    gamma = dL / dH
-    spec = RegionSpec(alpha, C)
-    return StabilityCertificate(
-        alpha=alpha, lam=lam, epsilon=epsilon, C=C,
-        gamma=gamma, gamma_lo=gamma, gamma_hi=gamma,
-        beta=beta, v_max_bound=C + dL / 8.0,
-        u0=corner_u0(spec), u1=dH, variant=variant,
-    )
+    return _canonical_certificate(alpha, lam, epsilon, beta, variant)
 
 
 def thm2_certificate(
@@ -330,19 +336,10 @@ def unchecked_certificate(
     never treat the result as a guarantee.
     """
     _validate_alpha_lambda(alpha, lam)
-    dL, dH = 1.0 - alpha, 1.0 + alpha
     if epsilon is None:
-        epsilon = 2.0 * dH * (lam - 1.0) / dL
+        epsilon = 2.0 * (1.0 + alpha) * (lam - 1.0) / (1.0 - alpha)
     beta = max((alpha - epsilon) / (1.0 + epsilon), 0.0)
-    C = 2.0 * dH / dL
-    gamma = dL / dH
-    spec = RegionSpec(alpha, C)
-    return StabilityCertificate(
-        alpha=alpha, lam=lam, epsilon=float(epsilon), C=C,
-        gamma=gamma, gamma_lo=gamma, gamma_hi=gamma,
-        beta=beta, v_max_bound=C + dL / 8.0,
-        u0=corner_u0(spec), u1=dH, variant=variant,
-    )
+    return _canonical_certificate(alpha, lam, float(epsilon), beta, variant)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ theory against observation.
 
 Determinism: every stochastic probe draws from a fresh generator keyed
 by (seed, row index, probe index), so results are byte-identical for
-any worker count and rows can run concurrently.  The heavy inner loops
-release the GIL, making a thread pool effective.
+any worker count and rows can run concurrently.  With numba installed
+the kernel loops release the GIL, so the row threads run in parallel;
+the pure-Python fallback holds the GIL and the threads take turns.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .certificates import (
-    VARIANT_REMARK,
-    max_beta_theoretical,
-    thm1_certificate,
-)
+from .certificates import VARIANT_REMARK, max_beta_theoretical
 from .errors import (
     DegenerateConfigurationError,
     DivergenceError,
@@ -37,7 +34,6 @@ from .errors import (
 __all__ = [
     "DEFAULT_SEED",
     "SweepConfig",
-    "SweepRow",
     "is_stable",
     "find_beta_threshold",
     "measure_vmax",
@@ -94,20 +90,6 @@ class SweepConfig:
             raise InvalidInputError("max_iters must be positive")
         if not (0.0 < self.alpha_cap < 1.0):
             raise InvalidInputError("alpha_cap must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point's results; None marks an infeasible/unavailable cell."""
-
-    lam: float
-    beta_theoretical: float | None = None
-    beta_observed: float | None = None
-    vmax_theoretical: float | None = None
-    vmax_empirical: float | None = None
-    gamma_used: float | None = None
-    gamma_mode: str | None = None
-    alpha_used: float | None = None
 
 
 def _probe(lam, gamma, beta, cfg, row_index, probe_index):
@@ -167,6 +149,13 @@ def find_beta_threshold(lam: float, gamma_mode: str, cfg: SweepConfig,
     closes to cfg.bisect_tol and the lower endpoint is returned.
     """
     gamma, _, _, _ = _resolve_gamma(lam, gamma_mode, cfg)
+    return _observed_threshold(lam, gamma, cfg, row_index)
+
+
+def _observed_threshold(lam: float, gamma: float, cfg: SweepConfig,
+                        row_index: int) -> float:
+    """Bisect the simulated stability of one grid row at a fixed gamma."""
+    # is_stable is looked up at call time so tests can stub it
     return _bisect_threshold(
         lambda beta, k: is_stable(lam, gamma, beta, cfg, row_index, k),
         cfg.bisect_tol,
@@ -251,7 +240,7 @@ def run_fig1(lambda_grid=None, variant: str = VARIANT_REMARK,
 
 
 def _threshold_row(cfg: SweepConfig, row_index: int, lam: float,
-                   gamma_mode: str) -> SweepRow:
+                   gamma_mode: str) -> dict:
     gamma, mode_label, alpha_used, beta_th = _resolve_gamma(lam, gamma_mode, cfg)
     if gamma_mode == "gamma1":
         # certified curve is still reported for comparison
@@ -259,28 +248,17 @@ def _threshold_row(cfg: SweepConfig, row_index: int, lam: float,
             lam, alpha_cap=cfg.alpha_cap, variant=cfg.variant
         )
         beta_th = beta_th_info if beta_th_info > 0.0 else None
-    beta_obs = _bisect_threshold(
-        lambda beta, k: is_stable(lam, gamma, beta, cfg, row_index, k),
-        cfg.bisect_tol,
-    )
-    return SweepRow(
-        lam=float(lam), beta_theoretical=beta_th, beta_observed=beta_obs,
-        gamma_used=gamma, gamma_mode=mode_label, alpha_used=alpha_used,
-    )
+    return {
+        "lambda": float(lam),
+        "beta_theoretical": beta_th,
+        "beta_observed": _observed_threshold(lam, gamma, cfg, row_index),
+        "gamma_mode": mode_label,
+        "alpha_used": alpha_used,
+    }
 
 
 def _threshold_table(cfg: SweepConfig, gamma_mode: str):
-    rows = _map_rows(cfg, lambda i, lam: _threshold_row(cfg, i, lam, gamma_mode))
-    return [
-        {
-            "lambda": r.lam,
-            "beta_theoretical": r.beta_theoretical,
-            "beta_observed": r.beta_observed,
-            "gamma_mode": r.gamma_mode,
-            "alpha_used": r.alpha_used,
-        }
-        for r in rows
-    ]
+    return _map_rows(cfg, lambda i, lam: _threshold_row(cfg, i, lam, gamma_mode))
 
 
 def run_fig2(cfg: SweepConfig):
@@ -306,32 +284,22 @@ def run_fig4(cfg: SweepConfig):
     no certificate exists or the measurement run diverged.
     """
 
+    def vmax_at_threshold(i, lam, gamma):
+        beta = _observed_threshold(lam, gamma, cfg, i)
+        try:
+            return measure_vmax(lam, gamma, beta, cfg, row_index=i)
+        except DivergenceError:
+            return None
+
     def one(i, lam):
         gamma, mode_label, alpha_used, _ = _resolve_gamma(lam, "thm1", cfg)
-        vth = _vmax_bound_at(alpha_used) if alpha_used is not None else None
-        v_thm1 = None
-        if mode_label == "thm1":
-            b1 = _bisect_threshold(
-                lambda beta, k: is_stable(lam, gamma, beta, cfg, i, k),
-                cfg.bisect_tol,
-            )
-            try:
-                v_thm1 = measure_vmax(lam, gamma, b1, cfg, row_index=i)
-            except DivergenceError:
-                v_thm1 = None
-        b2 = _bisect_threshold(
-            lambda beta, k: is_stable(lam, 1.0, beta, cfg, i, k),
-            cfg.bisect_tol,
-        )
-        try:
-            v_g1 = measure_vmax(lam, 1.0, b2, cfg, row_index=i)
-        except DivergenceError:
-            v_g1 = None
+        certified = mode_label == "thm1"
         return {
             "lambda": float(lam),
-            "vmax_theoretical": vth,
-            "vmax_empirical_thm1gamma": v_thm1,
-            "vmax_empirical_gamma1": v_g1,
+            "vmax_theoretical": _vmax_bound_at(alpha_used) if certified else None,
+            "vmax_empirical_thm1gamma":
+                vmax_at_threshold(i, lam, gamma) if certified else None,
+            "vmax_empirical_gamma1": vmax_at_threshold(i, lam, 1.0),
         }
 
     return _map_rows(cfg, one)
@@ -346,19 +314,17 @@ def vmax_at_theoretical(cfg: SweepConfig):
     """
 
     def one(i, lam):
-        beta_max, alpha_star = max_beta_theoretical(
-            lam, alpha_cap=cfg.alpha_cap, variant=cfg.variant
-        )
-        if beta_max <= 0.0 or not math.isfinite(alpha_star):
+        gamma, mode_label, alpha_star, beta_max = _resolve_gamma(lam, "thm1", cfg)
+        if mode_label != "thm1":
             return None
-        cert = thm1_certificate(alpha_star, lam, variant=cfg.variant)
-        measured = measure_vmax(lam, cert.gamma, beta_max, cfg, row_index=i)
+        bound = _vmax_bound_at(alpha_star)
+        measured = measure_vmax(lam, gamma, beta_max, cfg, row_index=i)
         return {
             "lambda": float(lam),
             "beta_theoretical": float(beta_max),
-            "vmax_theoretical": cert.v_max_bound,
+            "vmax_theoretical": bound,
             "vmax_measured": measured,
-            "ratio": measured / cert.v_max_bound,
+            "ratio": measured / bound,
         }
 
     return [r for r in _map_rows(cfg, one) if r is not None]
