@@ -184,7 +184,7 @@ def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) ->
             f"beta = {beta!r} <= 0 at alpha={alpha!r}, lambda={lam!r}: "
             f"positivity requires lambda <= {cutoff!r}",
         )
-    epsilon = 2.0 * dH * (lam - 1.0) / dL
+    epsilon = coef * dH * (lam - 1.0) / dL
     return _canonical_certificate(alpha, lam, epsilon, beta, variant)
 
 
@@ -333,11 +333,13 @@ def unchecked_certificate(
     Uses the canonical region (C = 2dH/dL) and multiplier, and clamps a
     negative input bound to 0.  Intended for falsification experiments
     where an inadmissible lambda is applied to a valid region on purpose;
-    never treat the result as a guarantee.
+    never treat the result as a guarantee.  The default epsilon uses the
+    variant's coefficient, so beta matches thm1_certificate wherever that
+    is feasible.
     """
     _validate_alpha_lambda(alpha, lam)
     if epsilon is None:
-        epsilon = 2.0 * (1.0 + alpha) * (lam - 1.0) / (1.0 - alpha)
+        epsilon = _coef(variant) * (1.0 + alpha) * (lam - 1.0) / (1.0 - alpha)
     beta = max((alpha - epsilon) / (1.0 + epsilon), 0.0)
     return _canonical_certificate(alpha, lam, float(epsilon), beta, variant)
 

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError, ResourceError
 
@@ -86,6 +85,8 @@ class FilterSpec:
     g2_tab: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
+        from scipy.interpolate import CubicSpline  # slow import, loaded on use
+
         self._spl_g = CubicSpline(self.t_tab, self.g_tab)
 
     @property
@@ -155,6 +156,8 @@ def _l1_by_sign_splits(t, vals, anti_of=None):
     between the sign changes of vals.  With anti_of None the spline's own
     antiderivative is used.
     """
+    from scipy.interpolate import CubicSpline
+
     spl = CubicSpline(t, vals)
     cuts = [t[0]]
     for r in np.atleast_1d(spl.roots(extrapolate=False)):

@@ -21,13 +21,18 @@ probes and the interior draws are redundancy).
 Determinism: the point set is split into 64 fixed logical blocks; block
 b draws from its own generator seeded by (seed, b), so the result is
 byte-identical for any worker count, and workers only schedule blocks.
+
+The escapes come back as one NumPy record array with the fields
+point_index, delta_index, u, v, u_next, v_next, excess (in that order),
+one row per escaping (point, delta) pair, sorted by point_index and then
+delta_index.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,28 +40,20 @@ from .certificates import StabilityCertificate
 from .errors import InvalidInputError
 from .region import RegionSpec, b1_eval, b2_eval, _step_region_arrays
 
-__all__ = ["ViolationRecord", "InvarianceReport", "verify_invariance"]
+__all__ = ["InvarianceReport", "verify_invariance"]
 
 N_BLOCKS = 64
 _DELTA_STREAM = 1_000_003  # sub-seed for the shared delta draws
 
 
 @dataclass(frozen=True)
-class ViolationRecord:
-    """One sampled move whose image left the region."""
-
-    point_index: int
-    delta_index: int
-    u: float
-    v: float
-    u_next: float
-    v_next: float
-    excess: float
-
-
-@dataclass(frozen=True)
 class InvarianceReport:
-    """Outcome of one verify_invariance call."""
+    """Outcome of one verify_invariance call.
+
+    violations is an np.recarray with the fields point_index, delta_index,
+    u, v, u_next, v_next, excess, sorted by (point_index, delta_index);
+    its length is the full violation count.
+    """
 
     n_points: int
     n_deltas: int
@@ -65,29 +62,19 @@ class InvarianceReport:
     lam: float
     gamma: float
     n_checked: int
-    violations: list = field(default_factory=list)
+    violations: np.recarray
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return len(self.violations) == 0
 
     @property
     def max_excess(self) -> float:
-        return max((r.excess for r in self.violations), default=0.0)
+        return float(self.violations.excess.max()) if len(self.violations) else 0.0
 
     def to_json_dict(self) -> dict:
-        head = [
-            {
-                "point_index": r.point_index,
-                "delta_index": r.delta_index,
-                "u": r.u,
-                "v": r.v,
-                "u_next": r.u_next,
-                "v_next": r.v_next,
-                "excess": r.excess,
-            }
-            for r in self.violations[:100]
-        ]
+        names = self.violations.dtype.names
+        head = [dict(zip(names, row)) for row in self.violations[:100].tolist()]
         return {
             "ok": self.ok,
             "n_points": self.n_points,
@@ -155,34 +142,21 @@ def _sample_block(spec: RegionSpec, u1: float, gamma: float, rng, lo: int, hi: i
 def _check_block(spec, u1, gamma, lam, deltas, seed, block, n_points, cuts, tol):
     lo = (block * n_points) // N_BLOCKS
     hi = ((block + 1) * n_points) // N_BLOCKS
-    if hi <= lo:
-        return []
     rng = np.random.default_rng([seed, block])
     us, vs = _sample_block(spec, u1, gamma, rng, lo, hi, cuts)
 
-    u2, v2 = _step_region_arrays(us[None, :], vs[None, :], deltas[:, None], gamma, lam)
+    u2, v2 = _step_region_arrays(us[:, None], vs[:, None], deltas[None, :], gamma, lam)
     over_u = np.abs(u2) - spec.u0
     under = b2_eval(spec, u2) - v2
     over = v2 - b1_eval(spec, u2)
     excess = np.maximum(np.maximum(over_u, under), over)
-    bad = excess > tol
-
-    out = []
-    if np.any(bad):
-        di, pj = np.nonzero(bad)
-        for d, j in zip(di.tolist(), pj.tolist()):
-            out.append(
-                ViolationRecord(
-                    point_index=lo + j,
-                    delta_index=int(d),
-                    u=float(us[j]),
-                    v=float(vs[j]),
-                    u_next=float(u2[d, j]),
-                    v_next=float(v2[d, j]),
-                    excess=float(excess[d, j]),
-                )
-            )
-    return out
+    # row-major nonzero on the (points, deltas) layout: hits come out
+    # sorted by (point, delta) already
+    pj, di = np.nonzero(excess > tol)
+    return np.rec.fromarrays(
+        (lo + pj, di, us[pj], vs[pj], u2[pj, di], v2[pj, di], excess[pj, di]),
+        names="point_index, delta_index, u, v, u_next, v_next, excess",
+    )
 
 
 def verify_invariance(
@@ -243,8 +217,8 @@ def verify_invariance(
     else:
         chunks = [_check_block(*args, b, n_points, cuts, tol) for b in range(N_BLOCKS)]
 
-    violations = [rec for chunk in chunks for rec in chunk]
-    violations.sort(key=lambda r: (r.point_index, r.delta_index))
+    # blocks cover ascending point ranges, so block order is sorted order
+    violations = np.concatenate(chunks).view(np.recarray)
     return InvarianceReport(
         n_points=n_points,
         n_deltas=n_deltas,

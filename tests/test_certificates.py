@@ -174,6 +174,25 @@ def test_unchecked_certificate_clamps_beta_and_skips_gates():
         thm1_certificate(0.5, 1.2)
 
 
+@pytest.mark.parametrize("variant", [VARIANT_REMARK, VARIANT_EQ5])
+def test_epsilon_reproduces_beta_for_both_variants(variant):
+    checked = 0
+    for alpha in np.linspace(0.05, 0.95, 19):
+        for lam in np.linspace(1.0, 1.1, 21):
+            alpha, lam = float(alpha), float(lam)
+            try:
+                cert = thm1_certificate(alpha, lam, variant)
+            except InfeasibleError:
+                continue
+            eps = cert.epsilon
+            assert (alpha - eps) / (1.0 + eps) == pytest.approx(cert.beta, rel=1e-12)
+            loose = unchecked_certificate(alpha, lam, variant=variant)
+            assert loose.epsilon == eps
+            assert loose.beta == pytest.approx(cert.beta, rel=1e-12)
+            checked += 1
+    assert checked > 100
+
+
 def test_input_validation():
     with pytest.raises(InvalidInputError):
         thm1_certificate(0.0, 1.0)

@@ -1,5 +1,6 @@
 """One-step containment probes: certified regions hold, inflated gains leak."""
 
+import numpy as np
 import pytest
 
 from sdlab.certificates import thm1_certificate, unchecked_certificate
@@ -13,7 +14,7 @@ def test_certified_region_has_no_escapes():
     assert report.ok
     assert report.n_checked == 500 * 11
     assert report.max_excess == 0.0
-    assert report.violations == []
+    assert len(report.violations) == 0
 
 
 def test_unit_gain_certified_region_has_no_escapes():
@@ -51,6 +52,46 @@ def test_falsification_report_is_identical_for_any_worker_count():
     assert len(a.violations) == len(b.violations)
     assert [(r.point_index, r.delta_index) for r in a.violations] == \
            [(r.point_index, r.delta_index) for r in b.violations]
+    assert a.violations.dtype == b.violations.dtype
+    assert np.array_equal(a.violations, b.violations)
+
+
+def test_violations_are_one_record_array_in_point_delta_order():
+    cert = unchecked_certificate(0.5, 1.2, epsilon=0.2)
+    report = verify_invariance(cert, n_points=700, n_deltas=9, seed=5)
+    v = report.violations
+    assert isinstance(v, np.recarray)
+    assert v.dtype.names == ("point_index", "delta_index", "u", "v",
+                             "u_next", "v_next", "excess")
+    assert len(v) > 100
+    keys = v.point_index * 9 + v.delta_index
+    assert np.all(np.diff(keys) > 0)
+    assert np.all((v.delta_index >= 0) & (v.delta_index < 9))
+    assert np.all(v.excess > report.tol)
+    assert report.max_excess == v.excess.max()
+
+
+def test_json_dict_keeps_the_full_count_and_the_first_hundred_rows():
+    cert = unchecked_certificate(0.5, 1.2, epsilon=0.2)
+    report = verify_invariance(cert, n_points=700, n_deltas=9, seed=5)
+    d = report.to_json_dict()
+    assert d["n_violations"] == len(report.violations)
+    assert d["ok"] is False
+    head = d["violations"]
+    assert len(head) == 100
+    for row, rec in zip(head, report.violations[:100]):
+        assert list(row) == list(report.violations.dtype.names)
+        assert type(row["point_index"]) is int
+        assert type(row["delta_index"]) is int
+        assert row == {name: rec[name] for name in row}
+
+
+def test_fewer_points_than_blocks_still_report_every_escape():
+    cert = unchecked_certificate(0.5, 1.2, epsilon=0.2)
+    report = verify_invariance(cert, n_points=5, n_deltas=4, seed=1)
+    assert report.n_checked == 20
+    assert np.all(report.violations.point_index < 5)
+    assert report.to_json_dict()["n_violations"] == len(report.violations)
 
 
 def test_json_dict_shape():
