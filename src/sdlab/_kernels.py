@@ -6,11 +6,21 @@ and probe_input are one-call entry points that differ only in the input
 first_order_fill is the single-loop recursion of the reconstruction
 pipeline.
 
-The loops are compiled with numba (nogil, so they run outside the GIL)
-when it is importable, and otherwise run as plain Python that holds the
-GIL.  fastmath stays off: IEEE evaluation order is part of the contract
-(bit-identical trajectories across runs, exact state identities up to
-one rounding).
+The entry points run _recur on the first backend that works, chosen the
+first time a kernel runs (never at import) and reported as BACKEND:
+
+    "c"      _recur.c, compiled with gcc -O2 -ffp-contract=off into
+             sdlab/__pycache__/_recur-<hash>.so (or a per-user directory
+             under tempfile.gettempdir() when that one is not writable)
+             and called through ctypes, which releases the GIL;
+    "numba"  _recur compiled by numba (nogil) when numba imports;
+    "python" the plain-Python _recur, which holds the GIL.
+
+The plain-Python _recur is also the reference the others are tested
+against.  first_order_fill runs under numba when it imports, else as
+plain Python.  Contraction and fastmath stay off: IEEE evaluation order
+is part of the contract (bit-identical trajectories across runs and
+backends, exact state identities up to one rounding).
 
 Quantizer encoding: kind 0 is the two-level sign quantizer (ties at 0 go
 to +1), kind 1 is the three-level quantizer with dead band |x| < tau
@@ -18,6 +28,10 @@ mapping to 0.
 """
 
 from __future__ import annotations
+
+import os
+import tempfile
+import threading
 
 import numpy as np
 
@@ -50,7 +64,6 @@ HARD_BOUND = 1.0e12
 _NONE = np.empty(0)
 
 
-@njit(cache=True, nogil=True)
 def _recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound, vbound,
            q_out, u_out, v_out):
     """The two-gain recursion from u = v = 0, behind all three entry points.
@@ -90,14 +103,138 @@ def _recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound, vbound,
     return -1, vmax
 
 
+# ---------------------------------------------------------------- backends
+
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_recur.c")
+_CC = ["gcc"]
+_CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
+
+# (BACKEND, loop with _recur's signature), set on first use
+_chosen = None
+_choose_lock = threading.Lock()
+
+
+def _library_path():
+    """Path of the compiled _recur.c, building it there if it is missing.
+
+    The name hashes the source, the compiler command and the platform, so
+    a stale library is never loaded.  The build writes a temporary file
+    and renames it into place, so a concurrent reader never sees half a
+    library.
+    """
+    import hashlib
+    import subprocess
+    import sysconfig
+
+    with open(_SRC, "rb") as fh:
+        source = fh.read()
+    key = hashlib.sha256(source)
+    key.update("\0".join([*_CC, *_CFLAGS, sysconfig.get_platform()]).encode())
+    name = f"_recur-{key.hexdigest()[:16]}.so"
+
+    home = os.path.join(os.path.dirname(_SRC), "__pycache__")
+    if os.path.exists(os.path.join(home, name)):
+        return os.path.join(home, name)
+    try:
+        os.makedirs(home, exist_ok=True)
+        writable = os.access(home, os.W_OK)
+    except OSError:
+        writable = False
+    if not writable:
+        home = os.path.join(tempfile.gettempdir(), f"sdlab-{os.getuid()}")
+        os.makedirs(home, mode=0o700, exist_ok=True)
+        if os.stat(home).st_uid != os.getuid():
+            raise OSError(f"{home} belongs to another user")
+    path = os.path.join(home, name)
+    if not os.path.exists(path):
+        fd, tmp = tempfile.mkstemp(prefix="_recur-", suffix=".tmp", dir=home)
+        os.close(fd)
+        try:
+            subprocess.run([*_CC, *_CFLAGS, "-o", tmp, _SRC, "-lm"],
+                           check=True, capture_output=True)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    return path
+
+
+def _address(a, n_steps, writable):
+    """Data address of a, once it is safe for C to touch n_steps entries."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.ndim == 1 and a.flags.c_contiguous):
+        raise TypeError("kernel arrays must be 1-D C-contiguous float64")
+    if a.shape[0] < n_steps:
+        raise IndexError(f"array of {a.shape[0]} values for {n_steps} steps")
+    if writable and not a.flags.writeable:
+        raise ValueError("kernel output arrays must be writable")
+    return a.ctypes.data
+
+
+def _load_c():
+    """_recur on the compiled C loop, with its arrays checked first."""
+    import ctypes
+
+    lib = ctypes.CDLL(_library_path())
+    fn = lib.sdlab_recur
+    d, p = ctypes.c_double, ctypes.c_void_p
+    fn.argtypes = [d, d, d, ctypes.c_int, d, p, d, ctypes.c_longlong, d, d,
+                   p, p, p, ctypes.POINTER(d)]
+    fn.restype = ctypes.c_longlong
+
+    def c_recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound,
+                vbound, q_out, u_out, v_out):
+        fp = _address(f, n_steps, False) if f.shape[0] > 0 else None
+        if q_out.shape[0] > 0:
+            qp, up, vp = (_address(a, n_steps, True) for a in (q_out, u_out, v_out))
+        else:
+            qp = up = vp = None
+        vmax = d()
+        at = fn(lam1, lam2, gamma, kind, tau, fp, beta, n_steps, ubound,
+                vbound, qp, up, vp, ctypes.byref(vmax))
+        return at, vmax.value
+
+    return c_recur
+
+
+def _choose():
+    """Settle on the first backend that loads: C, then numba, then Python."""
+    import subprocess
+
+    global _chosen
+    with _choose_lock:
+        if _chosen is None:
+            try:
+                _chosen = ("c", _load_c())
+            except (OSError, subprocess.SubprocessError):
+                if HAVE_NUMBA:
+                    _chosen = ("numba", njit(cache=True, nogil=True)(_recur))
+                else:
+                    _chosen = ("python", _recur)
+    return _chosen
+
+
+def _loop():
+    return (_chosen or _choose())[1]
+
+
+def __getattr__(name):
+    # BACKEND is settled lazily, so reading it counts as first use
+    if name == "BACKEND":
+        return (_chosen or _choose())[0]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# ------------------------------------------------------------ entry points
+
 def run_fill(lam1, lam2, gamma, kind, tau, f, q_out, u_out, v_out, bound):
     """Fold the recursion over f, recording every step into q/u/v_out.
 
     Returns -1 on completion, or the 0-based step at which |u| or |v|
     left [0, bound].
     """
-    return _recur(lam1, lam2, gamma, kind, tau, f, 0.0, f.shape[0],
-                  bound, bound, q_out, u_out, v_out)[0]
+    return _loop()(lam1, lam2, gamma, kind, tau, f, 0.0, f.shape[0],
+                   bound, bound, q_out, u_out, v_out)[0]
 
 
 def probe_const(lam1, lam2, gamma, kind, tau, beta, n_steps, bound):
@@ -106,14 +243,14 @@ def probe_const(lam1, lam2, gamma, kind, tau, beta, n_steps, bound):
     Returns (diverged_at, vmax) with |v| checked against bound and |u|
     against HARD_BOUND.
     """
-    return _recur(lam1, lam2, gamma, kind, tau, _NONE, beta, n_steps,
-                  HARD_BOUND, bound, _NONE, _NONE, _NONE)
+    return _loop()(lam1, lam2, gamma, kind, tau, _NONE, beta, n_steps,
+                   HARD_BOUND, bound, _NONE, _NONE, _NONE)
 
 
 def probe_input(lam1, lam2, gamma, kind, tau, f, bound):
     """Same as probe_const but driven by a precomputed input array."""
-    return _recur(lam1, lam2, gamma, kind, tau, f, 0.0, f.shape[0],
-                  HARD_BOUND, bound, _NONE, _NONE, _NONE)
+    return _loop()(lam1, lam2, gamma, kind, tau, f, 0.0, f.shape[0],
+                   HARD_BOUND, bound, _NONE, _NONE, _NONE)
 
 
 @njit(cache=True, nogil=True)
@@ -130,7 +267,7 @@ def first_order_fill(f, q_out, u_out):
 
 
 def warm_up():
-    """Trigger compilation of all kernels on tiny inputs."""
+    """Load the recursion backend (building the C loop) and compile kernels."""
     z = np.zeros(2)
     run_fill(1.0, 1.0, 1.0, KIND_SIGN, 0.5, z, z.copy(), z.copy(), z.copy(), HARD_BOUND)
     probe_const(1.0, 1.0, 1.0, KIND_SIGN, 0.5, 0.0, 2, 1000.0)

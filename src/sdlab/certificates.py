@@ -64,6 +64,16 @@ def _coef(variant: str) -> float:
         ) from None
 
 
+def _epsilon(alpha, lam, variant: str):
+    """e = coef*(lambda-1)*(1+alpha)/(1-alpha), the one epsilon expression.
+
+    Every certificate and bound evaluates e this way, in this operand
+    order, so that (alpha - e)/(1 + e) reproduces beta bit for bit.
+    alpha may be an array.
+    """
+    return _coef(variant) * (lam - 1.0) * (1.0 + alpha) / (1.0 - alpha)
+
+
 @dataclass(frozen=True)
 class StabilityCertificate:
     """An admissible parameter tuple with its guaranteed state bound."""
@@ -115,8 +125,7 @@ def beta_bound(alpha: float, lam: float, variant: str = VARIANT_REMARK) -> float
     is negative when lambda is too large; callers decide whether that is an
     error.  At lambda = 1 the result is exactly alpha.
     """
-    coef = _coef(variant)
-    e = coef * (lam - 1.0) * (1.0 + alpha) / (1.0 - alpha)
+    e = _epsilon(alpha, lam, variant)
     return (alpha - e) / (1.0 + e)
 
 
@@ -184,8 +193,8 @@ def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) ->
             f"beta = {beta!r} <= 0 at alpha={alpha!r}, lambda={lam!r}: "
             f"positivity requires lambda <= {cutoff!r}",
         )
-    epsilon = coef * dH * (lam - 1.0) / dL
-    return _canonical_certificate(alpha, lam, epsilon, beta, variant)
+    return _canonical_certificate(alpha, lam, _epsilon(alpha, lam, variant),
+                                  beta, variant)
 
 
 def thm2_certificate(
@@ -285,11 +294,9 @@ def max_beta_theoretical(lam: float, alpha_cap: float = 0.99, variant: str = VAR
         raise InvalidInputError(f"lambda must be >= 1, got {lam!r}")
     if not (0.0 < alpha_cap < 1.0):
         raise InvalidInputError(f"alpha_cap must lie in (0, 1), got {alpha_cap!r}")
-    coef = _coef(variant)
 
     def beta_of(a):
-        e = coef * (lam - 1.0) * (1.0 + a) / (1.0 - a)
-        return (a - e) / (1.0 + e)
+        return beta_bound(a, lam, variant)
 
     n = max(2, int(round(alpha_cap / 1e-4)))
     grid = np.linspace(1e-4, alpha_cap, n)
@@ -339,7 +346,7 @@ def unchecked_certificate(
     """
     _validate_alpha_lambda(alpha, lam)
     if epsilon is None:
-        epsilon = _coef(variant) * (1.0 + alpha) * (lam - 1.0) / (1.0 - alpha)
+        epsilon = _epsilon(alpha, lam, variant)
     beta = max((alpha - epsilon) / (1.0 + epsilon), 0.0)
     return _canonical_certificate(alpha, lam, float(epsilon), beta, variant)
 

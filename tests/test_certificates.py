@@ -193,6 +193,30 @@ def test_epsilon_reproduces_beta_for_both_variants(variant):
     assert checked > 100
 
 
+@pytest.mark.parametrize("variant", [VARIANT_REMARK, VARIANT_EQ5])
+def test_epsilon_reproduces_beta_bit_for_bit(variant):
+    # one epsilon expression everywhere: no last-bit drift between beta
+    # and (alpha - epsilon)/(1 + epsilon), also for the 2*sqrt(2) coefficient
+    checked = 0
+    for alpha in np.linspace(0.05, 0.95, 19):
+        for lam in np.linspace(1.0, 1.1, 21):
+            alpha, lam = float(alpha), float(lam)
+            loose = unchecked_certificate(alpha, lam, variant=variant)
+            assert loose.beta == max(beta_bound(alpha, lam, variant), 0.0)
+            try:
+                cert = thm1_certificate(alpha, lam, variant)
+            except InfeasibleError:
+                continue
+            eps = cert.epsilon
+            assert (alpha - eps) / (1.0 + eps) == cert.beta
+            assert loose.epsilon == eps and loose.beta == cert.beta
+            if variant == VARIANT_REMARK:
+                # the factor 2 is exact, so the earlier operand order agrees
+                assert eps == 2.0 * (1.0 + alpha) * (lam - 1.0) / (1.0 - alpha)
+            checked += 1
+    assert checked > 100
+
+
 def test_input_validation():
     with pytest.raises(InvalidInputError):
         thm1_certificate(0.0, 1.0)
