@@ -25,6 +25,16 @@ derivatives at omega = 0 (even functions) and vanish with all derivatives
 at omega = T0 for the bump taper, so the rule converges superalgebraically
 here; the omega spacing ~1/4096 keeps the aliased images of the sampled
 cosines far outside every tabulated |t| <= 256.
+
+The transforms run in two passes over chunks of 1024 t rows, each chunk's
+phase matrix 2*pi*t*omega built in place in one reused buffer.  The
+cosine pass covers every row of the tabulation cap and gives g (which
+decides the truncation point) and g'' together, since both weigh the same
+cosines.  The sine pass gives g' and runs only over the chunks that cover
+the kept rows; when no cap meets the tolerance it never runs.  The chunk
+layout is fixed: each matrix-vector product keeps the shape it has always
+had (1024 rows, or the remainder, by the full omega grid), so BLAS sums
+in the same order and the tables keep their bits.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ __all__ = ["FilterSpec", "design_filter", "taper_profiles"]
 _W_STAGES = (64.0, 256.0)   # tabulation caps, tried in order
 _W_MIN = 2.0                # never truncate inside the main lobe
 _OMEGA_DENSITY = 4096       # quadrature points per unit of omega
+_CHUNK = 1024               # t rows per phase matrix; fixed, see the note
 
 
 def _smoothstep(x):
@@ -122,30 +133,48 @@ class FilterSpec:
         return float(out[0]) if scalar else out
 
 
-def _inverse_transforms(T0, phi, t):
-    """Tabulate g, g', g'' on the nonnegative grid t by dense quadrature."""
+def _quadrature(T0, phi):
+    """Trapezoid nodes omega on [0, T0] and weights times the spectrum."""
     n_om = int(round(T0 * _OMEGA_DENSITY)) + 1
     om = np.linspace(0.0, T0, n_om)
     gh = np.where(om <= 1.0, 1.0, phi((om - 1.0) / (T0 - 1.0)))
     wts = np.full(n_om, om[1] - om[0])
     wts[0] *= 0.5
     wts[-1] *= 0.5
+    return om, gh * wts
 
-    w0 = gh * wts
-    w1 = om * w0
-    w2 = om * w1
+
+def _trig_chunks(t, om, trig):
+    """Yield (rows, trig(2*pi*t[rows]*om)) chunk by chunk in one buffer."""
+    buf = np.empty((min(_CHUNK, t.size), om.size))
+    for a in range(0, t.size, _CHUNK):
+        rows = t[a:a + _CHUNK, None]
+        ph = buf[:rows.shape[0]]
+        np.multiply(rows, om, out=ph)
+        ph *= 2.0 * math.pi
+        trig(ph, out=ph)
+        yield slice(a, a + rows.shape[0]), ph
+
+
+def _cos_transforms(t, om, w0):
+    """Tabulate g and g'' on the nonnegative grid t: one cosine per chunk."""
+    w2 = om * (om * w0)
     g = np.empty(t.size)
-    g1 = np.empty(t.size)
     g2 = np.empty(t.size)
-    chunk = 1024
-    for a in range(0, t.size, chunk):
-        tt = t[a:a + chunk, None] * om[None, :]
-        c = np.cos(2.0 * math.pi * tt)
-        s = np.sin(2.0 * math.pi * tt)
-        g[a:a + chunk] = 2.0 * (c @ w0)
-        g1[a:a + chunk] = -4.0 * math.pi * (s @ w1)
-        g2[a:a + chunk] = -2.0 * (2.0 * math.pi) ** 2 * (c @ w2)
-    return g, g1, g2
+    for rows, c in _trig_chunks(t, om, np.cos):
+        g[rows] = 2.0 * (c @ w0)
+        g2[rows] = -2.0 * (2.0 * math.pi) ** 2 * (c @ w2)
+    return g, g2
+
+
+def _sin_transform(t, om, w0, n_keep):
+    """Tabulate g' on t[:n_keep], over the whole chunks that cover it."""
+    n_cover = min(t.size, -(-n_keep // _CHUNK) * _CHUNK)
+    w1 = om * w0
+    g1 = np.empty(n_cover)
+    for rows, s in _trig_chunks(t[:n_cover], om, np.sin):
+        g1[rows] = -4.0 * math.pi * (s @ w1)
+    return g1[:n_keep]
 
 
 def _l1_by_sign_splits(t, vals, anti_of=None):
@@ -216,11 +245,12 @@ def design_filter(
             f"unknown rolloff {rolloff!r}; choose from {sorted(taper_profiles())}"
         ) from None
 
+    om, w0 = _quadrature(T0, phi)
     best = math.inf
     for w_cap in _W_STAGES:
         n_t = int(round(w_cap / dt)) + 1
         t = np.arange(n_t) * dt
-        g, g1, g2 = _inverse_transforms(T0, phi, t)
+        g, g2 = _cos_transforms(t, om, w0)
 
         # reverse cumulative trapezoid of |g|: tail(i) = int_{t_i}^{cap} |g|
         a = np.abs(g)
@@ -235,7 +265,8 @@ def design_filter(
         best = min(best, float(np.min(total[i_min:])))
         if ok.size:
             i = i_min + int(ok[0])
-            t, g, g1, g2 = t[: i + 1], g[: i + 1], g1[: i + 1], g2[: i + 1]
+            g1 = _sin_transform(t, om, w0, i + 1)
+            t, g, g2 = t[: i + 1], g[: i + 1], g2[: i + 1]
             g_l1 = 2.0 * _l1_by_sign_splits(t, g)
             g1_l1 = 2.0 * _l1_by_sign_splits(t, g1, anti_of=g)
             g2_l1 = 2.0 * _l1_by_sign_splits(t, g2, anti_of=g1)

@@ -10,6 +10,13 @@ Reconstruction windows: a run at rate T uses N = round(L*T) samples on
 (0, L] with L = 4*(W + 1), and errors are measured on the central half
 [L/4, 3L/4].  The margin L/4 = W + 1 exceeds the kernel half-width W,
 so every evaluated point sees a fully covered kernel sum.
+
+On that default grid the reconstruction is polyphase: one convolution
+per phase of the 16 evaluation points per sampling interval, taken in
+"valid" mode over just the samples the grid reads, so nothing is
+computed that is thrown away.  Rates below about 3 leave fewer samples
+in the margin than the kernel reaches; those phases use a full
+convolution, with the same outputs as before.
 """
 
 from __future__ import annotations
@@ -144,12 +151,18 @@ def reconstruct(q, T: float, filt: FilterSpec, t):
     return float(out[0]) if scalar else out
 
 
-def _eval_grid_default(plan: SamplingConfig) -> np.ndarray:
-    """Central-half grid with 16 points per sampling interval."""
+def _grid_indices(plan: SamplingConfig):
+    """Central-half grid c/(16T), c = c_lo..c_hi, as (c_lo, c_hi, step)."""
     L = plan.window[1]
     step16 = 1.0 / (_EVAL_PER_INTERVAL * plan.T)
     c_lo = math.ceil(L / 4.0 / step16)
     c_hi = math.floor(3.0 * L / 4.0 / step16)
+    return c_lo, c_hi, step16
+
+
+def _eval_grid_default(plan: SamplingConfig) -> np.ndarray:
+    """Central-half grid with 16 points per sampling interval."""
+    c_lo, c_hi, step16 = _grid_indices(plan)
     return np.arange(c_lo, c_hi + 1) * step16
 
 
@@ -157,28 +170,37 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
     """Fast direct-summation reconstruction on the default central grid.
 
     Evaluation times c/(16T) split by phase p = c mod 16; each phase is
-    one convolution of the sample array with that phase's kernel taps.
+    one convolution of the sample array with that phase's 2J+1 kernel
+    taps, read at m - 1 + J for the grid's sample indices m = c // 16.
+    Those m form one range [lo, hi], so only the samples
+    values[lo-1-J : hi+J] enter, and a "valid" convolve of that window
+    computes exactly the hi - lo + 1 needed outputs with the same
+    full-overlap dot products as a full convolve, hence the same bits.  When the window
+    reaches outside the samples (rates below about 3, where the margin
+    W + 1 holds fewer than J + 1 samples) the phase falls back to the
+    full convolve, whose zero-padded edge sums are then read.
     Returns (grid, reconstruction) matching _eval_grid_default.
     """
     T = plan.T
     N = plan.n_samples
-    L = plan.window[1]
-    step16 = 1.0 / (_EVAL_PER_INTERVAL * T)
-    c_lo = math.ceil(L / 4.0 / step16)
-    c_hi = math.floor(3.0 * L / 4.0 / step16)
+    c_lo, c_hi, step16 = _grid_indices(plan)
     c = np.arange(c_lo, c_hi + 1)
     grid = c * step16
     out = np.empty(c.size)
     J = math.ceil(filt.W * T) + 1
     k = np.arange(2 * J + 1)
     for p in range(_EVAL_PER_INTERVAL):
-        sel = np.nonzero(c % _EVAL_PER_INTERVAL == p)[0]
-        if sel.size == 0:
+        sel = slice((p - c_lo) % _EVAL_PER_INTERVAL, None, _EVAL_PER_INTERVAL)
+        m = c[sel] // _EVAL_PER_INTERVAL
+        if m.size == 0:
             continue
         taps = filt.g(((k - J) * _EVAL_PER_INTERVAL + p) / (_EVAL_PER_INTERVAL * T))
-        conv = np.convolve(values, taps)
-        m = c[sel] // _EVAL_PER_INTERVAL
-        out[sel] = conv[m - 1 + J] / T
+        lo, hi = int(m[0]), int(m[-1])
+        if lo - 1 - J >= 0 and hi + J <= N:
+            out[sel] = np.convolve(values[lo - 1 - J:hi + J], taps, mode="valid") / T
+        else:
+            conv = np.convolve(values, taps)
+            out[sel] = conv[m - 1 + J] / T
     return grid, out
 
 

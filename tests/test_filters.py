@@ -4,9 +4,13 @@ The fast fixture (loose tail tolerance) exercises plumbing; accuracy
 claims use the default design whose tail bound is certified under 1e-8.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sdlab import filters
 from sdlab.errors import InvalidInputError, ResourceError
 from sdlab.filters import design_filter, taper_profiles
 
@@ -105,3 +109,88 @@ def test_wider_transition_band_shrinks_the_support(filt_default):
     assert wide.W < filt_default.W
     assert wide.C_g > filt_default.C_g
     assert wide.g(0.0) == pytest.approx(4.0, abs=1e-6)
+
+
+def _inverse_transforms_oracle(T0, phi, t):
+    """All three transforms over every row, cos and sin per chunk."""
+    n_om = int(round(T0 * 4096)) + 1
+    om = np.linspace(0.0, T0, n_om)
+    gh = np.where(om <= 1.0, 1.0, phi((om - 1.0) / (T0 - 1.0)))
+    wts = np.full(n_om, om[1] - om[0])
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+    w0 = gh * wts
+    w1 = om * w0
+    w2 = om * w1
+    g = np.empty(t.size)
+    g1 = np.empty(t.size)
+    g2 = np.empty(t.size)
+    for a in range(0, t.size, 1024):
+        tt = t[a:a + 1024, None] * om[None, :]
+        c = np.cos(2.0 * math.pi * tt)
+        s = np.sin(2.0 * math.pi * tt)
+        g[a:a + 1024] = 2.0 * (c @ w0)
+        g1[a:a + 1024] = -4.0 * math.pi * (s @ w1)
+        g2[a:a + 1024] = -2.0 * (2.0 * math.pi) ** 2 * (c @ w2)
+    return g, g1, g2
+
+
+def _design_oracle(T0=2.0, trunc_tol=1e-8, rolloff="bump", dt=1.0 / 64.0):
+    """The design loop over full three-transform tables, then truncated."""
+    phi = taper_profiles()[rolloff]
+    for w_cap in (64.0, 256.0):
+        t = np.arange(int(round(w_cap / dt)) + 1) * dt
+        g, g1, g2 = _inverse_transforms_oracle(T0, phi, t)
+        a = np.abs(g)
+        seg = 0.5 * dt * (a[:-1] + a[1:])
+        tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+        two_units = max(int(round(2.0 / dt)), 1)
+        total = 2.0 * tail + 2.0 * float(np.max(a[-two_units:])) * w_cap
+        i_min = int(round(2.0 / dt))
+        ok = np.nonzero(total[i_min:] <= trunc_tol)[0]
+        if ok.size:
+            i = i_min + int(ok[0])
+            t, g, g1, g2 = t[: i + 1], g[: i + 1], g1[: i + 1], g2[: i + 1]
+            norms = (2.0 * filters._l1_by_sign_splits(t, g),
+                     2.0 * filters._l1_by_sign_splits(t, g1, anti_of=g),
+                     2.0 * filters._l1_by_sign_splits(t, g2, anti_of=g1))
+            return t, g, g1, g2, float(t[-1]), float(total[i]), norms
+    raise AssertionError("oracle found no admissible cap")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"trunc_tol": 1e-3},
+    {"T0": 1.5},                  # 3447 kept rows: four chunks of sine
+    {"dt": 1.0 / 32.0},
+    {"rolloff": "raised-cosine-squared", "trunc_tol": 1e-3},
+])
+def test_design_is_bit_identical_to_three_transform_tables(kwargs):
+    f = design_filter(**kwargs)
+    t, g, g1, g2, W, tail_bound, norms = _design_oracle(**kwargs)
+    for got, want in ((f.t_tab, t), (f.g_tab, g), (f.g1_tab, g1), (f.g2_tab, g2)):
+        assert got.tobytes() == want.tobytes()
+    assert (f.W, f.tail_bound) == (W, tail_bound)
+    assert f.norms == norms
+
+
+def test_unreachable_tolerance_keeps_its_message():
+    with pytest.raises(ResourceError) as exc:
+        design_filter(trunc_tol=1e-12)
+    assert str(exc.value) == (
+        "tail bound 1e-12 unreachable within half-width 256.0 (best achievable "
+        "6.584177647539491e-12); the 'bump' taper decays too slowly"
+    )
+
+
+def test_design_holds_one_phase_matrix_at_a_time():
+    # one 1024-row chunk of phases over the omega grid is 64 MiB; the
+    # design may hold it plus small tables, never a second or third copy
+    chunk_bytes = 1024 * 8193 * 8
+    tracemalloc.start()
+    try:
+        design_filter()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * chunk_bytes

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdlab.errors import CoverageError,InsufficientDataError, InvalidInputError
+from sdlab.errors import CoverageError, InsufficientDataError, InvalidInputError
 from sdlab.modulator import SchemeParams, run
 from sdlab.pipeline import (
     _eval_grid_default,
@@ -98,6 +98,44 @@ def test_polyphase_matches_direct_summation(filt_fast):
     # contributes at most |g(W)|/T, so that sets the comparison scale
     edge = abs(filt_fast.g_tab[-1]) / T
     assert np.max(np.abs(fast[pick] - slow)) <= 8.0 * edge
+
+
+def _polyphase_full_mode(values, plan, filt):
+    """Oracle: every phase as a full-mode convolve, read at m - 1 + J."""
+    T = plan.T
+    L = plan.window[1]
+    step16 = 1.0 / (16 * T)
+    c_lo = math.ceil(L / 4.0 / step16)
+    c_hi = math.floor(3.0 * L / 4.0 / step16)
+    c = np.arange(c_lo, c_hi + 1)
+    grid = c * step16
+    out = np.empty(c.size)
+    J = math.ceil(filt.W * T) + 1
+    k = np.arange(2 * J + 1)
+    for p in range(16):
+        sel = np.nonzero(c % 16 == p)[0]
+        if sel.size == 0:
+            continue
+        taps = filt.g(((k - J) * 16 + p) / (16 * T))
+        conv = np.convolve(values, taps)
+        m = c[sel] // 16
+        out[sel] = conv[m - 1 + J] / T
+    return grid, out
+
+
+@pytest.mark.parametrize("T", [1.1, 1.15, 1.5, 2.0, 2.5, 3.0, 7.3, 32.0, 256.0])
+def test_polyphase_is_bit_identical_to_full_mode_convolution(filt_default, T):
+    # rates up to 2.5 leave some phases' windows outside the samples, so
+    # they run the full-mode fallback; from 3 on every phase is "valid";
+    # at 1.15 two phases' windows span exactly samples 0..N-1
+    plan = sampling_plan(T, filt_default)
+    rng = np.random.default_rng(int(T * 10))
+    for q in (rng.choice([-1.0, 1.0], plan.n_samples),
+              rng.normal(0.0, 0.5, plan.n_samples)):
+        grid, fast = _reconstruct_polyphase(q, plan, filt_default)
+        want_grid, want = _polyphase_full_mode(q, plan, filt_default)
+        assert grid.tobytes() == want_grid.tobytes()
+        assert fast.tobytes() == want.tobytes()
 
 
 def test_reconstruct_rejects_uncovered_times(filt_fast):
