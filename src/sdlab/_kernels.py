@@ -1,26 +1,23 @@
-"""Hot inner loops for the modulator recursions.
+"""Hot inner loop for the double-loop modulator recursion.
 
 One loop, _recur, runs the double-loop recursion; run_fill, probe_const
 and probe_input are one-call entry points that differ only in the input
 (array or constant), in whether steps are recorded, and in the bounds.
-first_order_fill is the single-loop recursion of the reconstruction
-pipeline.
 
-The entry points run _recur on the first backend that works, chosen the
-first time a kernel runs (never at import) and reported as BACKEND:
+The entry points run _recur on the backend chosen the first time a
+kernel runs (never at import) and reported as BACKEND:
 
     "c"      _recur.c, compiled with gcc -O2 -ffp-contract=off into
              sdlab/__pycache__/_recur-<hash>.so (or a per-user directory
              under tempfile.gettempdir() when that one is not writable)
              and called through ctypes, which releases the GIL;
-    "numba"  _recur compiled by numba (nogil) when numba imports;
-    "python" the plain-Python _recur, which holds the GIL.
+    "python" the plain-Python _recur, which holds the GIL, when the C
+             loop cannot be built or loaded.
 
-The plain-Python _recur is also the reference the others are tested
-against.  first_order_fill runs under numba when it imports, else as
-plain Python.  Contraction and fastmath stay off: IEEE evaluation order
-is part of the contract (bit-identical trajectories across runs and
-backends, exact state identities up to one rounding).
+The plain-Python _recur is also the reference the C loop is tested
+against.  Contraction stays off: IEEE evaluation order is part of the
+contract (bit-identical trajectories across runs and backends, exact
+state identities up to one rounding).
 
 Quantizer encoding: kind 0 is the two-level sign quantizer (ties at 0 go
 to +1), kind 1 is the three-level quantizer with dead band |x| < tau
@@ -35,22 +32,9 @@ import threading
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
-
+# read by perfbench/run.py metadata() to label its records; always
+# False, since the backends are C and Python
+HAVE_NUMBA = False
 
 KIND_SIGN = 0
 KIND_TRILEVEL = 1
@@ -59,24 +43,19 @@ KIND_TRILEVEL = 1
 HARD_BOUND = 1.0e12
 
 
-# empty stand-in for an absent array argument (no input, no record);
-# numba cannot compile None in its place
-_NONE = np.empty(0)
-
-
 def _recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound, vbound,
            q_out, u_out, v_out):
     """The two-gain recursion from u = v = 0, behind all three entry points.
 
-    The input is f[i], or the constant beta when f is empty.  q, u, v are
-    written per step unless q_out is empty.  Returns (diverged_at, vmax):
+    The input is f[i], or the constant beta when f is None.  q, u, v are
+    written per step unless q_out is None.  Returns (diverged_at, vmax):
     diverged_at is the 0-based step at which |u| > ubound or |v| > vbound
     (a non-finite state fails the same test), -1 if all n_steps stayed
     bounded; vmax is the largest |v| seen up to and including that step.
     """
     trilevel = kind == KIND_TRILEVEL
-    const = f.shape[0] == 0
-    record = q_out.shape[0] > 0
+    const = f is None
+    record = q_out is not None
     u = 0.0
     v = 0.0
     vmax = 0.0
@@ -184,8 +163,8 @@ def _load_c():
 
     def c_recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound,
                 vbound, q_out, u_out, v_out):
-        fp = _address(f, n_steps, False) if f.shape[0] > 0 else None
-        if q_out.shape[0] > 0:
+        fp = None if f is None else _address(f, n_steps, False)
+        if q_out is not None:
             qp, up, vp = (_address(a, n_steps, True) for a in (q_out, u_out, v_out))
         else:
             qp = up = vp = None
@@ -198,7 +177,7 @@ def _load_c():
 
 
 def _choose():
-    """Settle on the first backend that loads: C, then numba, then Python."""
+    """Settle on the C loop if it builds and loads, else the Python one."""
     import subprocess
 
     global _chosen
@@ -207,10 +186,7 @@ def _choose():
             try:
                 _chosen = ("c", _load_c())
             except (OSError, subprocess.SubprocessError):
-                if HAVE_NUMBA:
-                    _chosen = ("numba", njit(cache=True, nogil=True)(_recur))
-                else:
-                    _chosen = ("python", _recur)
+                _chosen = ("python", _recur)
     return _chosen
 
 
@@ -243,33 +219,12 @@ def probe_const(lam1, lam2, gamma, kind, tau, beta, n_steps, bound):
     Returns (diverged_at, vmax) with |v| checked against bound and |u|
     against HARD_BOUND.
     """
-    return _loop()(lam1, lam2, gamma, kind, tau, _NONE, beta, n_steps,
-                   HARD_BOUND, bound, _NONE, _NONE, _NONE)
+    return _loop()(lam1, lam2, gamma, kind, tau, None, beta, n_steps,
+                   HARD_BOUND, bound, None, None, None)
 
 
 def probe_input(lam1, lam2, gamma, kind, tau, f, bound):
     """Same as probe_const but driven by a precomputed input array."""
     return _loop()(lam1, lam2, gamma, kind, tau, f, 0.0, f.shape[0],
-                   HARD_BOUND, bound, _NONE, _NONE, _NONE)
+                   HARD_BOUND, bound, None, None, None)
 
-
-@njit(cache=True, nogil=True)
-def first_order_fill(f, q_out, u_out):
-    """Single-loop recursion q = Q(u + f), u' = u + f - q from u = 0."""
-    u = 0.0
-    for i in range(f.shape[0]):
-        s = u + f[i]
-        q = 1.0 if s >= 0.0 else -1.0
-        u = u + f[i] - q
-        q_out[i] = q
-        u_out[i] = u
-    return -1
-
-
-def warm_up():
-    """Load the recursion backend (building the C loop) and compile kernels."""
-    z = np.zeros(2)
-    run_fill(1.0, 1.0, 1.0, KIND_SIGN, 0.5, z, z.copy(), z.copy(), z.copy(), HARD_BOUND)
-    probe_const(1.0, 1.0, 1.0, KIND_SIGN, 0.5, 0.0, 2, 1000.0)
-    probe_input(1.0, 1.0, 1.0, KIND_SIGN, 0.5, z, 1000.0)
-    first_order_fill(z, z.copy(), z.copy())

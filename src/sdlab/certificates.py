@@ -286,7 +286,8 @@ def max_beta_theoretical(lam: float, alpha_cap: float = 0.99, variant: str = VAR
     """Largest guaranteed input bound over alpha, and its maximizer.
 
     Scans beta_bound(alpha, lam, variant) on a 1e-4 grid of alpha values
-    in (0, alpha_cap], then refines around the best grid point by golden
+    in (0, alpha_cap] (the single point alpha_cap when the cap lies below
+    1e-4), then refines around the best grid point by golden
     section.  Returns (beta_max, alpha_star); (0.0, nan) when no positive
     beta exists at this lambda.
     """
@@ -299,7 +300,7 @@ def max_beta_theoretical(lam: float, alpha_cap: float = 0.99, variant: str = VAR
         return beta_bound(a, lam, variant)
 
     n = max(2, int(round(alpha_cap / 1e-4)))
-    grid = np.linspace(1e-4, alpha_cap, n)
+    grid = np.linspace(min(1e-4, alpha_cap), alpha_cap, n)
     vals = beta_of(grid)
     i = int(np.argmax(vals))
     if vals[i] <= 0.0:

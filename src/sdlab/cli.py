@@ -18,6 +18,7 @@ over both.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -74,16 +75,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _resolve_seed(flag_value):
     if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("SD_LAB_SEED")
-    if env is not None:
+        seed, source = int(flag_value), "--seed"
+    else:
+        env = os.environ.get("SD_LAB_SEED")
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed, source = int(env), "SD_LAB_SEED"
         except ValueError:
             raise InvalidInputError(
                 f"SD_LAB_SEED must be an integer, got {env!r}"
             ) from None
-    return DEFAULT_SEED
+    if seed < 0:
+        raise InvalidInputError(f"{source} must be nonnegative, got {seed}")
+    return seed
 
 
 @contextmanager
@@ -283,9 +288,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not (args.grid_step > 0.0 and args.lambda_max >= args.lambda_min >= 1.0):
-        raise InvalidInputError("need 1 <= lambda-min <= lambda-max and a "
-                                "positive grid-step")
+    if not (args.grid_step > 0.0 and math.isfinite(args.lambda_max)
+            and args.lambda_max >= args.lambda_min >= 1.0):
+        raise InvalidInputError("need finite 1 <= lambda-min <= lambda-max "
+                                "and a positive grid-step")
     n = int(round((args.lambda_max - args.lambda_min) / args.grid_step)) + 1
     grid = np.linspace(args.lambda_min, args.lambda_max, n)
     if args.fig == "fig1":

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import CoverageError, InsufficientDataError, InvalidInputError
 from .filters import FilterSpec
 from .modulator import SchemeParams, run
@@ -117,6 +116,8 @@ def gen_signal(seed, n_components: int, beta: float) -> BandlimitedSignal:
 
 def sampling_plan(T: float, filt: FilterSpec) -> SamplingConfig:
     """Window and sample count giving a W + 1 margin around the middle half."""
+    if not math.isfinite(T):
+        raise InvalidInputError(f"oversampling rate must be finite, got {T!r}")
     L = 4.0 * (filt.W + 1.0)
     return SamplingConfig(T=float(T), n_samples=int(round(L * T)), window=(0.0, L))
 
@@ -253,10 +254,13 @@ def first_order_quantize(samples) -> np.ndarray:
     f = np.ascontiguousarray(samples, dtype=np.float64)
     if f.ndim != 1 or f.size == 0:
         raise InvalidInputError("samples must be a nonempty 1-D sequence")
-    q = np.empty(f.size)
-    u = np.empty(f.size)
-    _kernels.first_order_fill(f, q, u)
-    return q.astype(np.int64)
+    q = []
+    u = 0.0
+    for fi in f.tolist():
+        qi = 1.0 if u + fi >= 0.0 else -1.0
+        u = u + fi - qi
+        q.append(qi)
+    return np.array(q, dtype=np.int64)
 
 
 def reconstruction_error_of(q, signal, T: float, filt: FilterSpec,

@@ -9,9 +9,9 @@ theory against observation.
 
 Determinism: every stochastic probe draws from a fresh generator keyed
 by (seed, row index, probe index), so results are byte-identical for
-any worker count and rows can run concurrently.  The C and numba kernel
-backends release the GIL, so the row threads run in parallel; the
-pure-Python fallback holds the GIL and the threads take turns.
+any worker count and rows can run concurrently.  The C kernel backend
+releases the GIL, so the row threads run in parallel; the pure-Python
+fallback holds the GIL and the threads take turns.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""Shared fixtures: compiled kernels are warmed once, filters designed once."""
+"""Shared fixtures: the kernel backend is loaded once, filters designed once."""
 
 import pytest
 
 from sdlab import _kernels
 from sdlab.filters import design_filter
 
-# pay the jit compile cost before any timed test runs
-_kernels.warm_up()
+# build and load the C loop before any timed test runs
+_kernels.BACKEND
 
 
 @pytest.fixture(scope="session")

@@ -98,6 +98,13 @@ def test_max_beta_hits_the_alpha_cap_exactly_at_unit_gain():
     assert max_beta_theoretical(1.0, alpha_cap=0.5) == (0.5, 0.5)
 
 
+@pytest.mark.parametrize("cap", [1e-9, 5e-5])
+def test_max_beta_keeps_alpha_under_a_cap_below_the_grid_step(cap):
+    beta_max, alpha_star = max_beta_theoretical(1.0, alpha_cap=cap)
+    assert 0.0 < alpha_star <= cap
+    assert beta_max == beta_bound(alpha_star, 1.0, VARIANT_REMARK)
+
+
 def test_max_beta_regression_and_monotone_decay():
     beta_max, alpha_star = max_beta_theoretical(1.01)
     assert beta_max == pytest.approx(0.535104722043692, rel=1e-12)

@@ -76,6 +76,19 @@ def test_random_input_seed_precedence(tmp_path, monkeypatch, capsys):
     assert "SD_LAB_SEED" in capsys.readouterr().err
 
 
+def test_negative_seed_is_invalid_input(monkeypatch, capsys):
+    for argv in (["verify", "--alpha", "0.5", "--lambda", "1.02", "--seed", "-2"],
+                 ["simulate", "--beta", "0.3", "--input", "random", "--steps", "5",
+                  "--seed", "-1"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and "--seed" in err
+    monkeypatch.setenv("SD_LAB_SEED", "-1")
+    assert main(["simulate", "--beta", "0.3", "--input", "random", "--steps", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "SD_LAB_SEED" in err
+
+
 def test_certificate_json_golden(capsys):
     rc = main(["certificate", "--alpha", "0.5", "--lambda", "1.0"])
     cap = capsys.readouterr()
@@ -182,6 +195,19 @@ def test_reconstruct_unreachable_tolerance_is_a_resource_failure(capsys):
     cap = capsys.readouterr()
     assert rc == 3
     assert "best achievable" in cap.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--beta", "0.5", "--rates", "nan"],
+    ["reconstruct", "--beta", "0.5", "--rates", "inf"],
+    ["sweep", "fig1", "--lambda-max", "inf"],
+])
+def test_non_finite_numbers_are_invalid_input(argv, capsys):
+    assert main(argv) == 1
+    cap = capsys.readouterr()
+    assert cap.err.startswith("invalid input:")
+    assert "Traceback" not in cap.err
+    assert cap.out == ""
 
 
 def test_help_exits_zero(capsys):

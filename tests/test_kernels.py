@@ -105,7 +105,7 @@ def test_c_loop_matches_the_python_reference(c_recur, scheme, beta, n, ubound,
                                              vbound, record, drive):
     # drive None is the constant input beta; else uniform draws in
     # [-|beta|, |beta|], optionally with one non-finite entry at index k
-    f = _kernels._NONE
+    f = None
     if drive is not None:
         seed, k, bad = drive
         f = np.random.default_rng(seed).uniform(-abs(beta), abs(beta), n)
@@ -113,10 +113,10 @@ def test_c_loop_matches_the_python_reference(c_recur, scheme, beta, n, ubound,
             f[k] = bad
     outs = {}
     for name, loop in (("py", _kernels._recur), ("c", c_recur)):
-        qv = [np.full(n, 7.0) for _ in range(3)] if record else [_kernels._NONE] * 3
+        qv = [np.full(n, 7.0) for _ in range(3)] if record else [None] * 3
         with np.errstate(invalid="ignore"):
             result = loop(*scheme, f, beta, n, ubound, vbound, *qv)
-        outs[name] = result, [a.tobytes() for a in qv]
+        outs[name] = result, [a.tobytes() for a in qv if a is not None]
     (py_res, py_rec), (c_res, c_rec) = outs["py"], outs["c"]
     assert c_res == py_res
     assert type(c_res[0]) is int
@@ -127,7 +127,7 @@ def test_c_loop_stops_on_a_non_finite_state(c_recur):
     # unbounded limits: step 0 sends u and v to inf, step 1 makes
     # inf - inf = NaN, which fails the bound test like the reference does
     f = np.array([np.inf, -np.inf, 0.0, 0.0])
-    none = [_kernels._NONE] * 3
+    none = [None] * 3
     for loop in (_kernels._recur, c_recur):
         with np.errstate(invalid="ignore"):
             assert loop(1.0, 1.0, 1.0, _kernels.KIND_SIGN, 0.5, f, 0.0, 4,
@@ -140,7 +140,7 @@ def test_c_loop_keeps_the_dead_band_open(c_recur, beta, q1):
     # which lies outside the open dead band (-tau, tau)
     for loop in (_kernels._recur, c_recur):
         q, u, v = np.empty(2), np.empty(2), np.empty(2)
-        loop(1.0, 1.0, 1.0, _kernels.KIND_TRILEVEL, 0.5, _kernels._NONE, beta,
+        loop(1.0, 1.0, 1.0, _kernels.KIND_TRILEVEL, 0.5, None, beta,
              2, 1e3, 1e3, q, u, v)
         assert q.tolist() == [0.0, q1]
 
@@ -154,13 +154,13 @@ def test_c_loop_refuses_arrays_it_could_overrun(c_recur):
         return c_recur(*scheme, f, 0.0, n_steps, 1e3, 1e3, q, u, v)
 
     with pytest.raises(IndexError):
-        call(np.zeros(n - 1), *[_kernels._NONE] * 3)
+        call(np.zeros(n - 1), *[None] * 3)
     with pytest.raises(IndexError):
         call(np.zeros(n), out[0], out[1], np.empty(n - 1))
     with pytest.raises(TypeError):
-        call(np.zeros(n, dtype=np.float32), *[_kernels._NONE] * 3)
+        call(np.zeros(n, dtype=np.float32), *[None] * 3)
     with pytest.raises(TypeError):
-        call(np.zeros(2 * n)[::2], *[_kernels._NONE] * 3)
+        call(np.zeros(2 * n)[::2], *[None] * 3)
     read_only = np.empty(n)
     read_only.flags.writeable = False
     with pytest.raises(ValueError):
@@ -201,7 +201,6 @@ def test_failed_build_falls_back_to_python(monkeypatch):
 
     expected = calls()
     monkeypatch.setattr(_kernels, "_CC", [os.path.join(os.sep, "nonexistent", "cc")])
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
     monkeypatch.setattr(_kernels, "_chosen", None)
     assert calls() == expected
     assert _kernels.BACKEND == "python"
@@ -225,8 +224,8 @@ def test_concurrent_first_use_builds_the_library_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(subprocess, "run", counting_run)
     scheme = (1.02, 1.0, 0.9, _kernels.KIND_SIGN, 0.5)
-    expected = _kernels._recur(*scheme, _kernels._NONE, 0.4, 2000,
-                               _kernels.HARD_BOUND, 1e3, *[_kernels._NONE] * 3)
+    expected = _kernels._recur(*scheme, None, 0.4, 2000,
+                               _kernels.HARD_BOUND, 1e3, *[None] * 3)
     results = []
     barrier = threading.Barrier(8)
 

@@ -1,5 +1,6 @@
 """Sample -> quantize -> reconstruct plumbing and its accuracy invariants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -193,6 +194,16 @@ def test_first_order_quantizer_tracks_the_running_sum():
     for i, f in enumerate(samples):
         u += f - q[i]
         assert abs(u) <= 1.0 + abs(f)
+
+
+def test_first_order_quantizer_output_is_pinned():
+    # pinned sha256 of the int64 output: the update order (u + f) - q
+    # decides every sign, so a reordered loop changes the hash
+    samples = np.random.default_rng(12345).uniform(-0.9, 0.9, 10**5)
+    q = first_order_quantize(samples)
+    assert q.dtype == np.int64
+    assert hashlib.sha256(q.tobytes()).hexdigest() == (
+        "779e790c42e63be8aea513903607157c3b7a887cb1e89af6968eae306c71c7f0")
 
 
 def test_error_curve_rows_and_bound_column(filt_fast):
