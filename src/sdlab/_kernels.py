@@ -1,20 +1,24 @@
-"""Hot inner loop for the double-loop modulator recursion.
+"""Hot inner loops: the double-loop modulator recursion and the row formatter.
 
 One loop, _recur, runs the double-loop recursion; run_fill, probe_const
 and probe_input are one-call entry points that differ only in the input
 (array or constant), in whether steps are recorded, and in the bounds.
+A second loop, _format_rows, renders trajectory rows as CSV text for
+serialize.write_trajectory_csv through the entry point format_rows.
 
-The entry points run _recur on the backend chosen the first time a
-kernel runs (never at import) and reported as BACKEND:
+The entry points run both loops on the backend chosen the first time a
+kernel or the formatter runs (never at import) and reported as BACKEND:
 
-    "c"      _recur.c, compiled with gcc -O2 -ffp-contract=off into
+    "c"      _recur.c, one library holding both loops, compiled with
+             gcc -O2 -ffp-contract=off into
              sdlab/__pycache__/_recur-<hash>.so (or a per-user directory
              under tempfile.gettempdir() when that one is not writable)
              and called through ctypes, which releases the GIL;
-    "python" the plain-Python _recur, which holds the GIL, when the C
-             loop cannot be built or loaded.
+    "python" the plain-Python _recur and the %-formatting _format_rows,
+             which hold the GIL, when the library cannot be built or
+             loaded.
 
-The plain-Python _recur is also the reference the C loop is tested
+The plain-Python loops are also the references the C loops are tested
 against.  Contraction stays off: IEEE evaluation order is part of the
 contract (bit-identical trajectories across runs and backends, exact
 state identities up to one rounding).
@@ -82,13 +86,28 @@ def _recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound, vbound,
     return -1, vmax
 
 
+_ROW = "%d,%.17g,%d,%.17g,%.17g\n"
+
+
+def _format_rows(n0, f, q, u, v):
+    """Rows n0+1 .. n0+len(f) of (n, f, q, u, v) as CSV text, in bytes."""
+    n = range(n0 + 1, n0 + f.shape[0] + 1)
+    rows = zip(n, f.tolist(), q.tolist(), u.tolist(), v.tolist())
+    return "".join(map(_ROW.__mod__, rows)).encode("ascii")
+
+
 # ---------------------------------------------------------------- backends
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_recur.c")
 _CC = ["gcc"]
 _CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
-# (BACKEND, loop with _recur's signature), set on first use
+# longest %.17g text of a double, as in -2.2250738585072014e-308
+_NUM_WIDTH = 24
+
+# (BACKEND, loop with _recur's signature, formatter with _format_rows'),
+# set on first use
+_PYTHON = ("python", _recur, _format_rows)
 _chosen = None
 _choose_lock = threading.Lock()
 
@@ -138,11 +157,11 @@ def _library_path():
     return path
 
 
-def _address(a, n_steps, writable):
+def _address(a, n_steps, writable, dtype=np.float64):
     """Data address of a, once it is safe for C to touch n_steps entries."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype
             and a.ndim == 1 and a.flags.c_contiguous):
-        raise TypeError("kernel arrays must be 1-D C-contiguous float64")
+        raise TypeError(f"kernel arrays must be 1-D C-contiguous {np.dtype(dtype)}")
     if a.shape[0] < n_steps:
         raise IndexError(f"array of {a.shape[0]} values for {n_steps} steps")
     if writable and not a.flags.writeable:
@@ -151,7 +170,7 @@ def _address(a, n_steps, writable):
 
 
 def _load_c():
-    """_recur on the compiled C loop, with its arrays checked first."""
+    """_recur and _format_rows on the compiled C loops, arrays checked first."""
     import ctypes
 
     lib = ctypes.CDLL(_library_path())
@@ -173,20 +192,43 @@ def _load_c():
                 vbound, qp, up, vp, ctypes.byref(vmax))
         return at, vmax.value
 
-    return c_recur
+    fmt = lib.sdlab_format_rows
+    ll = ctypes.c_longlong
+    fmt.argtypes = [ll, p, p, p, p, ll, p, ll]
+    fmt.restype = ll
+
+    def c_format_rows(n0, f, q, u, v):
+        count = f.shape[0]
+        if count == 0:
+            return b""
+        fp, up, vp = (_address(a, count, False) for a in (f, u, v))
+        qp = _address(q, count, False, np.int64)
+        # the widest row this chunk can have, so the buffer cannot overflow
+        q_width = max(len(str(q[:count].min())), len(str(q[:count].max())))
+        cap = count * (len(str(n0 + count)) + q_width + 3 * _NUM_WIDTH + 5)
+        buf = bytearray(cap)
+        out = (ctypes.c_char * cap).from_buffer(buf)
+        written = fmt(n0, fp, qp, up, vp, count, out, cap)
+        del out
+        if written < 0:
+            raise RuntimeError(f"{count} rows overflowed {cap} bytes")
+        del buf[written:]
+        return buf
+
+    return c_recur, c_format_rows
 
 
 def _choose():
-    """Settle on the C loop if it builds and loads, else the Python one."""
+    """Settle on the C loops if they build and load, else the Python ones."""
     import subprocess
 
     global _chosen
     with _choose_lock:
         if _chosen is None:
             try:
-                _chosen = ("c", _load_c())
+                _chosen = ("c", *_load_c())
             except (OSError, subprocess.SubprocessError):
-                _chosen = ("python", _recur)
+                _chosen = _PYTHON
     return _chosen
 
 
@@ -228,3 +270,12 @@ def probe_input(lam1, lam2, gamma, kind, tau, f, bound):
     return _loop()(lam1, lam2, gamma, kind, tau, f, 0.0, f.shape[0],
                    HARD_BOUND, bound, None, None, None)
 
+
+def format_rows(n0, f, q, u, v):
+    """CSV rows n0+1 .. n0+len(f) of a trajectory as ASCII bytes.
+
+    f, u, v are float64 and q int64 arrays of one length; each row is
+    "n,f,q,u,v\\n" with the floats in %.17g and a NaN as "nan".  The
+    result is bytes or a bytearray.
+    """
+    return (_chosen or _choose())[2](n0, f, q, u, v)

@@ -1,10 +1,11 @@
-/* The double-loop recursion of _kernels._recur, in C.
+/* The double-loop recursion of _kernels._recur and the trajectory row
+   formatter of _kernels._format_rows, in C.
 
-   A line-for-line port: the same operations in the same order, so with
-   -ffp-contract=off (no fused multiply-add) every state is bit-identical
-   to the Python reference.  f == NULL means the constant input beta;
-   q_out == NULL means "do not record".  The caller guarantees that f and
-   the three output arrays hold at least n_steps doubles.
+   sdlab_recur is a line-for-line port: the same operations in the same
+   order, so with -ffp-contract=off (no fused multiply-add) every state is
+   bit-identical to the Python reference.  f == NULL means the constant
+   input beta; q_out == NULL means "do not record".  The caller guarantees
+   that f and the three output arrays hold at least n_steps doubles.
 
    Returns the 0-based step at which |u| > ubound or |v| > vbound (a NaN
    state fails the same test), or -1 if all n_steps stayed bounded, and
@@ -12,6 +13,8 @@
 */
 #include <math.h>
 #include <stddef.h>
+#include <stdio.h>
+#include <string.h>
 
 long long sdlab_recur(double lam1, double lam2, double gamma, int kind,
                       double tau, const double *f, double beta,
@@ -48,4 +51,45 @@ long long sdlab_recur(double lam1, double lam2, double gamma, int kind,
     }
     *vmax_out = vmax;
     return -1;
+}
+
+/* Trajectory rows n0+1 .. n0+count as "%lld,%.17g,%lld,%.17g,%.17g\n", the
+   text Python's % operator gives for (n, f, q, u, v), except that a NaN
+   prints as "nan" whatever its sign bit (glibc would print "-nan").
+
+   Each row is formatted on the stack and copied into buf, so the output
+   is exactly the rows, with no terminating NUL.  Returns the number of
+   bytes written, or -1 if the rows do not fit in cap bytes.
+*/
+static int put_num(char *p, size_t room, double x)
+{
+    return isnan(x) ? snprintf(p, room, "nan") : snprintf(p, room, "%.17g", x);
+}
+
+long long sdlab_format_rows(long long n0, const double *f, const long long *q,
+                            const double *u, const double *v, long long count,
+                            char *buf, long long cap)
+{
+    char row[160];
+    long long pos = 0;
+    for (long long i = 0; i < count; i++) {
+        int k;
+        if (isnan(f[i]) || isnan(u[i]) || isnan(v[i])) {
+            k = snprintf(row, sizeof row, "%lld,", n0 + i + 1);
+            k += put_num(row + k, sizeof row - k, f[i]);
+            k += snprintf(row + k, sizeof row - k, ",%lld,", q[i]);
+            k += put_num(row + k, sizeof row - k, u[i]);
+            row[k++] = ',';
+            k += put_num(row + k, sizeof row - k, v[i]);
+            row[k++] = '\n';
+        } else {
+            k = snprintf(row, sizeof row, "%lld,%.17g,%lld,%.17g,%.17g\n",
+                         n0 + i + 1, f[i], q[i], u[i], v[i]);
+        }
+        if (k > cap - pos)
+            return -1;
+        memcpy(buf + pos, row, (size_t)k);
+        pos += k;
+    }
+    return pos;
 }

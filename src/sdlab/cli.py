@@ -7,8 +7,8 @@ tables).  Data goes to stdout or --out; diagnostics go to stderr so
 outputs stay pipe-safe.
 
 Exit codes: 0 success, 1 usage or invalid arguments, 2 a verify run
-found invariance violations, 3 infeasible or unsatisfiable parameters,
-4 state divergence.
+found invariance violations, 3 infeasible or unsatisfiable parameters
+(also a request too large for memory), 4 state divergence.
 
 The default seed is fixed for reproducibility; the SD_LAB_SEED
 environment variable overrides it and an explicit --seed flag wins
@@ -45,7 +45,7 @@ from .errors import (
 from .filters import design_filter
 from .invariance import verify_invariance
 from .modulator import QuantizerKind, SchemeParams, run
-from .pipeline import error_curve, gen_signal, order_fit
+from .pipeline import _MAX_FLOATS, error_curve, gen_signal, order_fit
 from .region import RegionSpec
 from .serialize import (
     ERROR_CURVE_FIELDS,
@@ -292,7 +292,11 @@ def cmd_sweep(args) -> int:
             and args.lambda_max >= args.lambda_min >= 1.0):
         raise InvalidInputError("need finite 1 <= lambda-min <= lambda-max "
                                 "and a positive grid-step")
-    n = int(round((args.lambda_max - args.lambda_min) / args.grid_step)) + 1
+    span = (args.lambda_max - args.lambda_min) / args.grid_step
+    if not span < _MAX_FLOATS:
+        raise ResourceError(f"grid-step {args.grid_step!r} gives more lambda "
+                            f"points than one array can hold")
+    n = int(round(span)) + 1
     grid = np.linspace(args.lambda_min, args.lambda_max, n)
     if args.fig == "fig1":
         rows = run_fig1(grid, variant=_VARIANTS[args.variant],
@@ -343,6 +347,9 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"divergence at step {e.step}: {e}", file=sys.stderr)
         return 4
+    except MemoryError as e:
+        print(f"infeasible: out of memory: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

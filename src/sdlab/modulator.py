@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DivergenceError, InsufficientDataError, InvalidInputError
+from .errors import DivergenceError, InsufficientDataError, InvalidInputError, ResourceError
 
 __all__ = [
     "QuantizerKind",
@@ -205,15 +205,20 @@ def run(params: SchemeParams, input, n_steps: int) -> Trajectory:
     DivergenceError
         Carries the 1-based step index, the last finite state, and the
         partial trajectory up to the failing step.
+    ResourceError
+        If the n_steps-long history cannot be allocated.
     """
     if n_steps < 0:
         raise InvalidInputError("n_steps must be >= 0")
-    f = _as_input_array(input, n_steps)
+    try:
+        f = _as_input_array(input, n_steps)
+        q = np.empty(n_steps)
+        u = np.empty(n_steps)
+        v = np.empty(n_steps)
+    except MemoryError:
+        raise ResourceError(f"cannot allocate the history of {n_steps} steps") from None
     if f.size and not np.all(np.isfinite(f)):
         raise InvalidInputError("input values must be finite")
-    q = np.empty(n_steps)
-    u = np.empty(n_steps)
-    v = np.empty(n_steps)
     kq = params.quantizer
     bad = _kernels.run_fill(
         params.lambda1, params.lambda2, params.gamma,

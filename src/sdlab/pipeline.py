@@ -22,11 +22,12 @@ convolution, with the same outputs as before.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, InsufficientDataError, InvalidInputError
+from .errors import CoverageError, InsufficientDataError, InvalidInputError, ResourceError
 from .filters import FilterSpec
 from .modulator import SchemeParams, run
 
@@ -49,6 +50,8 @@ __all__ = [
 _NORM_SPAN = 272.0
 _NORM_STEP = 1.0 / 2048.0
 _EVAL_PER_INTERVAL = 16
+# float64 values one numpy array can index
+_MAX_FLOATS = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,9 @@ def sampling_plan(T: float, filt: FilterSpec) -> SamplingConfig:
     if not math.isfinite(T):
         raise InvalidInputError(f"oversampling rate must be finite, got {T!r}")
     L = 4.0 * (filt.W + 1.0)
+    if not L * T < _MAX_FLOATS:
+        raise ResourceError(f"rate {T!r} needs {L * T:.3g} samples, more than "
+                            f"one array can hold")
     return SamplingConfig(T=float(T), n_samples=int(round(L * T)), window=(0.0, L))
 
 

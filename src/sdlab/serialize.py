@@ -4,6 +4,13 @@ All floats are rendered with %.17g so 64-bit values round-trip exactly
 and repeated runs produce byte-identical files.  Missing or infeasible
 cells are the literal NA in CSV and null in JSON.  Writers accept a
 filesystem path or any object with a write method.
+
+Trajectories are streamed in CHUNK_ROWS-row chunks, formatted on worker
+threads by _kernels.format_rows: the C row formatter in the same library
+as the recursion, whose calls release the GIL, or, when no compiler is
+present, its plain-Python %-formatting reference.  The chunks reach the
+destination in order, so the bytes do not depend on the backend or the
+worker count.
 """
 
 from __future__ import annotations
@@ -11,10 +18,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from io import StringIO
 
 import numpy as np
 
+from . import _kernels
 from .errors import InvalidInputError
 
 __all__ = [
@@ -88,12 +99,19 @@ def csv_text(fieldnames, rows) -> str:
     return out.getvalue()
 
 
-def _dump(text: str, dest) -> None:
+@contextmanager
+def _opened(dest):
+    """dest itself if it has a write method, else the file at that path."""
     if hasattr(dest, "write"):
-        dest.write(text)
+        yield dest
     else:
         with open(os.fspath(dest), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _dump(text: str, dest) -> None:
+    with _opened(dest) as fh:
+        fh.write(text)
 
 
 def write_csv(dest, fieldnames, rows) -> None:
@@ -146,21 +164,54 @@ def write_json(dest, obj) -> None:
     _dump(json_text(obj), dest)
 
 
-_TRAJ_ROW = "%d,%.17g,%d,%.17g,%.17g"
+CHUNK_ROWS = 65_536
 
 
 def trajectory_csv_text(traj) -> str:
-    """Fast renderer for long runs: one C-level format call per row."""
-    n = range(1, traj.n_steps + 1)
-    rows = zip(n, traj.f.tolist(), traj.q.tolist(),
-               traj.u.tolist(), traj.v.tolist())
-    body = "\n".join(map(_TRAJ_ROW.__mod__, rows))
-    header = ",".join(TRAJECTORY_FIELDS)
-    return header + "\n" + body + "\n" if body else header + "\n"
+    """The CSV text write_trajectory_csv writes, as one string."""
+    out = StringIO()
+    write_trajectory_csv(out, traj)
+    return out.getvalue()
+
+
+def _in_order(job, starts, workers, write):
+    """write(job(s)) for each s in order, with at most workers + 1 jobs alive."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for s in starts:
+            pending.append(pool.submit(job, s))
+            if len(pending) > workers:
+                write(pending.popleft().result())
+        while pending:
+            write(pending.popleft().result())
+
+
+def _write_ascii(write, buf):
+    """write(buf as str), 256 KiB at a time, so no full-chunk copy exists."""
+    with memoryview(buf) as view:
+        for i in range(0, len(view), 1 << 18):
+            write(str(view[i:i + (1 << 18)], "ascii"))
 
 
 def write_trajectory_csv(dest, traj) -> None:
-    _dump(trajectory_csv_text(traj), dest)
+    """Header n,f,q,u,v, then one row per step, streamed chunk by chunk.
+
+    os.cpu_count() threads format the chunks; the output is the same for
+    every thread count.
+    """
+    n = traj.n_steps
+    f, u, v = (np.ascontiguousarray(a, dtype=np.float64)
+               for a in (traj.f, traj.u, traj.v))
+    q = np.ascontiguousarray(traj.q, dtype=np.int64)
+
+    def chunk(lo):
+        hi = min(lo + CHUNK_ROWS, n)
+        return _kernels.format_rows(lo, f[lo:hi], q[lo:hi], u[lo:hi], v[lo:hi])
+
+    with _opened(dest) as fh:
+        fh.write(",".join(TRAJECTORY_FIELDS) + "\n")
+        _in_order(chunk, range(0, n, CHUNK_ROWS), os.cpu_count() or 1,
+                  lambda b: _write_ascii(fh.write, b))
 
 
 def write_region_csv(dest, spec, n_points: int = 513) -> None:

@@ -210,6 +210,23 @@ def test_non_finite_numbers_are_invalid_input(argv, capsys):
     assert cap.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # 728 TiB of history, as constant or as drawn input
+    ["simulate", "--beta", "0.3", "--steps", "100000000000000"],
+    ["simulate", "--beta", "0.3", "--steps", "100000000000000",
+     "--input", "random"],
+    ["sweep", "fig1", "--grid-step", "1e-300"],
+    ["sweep", "fig1", "--grid-step", "5e-324"],
+    ["reconstruct", "--beta", "0.5", "--rates", "1e300", "--trunc-tol", "1e-4"],
+])
+def test_requests_too_large_for_memory_are_infeasible(argv, capsys):
+    assert main(argv) == 3
+    cap = capsys.readouterr()
+    assert cap.err.startswith("infeasible:")
+    assert "Traceback" not in cap.err
+    assert cap.out == ""
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -5,7 +5,8 @@ whether steps are recorded, and in the divergence bounds, so their
 results must agree exactly wherever those differences do not matter.
 The compiled C loop must agree bit for bit with the plain-Python
 reference _kernels._recur, and the tables built on it must not depend on
-the backend or the worker count.
+the backend or the worker count.  The C row formatter must write the
+same bytes as the %-formatting reference _kernels._format_rows.
 """
 
 import os
@@ -85,10 +86,20 @@ def test_c_backend_is_used_when_a_compiler_is_present():
 
 
 @pytest.fixture(scope="module")
-def c_recur():
+def c_loops():
     if not HAVE_GCC:
         pytest.skip("no C compiler on PATH")
     return _kernels._load_c()
+
+
+@pytest.fixture(scope="module")
+def c_recur(c_loops):
+    return c_loops[0]
+
+
+@pytest.fixture(scope="module")
+def c_format_rows(c_loops):
+    return c_loops[1]
 
 
 non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -169,6 +180,62 @@ def test_c_loop_refuses_arrays_it_could_overrun(c_recur):
         *scheme, np.zeros(n), 0.0, n, 1e3, 1e3, *[np.empty(n) for _ in range(3)])
 
 
+# doubles whose %.17g text takes every form: subnormals, signed zeros and
+# infinities, NaN with either sign bit, the fixed/exponent switch at
+# 1e-5 and 1e16/1e17, and the longest text -2.2250738585072014e-308
+special = st.sampled_from([
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+    2.2250738585072009e-308, -2.2250738585072014e-308, 1e-5, 1e-4,
+    9.9999999999999995e-05, 1e16, 1e17, -1e16, 9.999999999999999e16,
+    1.7976931348623157e308, 0.1, 0.3,
+])
+doubles = st.one_of(st.floats(), special)
+rows = st.integers(0, 40).flatmap(lambda k: st.tuples(
+    st.lists(doubles, min_size=k, max_size=k),
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=k, max_size=k),
+    st.lists(doubles, min_size=k, max_size=k),
+    st.lists(doubles, min_size=k, max_size=k),
+))
+
+
+@settings(deadline=None, max_examples=300)
+@given(n0=st.integers(0, 2**62), cols=rows)
+def test_c_formatter_matches_percent_formatting(c_format_rows, n0, cols):
+    f, q, u, v = (np.array(c, dtype=t) for c, t in
+                  zip(cols, (np.float64, np.int64, np.float64, np.float64)))
+    expected = "".join("%d,%.17g,%d,%.17g,%.17g\n" % row for row in zip(
+        range(n0 + 1, n0 + len(f) + 1), *(c.tolist() for c in (f, q, u, v))))
+    assert _kernels._format_rows(n0, f, q, u, v) == expected.encode()
+    assert bytes(c_format_rows(n0, f, q, u, v)) == expected.encode()
+
+
+def test_c_formatter_prints_nan_without_its_sign(c_format_rows):
+    nans = np.array([np.nan, -np.nan])
+    assert np.signbit(nans).tolist() == [False, True]
+    q = np.array([1, -1])
+    out = bytes(c_format_rows(0, nans, q, nans[::-1].copy(), nans))
+    assert out == b"1,nan,1,nan,nan\n2,nan,-1,nan,nan\n"
+
+
+def test_c_formatter_refuses_arrays_it_could_overrun(c_format_rows):
+    n = 10
+    f, u, v = np.zeros(n), np.zeros(n), np.zeros(n)
+    q = np.ones(n, dtype=np.int64)
+    with pytest.raises(IndexError):
+        c_format_rows(0, f, q, u, np.zeros(n - 1))
+    with pytest.raises(IndexError):
+        c_format_rows(0, f, q[:-1], u, v)
+    with pytest.raises(TypeError):
+        c_format_rows(0, f, q, np.zeros(2 * n)[::2], v)
+    with pytest.raises(TypeError):
+        c_format_rows(0, f.astype(np.float32), q, u, v)
+    with pytest.raises(TypeError):
+        c_format_rows(0, f, q.astype(np.float64), u, v)
+    with pytest.raises(TypeError):
+        c_format_rows(0, f, q.astype(np.int32), u, v)
+    assert bytes(c_format_rows(0, f, q, u, v)) == _kernels._format_rows(0, f, q, u, v)
+
+
 def _tables():
     grid = np.array([1.0, 1.04, 1.1])
     return {
@@ -184,7 +251,7 @@ def _tables():
 def test_tables_do_not_depend_on_backend_or_workers(monkeypatch):
     ran = _tables()
     assert ran[1] == ran[2]
-    monkeypatch.setattr(_kernels, "_chosen", ("python", _kernels._recur))
+    monkeypatch.setattr(_kernels, "_chosen", _kernels._PYTHON)
     assert _tables() == ran
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from sdlab.errors import DivergenceError, InsufficientDataError, InvalidInputError
+from sdlab.errors import DivergenceError, InsufficientDataError, InvalidInputError, ResourceError
 from sdlab.modulator import (
     ModulatorState,
     QuantizerKind,
@@ -128,6 +128,12 @@ def test_quantizer_rejects_non_finite_and_bad_tags():
         QuantizerKind(tag="four-level")
     with pytest.raises(InvalidInputError):
         QuantizerKind(tag="trilevel", deadband=-0.1)
+
+
+def test_history_too_large_to_allocate_is_a_resource_error():
+    # 10**14 steps need 728 TiB per array, so the allocation fails at once
+    with pytest.raises(ResourceError):
+        run(SchemeParams(), 0.3, 10**14)
 
 
 def test_param_validation():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdlab.errors import CoverageError, InsufficientDataError, InvalidInputError
+from sdlab.errors import CoverageError, InsufficientDataError, InvalidInputError, ResourceError
 from sdlab.modulator import SchemeParams, run
 from sdlab.pipeline import (
     _eval_grid_default,
@@ -69,6 +69,12 @@ def test_sampling_plan_margins(filt_fast):
     assert plan.n_samples == int(round(L * 32.0))
     # central half plus kernel width stays inside the sampled range
     assert L / 4.0 - filt_fast.W >= 1.0 / 32.0
+
+
+@pytest.mark.parametrize("T", [1e300, 1.7e308])
+def test_sampling_plan_refuses_more_samples_than_an_array_holds(filt_fast, T):
+    with pytest.raises(ResourceError, match="more than one array can hold"):
+        sampling_plan(T, filt_fast)
 
 
 @given(a=st.floats(min_value=-2, max_value=2), b=st.floats(min_value=-2, max_value=2))

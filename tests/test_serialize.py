@@ -3,17 +3,22 @@
 import io
 import json
 import math
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sdlab import _kernels, serialize
+from sdlab.cli import main
 from sdlab.errors import InvalidInputError
 from sdlab.modulator import SchemeParams, run
 from sdlab.region import RegionSpec, b1_eval, corner_u0
 from sdlab.serialize import (
+    CHUNK_ROWS,
     ERROR_CURVE_FIELDS,
     REGION_FIELDS,
     TRAJECTORY_FIELDS,
@@ -74,6 +79,101 @@ def test_million_row_trajectory_formats_within_budget():
     elapsed = time.monotonic() - t0
     assert text.count("\n") == 10**6 + 1
     assert elapsed < 5.0
+
+
+def _reference_text(tr):
+    rows = zip(range(1, tr.n_steps + 1), tr.f.tolist(), tr.q.tolist(),
+               tr.u.tolist(), tr.v.tolist())
+    return "n,f,q,u,v\n" + "".join("%d,%.17g,%d,%.17g,%.17g\n" % r for r in rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_chunked_output_is_the_same_for_every_backend_and_worker_count(
+        n, monkeypatch, tmp_path):
+    # rows on both sides of a chunk boundary, with n counting on across it
+    f = np.random.default_rng(n).uniform(-0.4, 0.4, n)
+    tr = run(SchemeParams(lambda1=1.01, lambda2=1.01, gamma=0.5), f, n)
+    expected = _reference_text(tr)
+    outputs = []
+    for backend in ("chosen", "python"):
+        if backend == "python":
+            monkeypatch.setattr(_kernels, "_chosen", _kernels._PYTHON)
+        for workers in (1, 2):
+            monkeypatch.setattr(serialize.os, "cpu_count", lambda: workers)
+            buf = io.StringIO()
+            write_trajectory_csv(buf, tr)
+            outputs.append(buf.getvalue())
+            path = tmp_path / f"{backend}-{workers}.csv"
+            write_trajectory_csv(path, tr)
+            outputs.append(path.read_bytes().decode("ascii"))
+    assert outputs == [expected] * len(outputs)
+    if n > CHUNK_ROWS:
+        lines = expected.splitlines()  # lines[k] is row k
+        assert [ln.split(",")[0] for ln in lines[CHUNK_ROWS - 1:CHUNK_ROWS + 2]] == [
+            str(CHUNK_ROWS - 1), str(CHUNK_ROWS), str(CHUNK_ROWS + 1)]
+
+
+def test_many_threads_switching_often_keep_the_chunk_order(monkeypatch):
+    # more workers than cores, switching every microsecond, over five chunks
+    n = 4 * CHUNK_ROWS + 123
+    f = np.random.default_rng(5).uniform(-0.3, 0.3, n)
+    tr = run(SchemeParams(lambda1=1.01, gamma=0.7), f, n)
+    monkeypatch.setattr(serialize.os, "cpu_count", lambda: 1)
+    serial = io.StringIO()
+    write_trajectory_csv(serial, tr)
+    monkeypatch.setattr(serialize.os, "cpu_count", lambda: 8)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = io.StringIO()
+        write_trajectory_csv(threaded, tr)
+    finally:
+        sys.setswitchinterval(old)
+    assert threaded.getvalue() == serial.getvalue()
+    assert serial.getvalue().count("\n") == n + 1
+
+
+@pytest.mark.parametrize("backend", ["chosen", "python"])
+def test_divergent_simulate_writes_its_infinite_row(backend, monkeypatch, capsys):
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "_chosen", _kernels._PYTHON)
+    with np.errstate(over="ignore"):
+        rc = main(["simulate", "--beta", "0.3", "--steps", "5",
+                   "--lambda1", "1.7e308", "--lambda2", "1.7e308"])
+    cap = capsys.readouterr()
+    assert rc == 4
+    assert cap.out == (
+        "n,f,q,u,v\n"
+        "1,0.29999999999999999,1,-0.69999999999999996,-0.69999999999999996\n"
+        "2,0.29999999999999999,-1,-1.1899999999999998e+308,-inf\n"
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_file_holds_only_the_chunks_in_flight(workers, monkeypatch,
+                                                       tmp_path):
+    # at most workers + 1 chunk buffers are alive, each sized for the widest
+    # row the chunk can have; the text is ~71 MB and never held whole
+    if _kernels.BACKEND != "c":
+        pytest.skip("the bound is for the C formatter's buffers")
+    n = 10**6
+    tr = run(SchemeParams(), 0.3, n)
+    row_cap = len(str(n)) + 2 + 3 * _kernels._NUM_WIDTH + 5  # q is +-1
+    chunk_cap = CHUNK_ROWS * row_cap
+    monkeypatch.setattr(serialize.os, "cpu_count", lambda: workers)
+    path = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(path, tr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 65 * 10**6
+    # one more chunk alive than the design allows would break the bound
+    assert peak < (workers + 1) * chunk_cap + chunk_cap // 2
+    if workers == 1:
+        assert peak < size / 4
 
 
 def test_json_layout_and_float_text():
