@@ -56,7 +56,11 @@ def _recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound, vbound,
     diverged_at is the 0-based step at which |u| > ubound or |v| > vbound
     (a non-finite state fails the same test), -1 if all n_steps stayed
     bounded; vmax is the largest |v| seen up to and including that step.
+    The arithmetic runs on Python floats, as C runs on doubles: same bits,
+    no numpy overflow warnings, and a float vmax.
     """
+    lam1, lam2, gamma, tau, beta = map(float, (lam1, lam2, gamma, tau, beta))
+    ubound, vbound = float(ubound), float(vbound)
     trilevel = kind == KIND_TRILEVEL
     const = f is None
     record = q_out is not None
@@ -71,7 +75,7 @@ def _recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound, vbound,
             q = 1.0
         else:
             q = -1.0
-        w = lam1 * u + ((beta if const else f[i]) - q)
+        w = lam1 * u + ((beta if const else f.item(i)) - q)
         v = w + lam2 * v
         u = w
         if record:

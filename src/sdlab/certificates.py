@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,6 +74,23 @@ def _epsilon(alpha, lam, variant: str):
     return _coef(variant) * (lam - 1.0) * (1.0 + alpha) / (1.0 - alpha)
 
 
+def _json_fields(record) -> dict:
+    """to_json_dict of the certificate records: the fields as a flat dict.
+
+    Keys follow field order; lam is written as "lambda" and a (lo, hi)
+    pair field x as x_lo, x_hi.
+    """
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        key = "lambda" if f.name == "lam" else f.name
+        if isinstance(value, tuple):
+            out[key + "_lo"], out[key + "_hi"] = value
+        else:
+            out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class StabilityCertificate:
     """An admissible parameter tuple with its guaranteed state bound."""
@@ -99,22 +116,7 @@ class StabilityCertificate:
     def region(self) -> RegionSpec:
         return RegionSpec(self.alpha, self.C)
 
-    def to_json_dict(self) -> dict:
-        """Flat dict in the serialization key order."""
-        return {
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "epsilon": self.epsilon,
-            "C": self.C,
-            "gamma": self.gamma,
-            "gamma_lo": self.gamma_lo,
-            "gamma_hi": self.gamma_hi,
-            "beta": self.beta,
-            "v_max_bound": self.v_max_bound,
-            "u0": self.u0,
-            "u1": self.u1,
-            "variant": self.variant,
-        }
+    to_json_dict = _json_fields
 
 
 def beta_bound(alpha: float, lam: float, variant: str = VARIANT_REMARK) -> float:
@@ -154,18 +156,34 @@ def _validate_alpha_lambda(alpha: float, lam: float):
         raise InvalidInputError(f"lambda must be >= 1, got {lam!r}")
 
 
+def _canonical(alpha: float):
+    """The smallest region R(alpha, 2dH/dL) and the fixed gamma = dL/dH.
+
+    The region's v_extent, C + dL/8, is the certified bound on |v|.
+    """
+    dL, dH = 1.0 - alpha, 1.0 + alpha
+    return RegionSpec(alpha, 2.0 * dH / dL), dL / dH
+
+
 def _canonical_certificate(alpha: float, lam: float, epsilon: float, beta: float,
                            variant: str) -> StabilityCertificate:
     """Certificate on the canonical region C = 2dH/dL with gamma = dL/dH."""
-    dL, dH = 1.0 - alpha, 1.0 + alpha
-    C = 2.0 * dH / dL
-    gamma = dL / dH
+    spec, gamma = _canonical(alpha)
     return StabilityCertificate(
-        alpha=alpha, lam=lam, epsilon=epsilon, C=C,
+        alpha=alpha, lam=lam, epsilon=epsilon, C=spec.C,
         gamma=gamma, gamma_lo=gamma, gamma_hi=gamma,
-        beta=beta, v_max_bound=C + dL / 8.0,
-        u0=corner_u0(RegionSpec(alpha, C)), u1=dH, variant=variant,
+        beta=beta, v_max_bound=spec.v_extent,
+        u0=corner_u0(spec), u1=spec.delta_H, variant=variant,
     )
+
+
+def _check_epsilon(alpha: float, lam: float, epsilon: float) -> None:
+    """Raise InfeasibleError("eps2") unless 2dH(lam-1)/dL <= epsilon <= alpha."""
+    eps_min = 2.0 * (1.0 + alpha) * (lam - 1.0) / (1.0 - alpha)
+    if epsilon < eps_min * (1.0 - 1e-14) or epsilon > alpha * (1.0 + 1e-14):
+        raise InfeasibleError(
+            "eps2", f"epsilon={epsilon!r} outside [{eps_min!r}, {alpha!r}]"
+        )
 
 
 def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) -> StabilityCertificate:
@@ -227,12 +245,7 @@ def thm2_certificate(
             f"lambda={lam!r} exceeds 1 + alpha(1-alpha)/(2(1+alpha)) = {lam_cut!r}",
         )
 
-    eps_min = 2.0 * dH * (lam - 1.0) / dL
-    if epsilon < eps_min * (1.0 - 1e-14) or epsilon > alpha * (1.0 + 1e-14):
-        raise InfeasibleError(
-            "eps2",
-            f"epsilon={epsilon!r} outside [{eps_min!r}, {alpha!r}]",
-        )
+    _check_epsilon(alpha, lam, epsilon)
 
     c_min = 2.0 * dH / dL
     if lam > 1.0:
@@ -277,7 +290,7 @@ def thm2_certificate(
     return StabilityCertificate(
         alpha=alpha, lam=lam, epsilon=epsilon, C=C,
         gamma=gamma, gamma_lo=lo, gamma_hi=hi,
-        beta=beta, v_max_bound=C + dL / 8.0,
+        beta=beta, v_max_bound=spec.v_extent,
         u0=u0, u1=u1, variant=VARIANT_REMARK,
     )
 
@@ -381,26 +394,7 @@ class PrintedGammaIntervalReport:
     contained: bool         # printed interval inside the union
     hi_excess: float        # printed_hi - union_hi
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "epsilon": self.epsilon,
-            "printed_lo": self.printed_lo,
-            "printed_hi": self.printed_hi,
-            "c_min": self.c_min,
-            "c_max": self.c_max,
-            "range_at_cmin_lo": self.range_at_cmin[0],
-            "range_at_cmin_hi": self.range_at_cmin[1],
-            "range_at_cmax_lo": self.range_at_cmax[0],
-            "range_at_cmax_hi": self.range_at_cmax[1],
-            "union_lo": self.union_lo,
-            "union_hi": self.union_hi,
-            "lo_abs_diff": self.lo_abs_diff,
-            "lo_matches_cmax": self.lo_matches_cmax,
-            "contained": self.contained,
-            "hi_excess": self.hi_excess,
-        }
+    to_json_dict = _json_fields
 
 
 def printed_gamma_interval_report(
@@ -415,12 +409,8 @@ def printed_gamma_interval_report(
     _validate_alpha_lambda(alpha, lam)
     if lam <= 1.0:
         raise InvalidInputError("the closed-form interval needs lambda > 1")
+    _check_epsilon(alpha, lam, epsilon)
     dL, dH = 1.0 - alpha, 1.0 + alpha
-    eps_min = 2.0 * dH * (lam - 1.0) / dL
-    if epsilon < eps_min * (1.0 - 1e-14) or epsilon > alpha * (1.0 + 1e-14):
-        raise InfeasibleError(
-            "eps2", f"epsilon={epsilon!r} outside [{eps_min!r}, {alpha!r}]"
-        )
 
     lm1 = lam - 1.0
     printed_lo = 2.0 * dH**2 * lm1**2 / (epsilon**2 * dL - 2.0 * dH**2 * lm1**2)
@@ -431,12 +421,18 @@ def printed_gamma_interval_report(
     r_cmin = yilmaz_gamma_range(RegionSpec(alpha, c_min))
     r_cmax = yilmaz_gamma_range(RegionSpec(alpha, c_max))
 
-    cs = np.exp(np.linspace(math.log(c_min), math.log(c_max), 4097))
-    u0s = np.sqrt(2.0 * cs * dH * dL)
-    los = dH / (cs - dH)
-    his = (u0s - dH) / (cs * alpha + 0.5 * u0s)
-    union_lo = float(np.min(los))
-    union_hi = float(np.max(his))
+    # lo(C) = dH/(C - dH) falls as C grows, so the union starts at
+    # lo(C_max).  With x = sqrt(C) and k = sqrt(2 dH dL), hi(C) =
+    # (k x - dH)/(alpha x^2 + k x/2) rises then falls in x: its derivative
+    # has the sign of -k alpha x^2 + 2 alpha dH x + k dH/2, which has one
+    # positive root.  So the union ends at hi of that root, clipped to
+    # [C_min, C_max].
+    k = math.sqrt(2.0 * dH * dL)
+    ad = alpha * dH
+    x = (ad + math.sqrt(ad * ad + 0.5 * k * k * ad)) / (k * alpha)
+    c_peak = min(max(x * x, c_min), c_max)
+    union_lo = r_cmax[0]
+    union_hi = yilmaz_gamma_range(RegionSpec(alpha, c_peak))[1]
 
     lo_abs_diff = abs(printed_lo - r_cmax[0])
     lo_matches = lo_abs_diff <= tol * max(1.0, abs(printed_lo))

@@ -21,7 +21,6 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -91,13 +90,9 @@ def _resolve_seed(flag_value):
     return seed
 
 
-@contextmanager
-def _open_out(path):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+def _out(args):
+    """Where a handler writes: stdout for no --out or "-", else the path."""
+    return sys.stdout if args.out in (None, "-") else args.out
 
 
 def _add_seed_out(p):
@@ -209,12 +204,10 @@ def cmd_simulate(args) -> int:
         traj = run(params, source, args.steps)
     except DivergenceError as e:
         if e.trajectory is not None:
-            with _open_out(args.out) as fh:
-                write_trajectory_csv(fh, e.trajectory)
+            write_trajectory_csv(_out(args), e.trajectory)
         print(f"divergence at step {e.step}: {e}", file=sys.stderr)
         return 4
-    with _open_out(args.out) as fh:
-        write_trajectory_csv(fh, traj)
+    write_trajectory_csv(_out(args), traj)
     return 0
 
 
@@ -225,15 +218,13 @@ def cmd_certificate(args) -> int:
     else:
         cert = thm2_certificate(args.alpha, args.lam, args.epsilon,
                                 gamma_choice=args.gamma)
-    with _open_out(args.out) as fh:
-        write_json(fh, cert.to_json_dict())
+    write_json(_out(args), cert.to_json_dict())
     return 0
 
 
 def cmd_region(args) -> int:
     spec = RegionSpec(alpha=args.alpha, C=args.C)
-    with _open_out(args.out) as fh:
-        write_region_csv(fh, spec, n_points=args.points)
+    write_region_csv(_out(args), spec, n_points=args.points)
     return 0
 
 
@@ -253,8 +244,7 @@ def cmd_verify(args) -> int:
                                n_deltas=args.deltas,
                                seed=_resolve_seed(args.seed),
                                workers=args.workers, tol=args.tol)
-    with _open_out(args.out) as fh:
-        write_json(fh, report.to_json_dict())
+    write_json(_out(args), report.to_json_dict())
     print(f"checked {report.n_checked} transitions: "
           f"{len(report.violations)} violations", file=sys.stderr)
     return 0 if report.ok else 2
@@ -276,8 +266,7 @@ def cmd_reconstruct(args) -> int:
     else:
         params = SchemeParams(args.lambda1, args.lambda2, args.gamma)
     rows = error_curve(signal, params, rates, filt)
-    with _open_out(args.out) as fh:
-        write_csv(fh, ERROR_CURVE_FIELDS, rows)
+    write_csv(_out(args), ERROR_CURVE_FIELDS, rows)
     try:
         slope = order_fit(rows)
         print(f"order fit: slope {slope:.4f} over {len(rows)} rates",
@@ -314,8 +303,7 @@ def cmd_sweep(args) -> int:
             workers=args.workers,
         )
         rows = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}[args.fig](cfg)
-    with _open_out(args.out) as fh:
-        write_csv(fh, sweep_fieldnames(args.fig), rows)
+    write_csv(_out(args), sweep_fieldnames(args.fig), rows)
     return 0
 
 

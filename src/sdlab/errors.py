@@ -15,6 +15,10 @@ exit-code table) can dispatch on class alone:
 
 from __future__ import annotations
 
+__all__ = ["SdlabError", "InvalidInputError", "DivergenceError",
+           "InsufficientDataError", "InfeasibleError", "NoSolutionError",
+           "CoverageError", "ResourceError", "DegenerateConfigurationError"]
+
 
 class SdlabError(Exception):
     """Base class for package errors."""

@@ -42,6 +42,7 @@ __all__ = [
     "error_curve",
     "order_fit",
     "first_order_quantize",
+    "reconstruction_error_of",
 ]
 
 # sup normalization grid: covers the longest desk-scale window (L up to
@@ -167,12 +168,6 @@ def _grid_indices(plan: SamplingConfig):
     return c_lo, c_hi, step16
 
 
-def _eval_grid_default(plan: SamplingConfig) -> np.ndarray:
-    """Central-half grid with 16 points per sampling interval."""
-    c_lo, c_hi, step16 = _grid_indices(plan)
-    return np.arange(c_lo, c_hi + 1) * step16
-
-
 def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: FilterSpec):
     """Fast direct-summation reconstruction on the default central grid.
 
@@ -186,7 +181,7 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
     reaches outside the samples (rates below about 3, where the margin
     W + 1 holds fewer than J + 1 samples) the phase falls back to the
     full convolve, whose zero-padded edge sums are then read.
-    Returns (grid, reconstruction) matching _eval_grid_default.
+    Returns (grid, reconstruction) on the _grid_indices grid.
     """
     T = plan.T
     N = plan.n_samples

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .certificates import VARIANT_REMARK, max_beta_theoretical
+from .certificates import VARIANT_REMARK, _canonical, max_beta_theoretical
 from .errors import (
     DegenerateConfigurationError,
     DivergenceError,
@@ -47,7 +47,6 @@ __all__ = [
 DEFAULT_SEED = 1729
 
 _INPUT_MODES = ("constant", "random-uniform")
-_GAMMA_MODES = ("thm1", "gamma1")
 _VMAX_PROBE_INDEX = 1_000_000  # stream slot reserved for measure_vmax draws
 
 
@@ -61,7 +60,6 @@ class SweepConfig:
     """Grid, probe, and reproducibility settings shared by the sweeps."""
 
     lambda_grid: np.ndarray = field(default_factory=_default_lambda_grid)
-    gamma_mode: str = "thm1"
     input_mode: str = "constant"
     max_iters: int = 1_000_000
     divergence_bound: float = 1000.0
@@ -78,8 +76,6 @@ class SweepConfig:
         if np.any(grid < 1.0) or not np.all(np.isfinite(grid)):
             raise InvalidInputError("lambda_grid entries must be finite and >= 1")
         object.__setattr__(self, "lambda_grid", grid)
-        if self.gamma_mode not in _GAMMA_MODES:
-            raise InvalidInputError(f"gamma_mode must be one of {_GAMMA_MODES}")
         if self.input_mode not in _INPUT_MODES:
             raise InvalidInputError(f"input_mode must be one of {_INPUT_MODES}")
         if not self.bisect_tol > 0.0:
@@ -128,16 +124,16 @@ def _resolve_gamma(lam: float, gamma_mode: str, cfg: SweepConfig):
 
     Returns (gamma, gamma_mode_label, alpha_used, beta_theoretical); the
     label records the fallback when no certificate exists at this gain.
+    The fixed coupling still reports the certified beta for comparison.
     """
-    if gamma_mode == "gamma1":
-        return 1.0, "gamma1", None, None
     beta_max, alpha_star = max_beta_theoretical(
         lam, alpha_cap=cfg.alpha_cap, variant=cfg.variant
     )
+    if gamma_mode == "gamma1":
+        return 1.0, "gamma1", None, beta_max if beta_max > 0.0 else None
     if beta_max <= 0.0 or not math.isfinite(alpha_star):
         return 1.0, "gamma1-fallback", None, None
-    gamma = (1.0 - alpha_star) / (1.0 + alpha_star)
-    return gamma, "thm1", alpha_star, beta_max
+    return _canonical(alpha_star)[1], "thm1", alpha_star, beta_max
 
 
 def find_beta_threshold(lam: float, gamma_mode: str, cfg: SweepConfig,
@@ -242,12 +238,6 @@ def run_fig1(lambda_grid=None, variant: str = VARIANT_REMARK,
 def _threshold_row(cfg: SweepConfig, row_index: int, lam: float,
                    gamma_mode: str) -> dict:
     gamma, mode_label, alpha_used, beta_th = _resolve_gamma(lam, gamma_mode, cfg)
-    if gamma_mode == "gamma1":
-        # certified curve is still reported for comparison
-        beta_th_info, _ = max_beta_theoretical(
-            lam, alpha_cap=cfg.alpha_cap, variant=cfg.variant
-        )
-        beta_th = beta_th_info if beta_th_info > 0.0 else None
     return {
         "lambda": float(lam),
         "beta_theoretical": beta_th,
@@ -271,10 +261,6 @@ def run_fig3(cfg: SweepConfig):
     return _threshold_table(cfg, "gamma1")
 
 
-def _vmax_bound_at(alpha: float) -> float:
-    return 2.0 * (1.0 + alpha) / (1.0 - alpha) + (1.0 - alpha) / 8.0
-
-
 def run_fig4(cfg: SweepConfig):
     """State-bound comparison at the observed thresholds of both modes.
 
@@ -296,7 +282,8 @@ def run_fig4(cfg: SweepConfig):
         certified = mode_label == "thm1"
         return {
             "lambda": float(lam),
-            "vmax_theoretical": _vmax_bound_at(alpha_used) if certified else None,
+            "vmax_theoretical":
+                _canonical(alpha_used)[0].v_extent if certified else None,
             "vmax_empirical_thm1gamma":
                 vmax_at_threshold(i, lam, gamma) if certified else None,
             "vmax_empirical_gamma1": vmax_at_threshold(i, lam, 1.0),
@@ -317,7 +304,7 @@ def vmax_at_theoretical(cfg: SweepConfig):
         gamma, mode_label, alpha_star, beta_max = _resolve_gamma(lam, "thm1", cfg)
         if mode_label != "thm1":
             return None
-        bound = _vmax_bound_at(alpha_star)
+        bound = _canonical(alpha_star)[0].v_extent
         measured = measure_vmax(lam, gamma, beta_max, cfg, row_index=i)
         return {
             "lambda": float(lam),

@@ -247,6 +247,39 @@ def test_printed_gamma_interval_report_flags_the_defect():
     assert rep.lo_abs_diff >= 0.0
 
 
+@pytest.mark.parametrize("alpha,lam,eps", [
+    (0.3, 1.0001, 0.25),   # a 4,097-point grid misses this peak by 1.3e-7
+    (0.5, 1.01, 0.2),
+    (0.8, 1.001, 0.5),
+    (0.1, 1.0001, 0.05),
+    (0.5, 1.01, 0.0601),   # C interval narrower than the peak's distance
+])
+def test_gamma_union_ends_are_exact(alpha, lam, eps):
+    rep = printed_gamma_interval_report(alpha, lam, eps)
+    dH, dL = 1.0 + alpha, 1.0 - alpha
+    cs = np.exp(np.linspace(math.log(rep.c_min), math.log(rep.c_max), 65537))
+    u0s = np.sqrt(2.0 * cs * dH * dL)
+    his = (u0s - dH) / (cs * alpha + 0.5 * u0s)
+    # near the flat peak the grid and the closed form round differently,
+    # by at most a few ulps; a missed peak is off by far more
+    assert rep.union_hi >= his.max() - 4.0 * np.spacing(his.max())
+    assert rep.union_lo == rep.range_at_cmax[0]
+
+
+def test_report_json_keys_flatten_the_fields():
+    rep = printed_gamma_interval_report(0.5, 1.01, 0.2)
+    assert list(rep.to_json_dict()) == [
+        "alpha", "lambda", "epsilon", "printed_lo", "printed_hi", "c_min",
+        "c_max", "range_at_cmin_lo", "range_at_cmin_hi", "range_at_cmax_lo",
+        "range_at_cmax_hi", "union_lo", "union_hi", "lo_abs_diff",
+        "lo_matches_cmax", "contained", "hi_excess"]
+    assert rep.to_json_dict()["range_at_cmax_hi"] == rep.range_at_cmax[1]
+    cert = thm1_certificate(0.5, 1.01)
+    assert list(cert.to_json_dict()) == [
+        "alpha", "lambda", "epsilon", "C", "gamma", "gamma_lo", "gamma_hi",
+        "beta", "v_max_bound", "u0", "u1", "variant"]
+
+
 @given(
     alpha=st.floats(min_value=0.05, max_value=0.95),
     lam=st.floats(min_value=1.0, max_value=1.05),

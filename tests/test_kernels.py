@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdlab import _kernels
+from sdlab.cli import main
 from sdlab.sweeps import SweepConfig, run_fig2, run_fig4
 
 HAVE_GCC = shutil.which(_kernels._CC[0]) is not None
@@ -338,3 +340,25 @@ def test_cold_import_neither_loads_nor_builds_the_loop():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_backend_overflows_silently(monkeypatch, capsys):
+    # C never warns on overflow; the Python loop must not either
+    monkeypatch.setattr(_kernels, "_chosen", _kernels._PYTHON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--beta", "0.3", "--steps", "5",
+                   "--lambda1", "1.7e308", "--lambda2", "1.7e308"])
+    assert rc == 4
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_gcc)])
+def test_probe_input_vmax_is_a_python_float(backend, monkeypatch):
+    chosen = _kernels._PYTHON if backend == "python" else ("c", *_kernels._load_c())
+    monkeypatch.setattr(_kernels, "_chosen", chosen)
+    f = np.random.default_rng(0).uniform(-0.5, 0.5, 100)
+    # sweeps pass gains straight from a numpy grid
+    _, vmax = _kernels.probe_input(np.float64(1.01), 1.0, 0.7,
+                                   _kernels.KIND_SIGN, 0.5, f, 50.0)
+    assert type(vmax) is float

@@ -38,3 +38,45 @@ def test_declared_dependencies_are_the_third_party_imports():
 def test_every_declared_dependency_imports():
     for name in sorted(_declared()):
         importlib.import_module(name)
+
+
+def _exporting_modules():
+    """Every sdlab module the package re-exports: all but cli and _kernels."""
+    stems = sorted(p.stem for p in (ROOT / "src" / "sdlab").glob("*.py"))
+    return [importlib.import_module(f"sdlab.{s}") for s in stems
+            if s not in ("__init__", "cli", "_kernels")]
+
+
+def test_package_names_are_the_module_lists_joined():
+    import sdlab
+
+    modules = _exporting_modules()
+    joined = []
+    for module in modules:
+        assert hasattr(module, "__all__"), module.__name__
+        for name in module.__all__:
+            assert getattr(sdlab, name) is getattr(module, name), name
+        joined.extend(module.__all__)
+    assert len(set(joined)) == len(joined)  # no star import shadows another
+    assert sdlab.__all__[0] == "__version__"
+    # the rest is the module lists, each whole and once, one after another
+    rest, blocks = sdlab.__all__[1:], [m.__all__ for m in modules]
+    while rest:
+        block = next(b for b in blocks if rest[:len(b)] == b)
+        blocks.remove(block)
+        rest = rest[len(block):]
+    assert blocks == []
+
+
+def test_every_traced_benchmark_layer_exists(monkeypatch):
+    # perfbench patches these attributes by module; a refactor that
+    # renames one must fail here, not only in the benchmark's smoke test
+    import inspect
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    assert tracing.WRAPS
+    for module, path, _name, _count in tracing.WRAPS:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = inspect.getattr_static(owner, part)

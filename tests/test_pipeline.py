@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sdlab.errors import CoverageError, InsufficientDataError, InvalidInputError, ResourceError
 from sdlab.modulator import SchemeParams, run
 from sdlab.pipeline import (
-    _eval_grid_default,
+    _grid_indices,
     _reconstruct_polyphase,
     error_curve,
     first_order_quantize,
@@ -97,7 +97,8 @@ def test_polyphase_matches_direct_summation(filt_fast):
     rng = np.random.default_rng(7)
     q = rng.choice([-1.0, 1.0], plan.n_samples)
     grid, fast = _reconstruct_polyphase(q, plan, filt_fast)
-    assert np.array_equal(grid, _eval_grid_default(plan))
+    c_lo, c_hi, step16 = _grid_indices(plan)
+    assert np.array_equal(grid, np.arange(c_lo, c_hi + 1) * step16)
     pick = np.linspace(0, grid.size - 1, 25).astype(int)
     slow = reconstruct(q, T, filt_fast, grid[pick])
     # the two paths may disagree on which side of the truncation edge an

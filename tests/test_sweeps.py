@@ -192,5 +192,5 @@ def test_config_validation():
         SweepConfig(alpha_cap=1.0)
     with pytest.raises(InvalidInputError):
         SweepConfig(input_mode="impulse")
-    with pytest.raises(InvalidInputError):
-        SweepConfig(gamma_mode="thm3")
+    with pytest.raises(TypeError):  # the coupling is an argument of each sweep
+        SweepConfig(gamma_mode="thm1")
