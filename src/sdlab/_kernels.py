@@ -1,27 +1,27 @@
-"""Hot inner loops: the double-loop modulator recursion and the row formatter.
+"""Hot inner loops: the modulator recursion, the row formatter, the excess.
 
 One loop, _recur, runs the double-loop recursion; run_fill, probe_const
 and probe_input are one-call entry points that differ only in the input
 (array or constant), in whether steps are recorded, and in the bounds.
 A second loop, _format_rows, renders trajectory rows as CSV text for
-serialize.write_trajectory_csv through the entry point format_rows.
+serialize.write_trajectory_csv through format_rows, and a third, _excess,
+measures one region step's escapes for invariance through excess.
 
-The entry points run both loops on the backend chosen the first time a
-kernel or the formatter runs (never at import) and reported as BACKEND:
+The entry points run the loops on the backend chosen the first time one
+of them runs (never at import) and reported as BACKEND:
 
-    "c"      _recur.c, one library holding both loops, compiled with
+    "c"      _recur.c, one library holding all three loops, compiled with
              gcc -O2 -ffp-contract=off into
              sdlab/__pycache__/_recur-<hash>.so (or a per-user directory
              under tempfile.gettempdir() when that one is not writable)
              and called through ctypes, which releases the GIL;
-    "python" the plain-Python _recur and the %-formatting _format_rows,
-             which hold the GIL, when the library cannot be built or
-             loaded.
+    "python" the plain-Python _recur and %-formatting _format_rows and
+             the numpy _excess, when the library cannot be built or loaded.
 
 The plain-Python loops are also the references the C loops are tested
 against.  Contraction stays off: IEEE evaluation order is part of the
-contract (bit-identical trajectories across runs and backends, exact
-state identities up to one rounding).
+contract (bit-identical outputs across runs and backends, exact state
+identities up to one rounding).
 
 Quantizer encoding: kind 0 is the two-level sign quantizer (ties at 0 go
 to +1), kind 1 is the three-level quantizer with dead band |x| < tau
@@ -35,6 +35,8 @@ import tempfile
 import threading
 
 import numpy as np
+
+from .region import _step_region_arrays, b1_eval, b2_eval
 
 # read by perfbench/run.py metadata() to label its records; always
 # False, since the backends are C and Python
@@ -100,6 +102,14 @@ def _format_rows(n0, f, q, u, v):
     return "".join(map(_ROW.__mod__, rows)).encode("ascii")
 
 
+def _excess(us, vs, deltas, gamma, lam, spec):
+    """Excess of (us[i], vs[i]) stepped by deltas[j], at (i, j), in numpy:
+    max(|u'| - u0, B2(u') - v', v' - B1(u')), > 0 where (u', v') leaves spec."""
+    u2, v2 = _step_region_arrays(us[:, None], vs[:, None], deltas[None, :], gamma, lam)
+    return np.maximum(np.maximum(np.abs(u2) - spec.u0, b2_eval(spec, u2) - v2),
+                      v2 - b1_eval(spec, u2))
+
+
 # ---------------------------------------------------------------- backends
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_recur.c")
@@ -109,9 +119,8 @@ _CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 # longest %.17g text of a double, as in -2.2250738585072014e-308
 _NUM_WIDTH = 24
 
-# (BACKEND, loop with _recur's signature, formatter with _format_rows'),
-# set on first use
-_PYTHON = ("python", _recur, _format_rows)
+# (BACKEND, then loops with the signatures of _recur, _format_rows, _excess)
+_PYTHON = ("python", _recur, _format_rows, _excess)
 _chosen = None
 _choose_lock = threading.Lock()
 
@@ -174,7 +183,7 @@ def _address(a, n_steps, writable, dtype=np.float64):
 
 
 def _load_c():
-    """_recur and _format_rows on the compiled C loops, arrays checked first."""
+    """_recur, _format_rows and _excess on the C loops, arrays checked first."""
     import ctypes
 
     lib = ctypes.CDLL(_library_path())
@@ -219,7 +228,18 @@ def _load_c():
         del buf[written:]
         return buf
 
-    return c_recur, c_format_rows
+    exc = lib.sdlab_excess
+    exc.argtypes, exc.restype = [p, p, ll, p, ll, *[d] * 6, p], None
+
+    def c_excess(us, vs, deltas, gamma, lam, spec):
+        n, nd = us.shape[0], deltas.shape[0]
+        out = np.empty((n, nd))
+        exc(_address(us, n, False), _address(vs, n, False), n,
+            _address(deltas, nd, False), nd, gamma, lam, spec.u0, spec.C,
+            spec.delta_H, spec.delta_L, out.ctypes.data)
+        return out
+
+    return c_recur, c_format_rows, c_excess
 
 
 def _choose():
@@ -283,3 +303,8 @@ def format_rows(n0, f, q, u, v):
     result is bytes or a bytearray.
     """
     return (_chosen or _choose())[2](n0, f, q, u, v)
+
+
+def excess(us, vs, deltas, gamma, lam, spec):
+    """_excess of 1-D C-contiguous float64 us, vs, deltas in a RegionSpec."""
+    return (_chosen or _choose())[3](us, vs, deltas, gamma, lam, spec)

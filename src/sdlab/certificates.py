@@ -27,6 +27,7 @@ lambda differ (about 1.0858 versus 1.0607 when alpha is optimized).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 
@@ -139,8 +140,7 @@ def feasible_alpha_interval(lam: float, variant: str = VARIANT_REMARK):
     the roots of that quadratic.  Returns None when no alpha works
     (lambda past the variant's cutoff).
     """
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 1.0):
-        raise InvalidInputError(f"lambda must be >= 1, got {lam!r}")
+    lam = _real(lam, lambda x: x >= 1.0, "lambda must be >= 1")
     cd = _coef(variant) * (lam - 1.0)
     disc = (1.0 - cd) ** 2 - 4.0 * cd
     if disc <= 0.0 or cd >= 1.0:
@@ -149,11 +149,26 @@ def feasible_alpha_interval(lam: float, variant: str = VARIANT_REMARK):
     return (0.5 * (1.0 - cd - root), 0.5 * (1.0 - cd + root))
 
 
-def _validate_alpha_lambda(alpha: float, lam: float):
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 1.0):
-        raise InvalidInputError(f"lambda must be >= 1, got {lam!r}")
+def _real(x, ok, rule: str) -> float:
+    """x as a float, if it is a finite real number (not a bool) and ok(x)."""
+    if (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x) and ok(float(x))):
+        return float(x)
+    raise InvalidInputError(f"{rule}, got {x!r}")
+
+
+def _validate_alpha_lambda(alpha, lam):
+    """(alpha, lambda) as floats, once alpha is in (0, 1) and lambda >= 1."""
+    return (_real(alpha, lambda x: 0.0 < x < 1.0, "alpha must lie in (0, 1)"),
+            _real(lam, lambda x: x >= 1.0, "lambda must be >= 1"))
+
+
+def _c_interval(alpha: float, lam: float, epsilon: float):
+    """(C_min, C_max): 2dH/dL and epsilon^2 dL/(2 dH (lambda-1)^2), or inf."""
+    dL, dH = 1.0 - alpha, 1.0 + alpha
+    if lam > 1.0:
+        return 2.0 * dH / dL, epsilon * epsilon * dL / (2.0 * dH * (lam - 1.0) ** 2)
+    return 2.0 * dH / dL, math.inf
 
 
 def _canonical(alpha: float):
@@ -200,7 +215,7 @@ def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) ->
         (alpha, lam): positivity is exactly the gain-cutoff inequality
         lambda <= 1 + alpha*(1-alpha)/(coef*(1+alpha)).
     """
-    _validate_alpha_lambda(alpha, lam)
+    alpha, lam = _validate_alpha_lambda(alpha, lam)
     coef = _coef(variant)
     dL, dH = 1.0 - alpha, 1.0 + alpha
     beta = beta_bound(alpha, lam, variant)
@@ -233,9 +248,8 @@ def thm2_certificate(
         Naming the first violated bound: "lambda2", "eps2", "C2", or
         "gamma-range".
     """
-    _validate_alpha_lambda(alpha, lam)
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon) and epsilon >= 0.0):
-        raise InvalidInputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    alpha, lam = _validate_alpha_lambda(alpha, lam)
+    epsilon = _real(epsilon, lambda x: x >= 0.0, "epsilon must be finite and >= 0")
     dL, dH = 1.0 - alpha, 1.0 + alpha
 
     lam_cut = 1.0 + alpha * dL / (2.0 * dH)
@@ -247,15 +261,9 @@ def thm2_certificate(
 
     _check_epsilon(alpha, lam, epsilon)
 
-    c_min = 2.0 * dH / dL
-    if lam > 1.0:
-        c_max = epsilon * epsilon * dL / (2.0 * dH * (lam - 1.0) ** 2)
-    else:
-        c_max = math.inf
+    c_min, c_max = _c_interval(alpha, lam, epsilon)
     if c_max < c_min * (1.0 - 1e-12):
-        raise InfeasibleError(
-            "C2", f"C interval [{c_min!r}, {c_max!r}] is empty"
-        )
+        raise InfeasibleError("C2", f"C interval [{c_min!r}, {c_max!r}] is empty")
     c_max = max(c_max, c_min)
     C = c_min if math.isinf(c_max) else min(max(math.sqrt(c_min * c_max), c_min), c_max)
 
@@ -304,8 +312,7 @@ def max_beta_theoretical(lam: float, alpha_cap: float = 0.99, variant: str = VAR
     section.  Returns (beta_max, alpha_star); (0.0, nan) when no positive
     beta exists at this lambda.
     """
-    if not (math.isfinite(lam) and lam >= 1.0):
-        raise InvalidInputError(f"lambda must be >= 1, got {lam!r}")
+    lam = _real(lam, lambda x: x >= 1.0, "lambda must be >= 1")
     if not (0.0 < alpha_cap < 1.0):
         raise InvalidInputError(f"alpha_cap must lie in (0, 1), got {alpha_cap!r}")
 
@@ -358,11 +365,10 @@ def unchecked_certificate(
     variant's coefficient, so beta matches thm1_certificate wherever that
     is feasible.
     """
-    _validate_alpha_lambda(alpha, lam)
-    if epsilon is None:
-        epsilon = _epsilon(alpha, lam, variant)
+    alpha, lam = _validate_alpha_lambda(alpha, lam)
+    epsilon = _epsilon(alpha, lam, variant) if epsilon is None else float(epsilon)
     beta = max((alpha - epsilon) / (1.0 + epsilon), 0.0)
-    return _canonical_certificate(alpha, lam, float(epsilon), beta, variant)
+    return _canonical_certificate(alpha, lam, epsilon, beta, variant)
 
 
 @dataclass(frozen=True)
@@ -406,9 +412,10 @@ def printed_gamma_interval_report(
     epsilon admissible at (alpha, lambda).  No containment is asserted;
     the relationship is returned as data.
     """
-    _validate_alpha_lambda(alpha, lam)
+    alpha, lam = _validate_alpha_lambda(alpha, lam)
     if lam <= 1.0:
         raise InvalidInputError("the closed-form interval needs lambda > 1")
+    epsilon = _real(epsilon, lambda x: x >= 0.0, "epsilon must be finite and >= 0")
     _check_epsilon(alpha, lam, epsilon)
     dL, dH = 1.0 - alpha, 1.0 + alpha
 
@@ -416,8 +423,8 @@ def printed_gamma_interval_report(
     printed_lo = 2.0 * dH**2 * lm1**2 / (epsilon**2 * dL - 2.0 * dH**2 * lm1**2)
     printed_hi = (epsilon * dL**2 - dH * dL * lm1) / (dH**2 * lm1)
 
-    c_min = 2.0 * dH / dL
-    c_max = max(epsilon**2 * dL / (2.0 * dH * lm1**2), c_min)
+    c_min, c_max = _c_interval(alpha, lam, epsilon)
+    c_max = max(c_max, c_min)
     r_cmin = yilmaz_gamma_range(RegionSpec(alpha, c_min))
     r_cmax = yilmaz_gamma_range(RegionSpec(alpha, c_max))
 

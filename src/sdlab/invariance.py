@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .certificates import StabilityCertificate
 from .errors import InvalidInputError
 from .region import RegionSpec, b1_eval, b2_eval, _step_region_arrays
@@ -145,16 +146,13 @@ def _check_block(spec, u1, gamma, lam, deltas, seed, block, n_points, cuts, tol)
     rng = np.random.default_rng([seed, block])
     us, vs = _sample_block(spec, u1, gamma, rng, lo, hi, cuts)
 
-    u2, v2 = _step_region_arrays(us[:, None], vs[:, None], deltas[None, :], gamma, lam)
-    over_u = np.abs(u2) - spec.u0
-    under = b2_eval(spec, u2) - v2
-    over = v2 - b1_eval(spec, u2)
-    excess = np.maximum(np.maximum(over_u, under), over)
+    excess = _kernels.excess(us, vs, deltas, gamma, lam, spec)
     # row-major nonzero on the (points, deltas) layout: hits come out
-    # sorted by (point, delta) already
+    # sorted by (point, delta) already; only their images are kept
     pj, di = np.nonzero(excess > tol)
+    u2, v2 = _step_region_arrays(us[pj], vs[pj], deltas[di], gamma, lam)
     return np.rec.fromarrays(
-        (lo + pj, di, us[pj], vs[pj], u2[pj, di], v2[pj, di], excess[pj, di]),
+        (lo + pj, di, us[pj], vs[pj], u2, v2, excess[pj, di]),
         names="point_index, delta_index, u, v, u_next, v_next, excess",
     )
 
@@ -204,28 +202,19 @@ def verify_invariance(
         deltas[2:] = rng_d.uniform(1.0 - cert.beta, 1.0 + cert.beta, size=n_deltas - 2)
 
     cuts = _category_bounds(n_points)
-    args = (spec, cert.u1, cert.gamma, cert.lam, deltas, seed)
+
+    def check(block):
+        return _check_block(spec, cert.u1, cert.gamma, cert.lam, deltas, seed,
+                            block, n_points, cuts, tol)
 
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda b: _check_block(*args, b, n_points, cuts, tol),
-                    range(N_BLOCKS),
-                )
-            )
+            chunks = list(pool.map(check, range(N_BLOCKS)))
     else:
-        chunks = [_check_block(*args, b, n_points, cuts, tol) for b in range(N_BLOCKS)]
+        chunks = list(map(check, range(N_BLOCKS)))
 
     # blocks cover ascending point ranges, so block order is sorted order
     violations = np.concatenate(chunks).view(np.recarray)
-    return InvarianceReport(
-        n_points=n_points,
-        n_deltas=n_deltas,
-        seed=seed,
-        tol=tol,
-        lam=cert.lam,
-        gamma=cert.gamma,
-        n_checked=n_points * n_deltas,
-        violations=violations,
-    )
+    return InvarianceReport(n_points=n_points, n_deltas=n_deltas, seed=seed,
+                            tol=tol, lam=cert.lam, gamma=cert.gamma,
+                            n_checked=n_points * n_deltas, violations=violations)

@@ -5,12 +5,11 @@ and repeated runs produce byte-identical files.  Missing or infeasible
 cells are the literal NA in CSV and null in JSON.  Writers accept a
 filesystem path or any object with a write method.
 
-Trajectories are streamed in CHUNK_ROWS-row chunks, formatted on worker
-threads by _kernels.format_rows: the C row formatter in the same library
-as the recursion, whose calls release the GIL, or, when no compiler is
-present, its plain-Python %-formatting reference.  The chunks reach the
-destination in order, so the bytes do not depend on the backend or the
-worker count.
+Trajectories are streamed in CHUNK_ROWS-row chunks, formatted one at a
+time on the calling thread by _kernels.format_rows: the C row formatter
+in the same library as the recursion or, when no compiler is present,
+its plain-Python %-formatting reference.  One chunk buffer is alive at a
+time, and the bytes do not depend on the backend.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from io import StringIO
 
@@ -174,18 +171,6 @@ def trajectory_csv_text(traj) -> str:
     return out.getvalue()
 
 
-def _in_order(job, starts, workers, write):
-    """write(job(s)) for each s in order, with at most workers + 1 jobs alive."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for s in starts:
-            pending.append(pool.submit(job, s))
-            if len(pending) > workers:
-                write(pending.popleft().result())
-        while pending:
-            write(pending.popleft().result())
-
-
 def _write_ascii(write, buf):
     """write(buf as str), 256 KiB at a time, so no full-chunk copy exists."""
     with memoryview(buf) as view:
@@ -194,24 +179,18 @@ def _write_ascii(write, buf):
 
 
 def write_trajectory_csv(dest, traj) -> None:
-    """Header n,f,q,u,v, then one row per step, streamed chunk by chunk.
-
-    os.cpu_count() threads format the chunks; the output is the same for
-    every thread count.
-    """
+    """Header n,f,q,u,v, then one row per step, streamed chunk by chunk."""
     n = traj.n_steps
     f, u, v = (np.ascontiguousarray(a, dtype=np.float64)
                for a in (traj.f, traj.u, traj.v))
     q = np.ascontiguousarray(traj.q, dtype=np.int64)
-
-    def chunk(lo):
-        hi = min(lo + CHUNK_ROWS, n)
-        return _kernels.format_rows(lo, f[lo:hi], q[lo:hi], u[lo:hi], v[lo:hi])
-
     with _opened(dest) as fh:
         fh.write(",".join(TRAJECTORY_FIELDS) + "\n")
-        _in_order(chunk, range(0, n, CHUNK_ROWS), os.cpu_count() or 1,
-                  lambda b: _write_ascii(fh.write, b))
+        for lo in range(0, n, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, n)
+            # passed, never named, so each chunk is freed before the next
+            _write_ascii(fh.write, _kernels.format_rows(
+                lo, f[lo:hi], q[lo:hi], u[lo:hi], v[lo:hi]))
 
 
 def write_region_csv(dest, spec, n_points: int = 513) -> None:

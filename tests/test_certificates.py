@@ -237,6 +237,52 @@ def test_input_validation():
         max_beta_theoretical(1.0, alpha_cap=1.0)
 
 
+@pytest.mark.parametrize("to", [np.float32, np.float64])
+def test_numpy_scalars_give_the_results_of_their_float_values(to):
+    alpha, lam, eps = to(0.5), to(1.01), to(0.2)
+    a, lm, e = float(alpha), float(lam), float(eps)
+    pairs = [
+        (thm1_certificate(alpha, lam), thm1_certificate(a, lm)),
+        (thm2_certificate(alpha, lam, eps), thm2_certificate(a, lm, e)),
+        (unchecked_certificate(alpha, lam, eps), unchecked_certificate(a, lm, e)),
+        (printed_gamma_interval_report(alpha, lam, eps),
+         printed_gamma_interval_report(a, lm, e)),
+        (feasible_alpha_interval(lam), feasible_alpha_interval(lm)),
+        (max_beta_theoretical(lam), max_beta_theoretical(lm)),
+    ]
+    for got, want in pairs:
+        # repr also tells a numpy scalar field from a float one
+        assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("bad", [True, "1.01", math.nan, np.float32("nan")])
+def test_bools_strings_and_nan_are_rejected(bad):
+    calls = [
+        lambda: thm1_certificate(0.5, bad),
+        lambda: thm1_certificate(bad, 1.01),
+        lambda: thm2_certificate(0.5, 1.01, bad),
+        lambda: unchecked_certificate(0.5, bad),
+        lambda: printed_gamma_interval_report(0.5, 1.01, bad),
+        lambda: feasible_alpha_interval(bad),
+        lambda: max_beta_theoretical(bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError):
+            call()
+
+
+def test_report_c_max_is_the_c_max_thm2_certifies():
+    # epsilon**2 and epsilon*epsilon differ in the last bit here
+    alpha, lam, eps = 0.23377786731220526, 1.000884940394962, 0.13760730385293787
+    dL, dH = 1.0 - alpha, 1.0 + alpha
+    c_max = eps * eps * dL / (2.0 * dH * (lam - 1.0) ** 2)
+    assert c_max != eps**2 * dL / (2.0 * dH * (lam - 1.0) ** 2)
+    rep = printed_gamma_interval_report(alpha, lam, eps)
+    assert rep.c_max == c_max == 7508.3179245763195
+    # thm2 takes the geometric mean of the same [C_min, C_max]
+    assert thm2_certificate(alpha, lam, eps).C == math.sqrt(rep.c_min * c_max)
+
+
 def test_printed_gamma_interval_report_flags_the_defect():
     # the two printed endpoints do not bound the true union of ranges;
     # the report quantifies the mismatch instead of hiding it

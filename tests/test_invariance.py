@@ -1,9 +1,12 @@
 """One-step containment probes: certified regions hold, inflated gains leak."""
 
+import shutil
+
 import numpy as np
 import pytest
 
-from sdlab.certificates import thm1_certificate, unchecked_certificate
+from sdlab import _kernels, invariance
+from sdlab.certificates import thm1_certificate, thm2_certificate, unchecked_certificate
 from sdlab.errors import InvalidInputError
 from sdlab.invariance import verify_invariance
 
@@ -111,3 +114,39 @@ def test_sample_count_contracts():
         verify_invariance(cert, n_deltas=1)
     with pytest.raises(InvalidInputError):
         verify_invariance(cert, tol=-1e-9)
+
+
+@pytest.mark.parametrize("cert, is_max_excess", [
+    (thm2_certificate(0.5, 1.02, 0.3), lambda m: m == 0.0),
+    (unchecked_certificate(0.5, 2.0), lambda m: 0.0 < m < np.inf),
+    (unchecked_certificate(0.5, 1e308, epsilon=0.2), lambda m: m == np.inf),
+], ids=["certified", "violating", "overflowing"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on overflow
+def test_report_does_not_depend_on_backend_or_workers(cert, is_max_excess,
+                                                      monkeypatch):
+    if shutil.which(_kernels._CC[0]) is None:
+        pytest.skip("no C compiler on PATH")
+    runs = []
+    for chosen in (("c", *_kernels._load_c()), _kernels._PYTHON):
+        monkeypatch.setattr(_kernels, "_chosen", chosen)
+        for workers in (1, 2):
+            rep = verify_invariance(cert, n_points=3000, n_deltas=12, seed=4,
+                                    workers=workers)
+            runs.append((rep.violations.dtype, rep.violations.tobytes(),
+                         rep.to_json_dict()))
+    assert runs == [runs[0]] * 4
+    assert is_max_excess(runs[0][2]["max_excess"])
+
+
+def test_sampling_calls_the_boundaries_through_invariance(monkeypatch):
+    # a traced benchmark run times region.b1_eval and region.b2_eval by
+    # wrapping these two names; the sampler must keep calling them, for
+    # at least its boundary-arc points (40% of them on each arc)
+    points = {"b1_eval": 0, "b2_eval": 0}
+    for name in points:
+        def counted(spec, u, _f=getattr(invariance, name), _name=name):
+            points[_name] += np.size(u)
+            return _f(spec, u)
+        monkeypatch.setattr(invariance, name, counted)
+    verify_invariance(thm1_certificate(0.5, 1.01), n_points=1000, n_deltas=3, seed=0)
+    assert min(points.values()) >= 400

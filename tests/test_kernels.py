@@ -6,7 +6,8 @@ results must agree exactly wherever those differences do not matter.
 The compiled C loop must agree bit for bit with the plain-Python
 reference _kernels._recur, and the tables built on it must not depend on
 the backend or the worker count.  The C row formatter must write the
-same bytes as the %-formatting reference _kernels._format_rows.
+same bytes as the %-formatting reference _kernels._format_rows, and the
+C excess loop the same values as the numpy reference _kernels._excess.
 """
 
 import os
@@ -236,6 +237,96 @@ def test_c_formatter_refuses_arrays_it_could_overrun(c_format_rows):
     with pytest.raises(TypeError):
         c_format_rows(0, f, q.astype(np.int32), u, v)
     assert bytes(c_format_rows(0, f, q, u, v)) == _kernels._format_rows(0, f, q, u, v)
+
+
+def _sweep_doubles():
+    """About 1.1 million doubles covering every form of %.17g text."""
+    rng = np.random.default_rng(2024)
+    # 150 random significands in every binade, subnormals included
+    exps = np.repeat(np.arange(-1074, 1024), 150)
+    sig = rng.uniform(1.0, 2.0, exps.size)
+    binades = np.ldexp(sig, exps)   # below 2^-1022 this rounds to a subnormal
+    # powers of ten with both neighbours, and runs of 200 ulps across the
+    # fixed/exponent switches (1e-5, 1e-4, 1e16, 1e17) and the ends of the
+    # 128-bit fast path (1e-16, 1e17), where snprintf takes over
+    tens = np.array([10.0 ** k for k in range(-20, 23)])
+    edges = []
+    for x in (1e-5, 1e-4, 1e-16, 1e-17, 1e-15, 1e16, 1e17, 1e18):
+        up, down = x, x
+        for _ in range(200):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            edges += [up, down]
+    # ties: odd n / 2^p with exactly 18 significant digits, ending in 5,
+    # so 17-digit rounding lands halfway between two candidates
+    ties = []
+    for p in range(2, 26):
+        lo, hi = -(-10**17 // 5**p), min(10**18 // 5**p, 2**53)
+        if lo < hi:
+            n = rng.integers(lo, hi, 2000) | 1
+            ties.append(n[n < hi].astype(np.float64) / 2.0**p)
+    parts = [binades, tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+             np.array(edges), *ties,
+             rng.integers(0, 2**63, 100_000, dtype=np.int64).view(np.float64),
+             rng.uniform(-0.2, 0.2, 50_000), rng.uniform(-300, 300, 50_000)]
+    x = np.concatenate(parts)
+    x = np.concatenate([x, -x])
+    return x[: x.size - x.size % 3]
+
+
+def test_formatter_is_exact_over_a_million_doubles():
+    x = _sweep_doubles()
+    assert x.size >= 10**6
+    f, u, v = (np.ascontiguousarray(x[i::3]) for i in range(3))
+    q = np.zeros(f.size, dtype=np.int64)
+    got = bytes(_kernels.format_rows(0, f, q, u, v)).split(b"\n")
+    want = ("%d,%.17g,0,%.17g,%.17g" % row for row in zip(
+        range(1, f.size + 1), f.tolist(), u.tolist(), v.tolist()))
+    bad = [(g, w) for g, w in zip(got, want) if g.decode() != w]
+    assert bad[:5] == [] and len(got) == f.size + 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60), nd=st.integers(1, 6),
+       alpha=st.floats(0.05, 0.95), C=st.floats(0.5, 30.0),
+       gamma=st.floats(0.01, 3.0), lam=st.floats(1.0, 2.0) | st.just(1e308),
+       special=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]))
+def test_c_excess_matches_the_numpy_reference(c_loops, seed, n, nd, alpha, C,
+                                              gamma, lam, special):
+    from sdlab.region import RegionSpec
+
+    # points around the region, one coordinate and one delta set to a
+    # special value, so rounding, overflow and NaN all show
+    spec = RegionSpec(alpha, C)
+    rng = np.random.default_rng(seed)
+    us = rng.uniform(-1.2 * spec.u0, 1.2 * spec.u0, n)
+    vs = rng.uniform(-1.2 * spec.v_extent, 1.2 * spec.v_extent, n)
+    deltas = rng.uniform(0.0, 2.0, nd)
+    if n:
+        (us, vs)[seed % 2][seed % n] = special
+    if nd > 1:
+        deltas[seed % nd] = special
+    with np.errstate(all="ignore"):
+        want = _kernels._excess(us, vs, deltas, gamma, lam, spec)
+    got = c_loops[2](us, vs, deltas, gamma, lam, spec)
+    assert got.shape == want.shape == (n, nd)
+    # NaN where numpy has NaN; elsewhere the same values (a zero's sign
+    # aside, which no comparison against tol sees)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_c_excess_refuses_arrays_it_could_overrun(c_loops):
+    from sdlab.region import RegionSpec
+
+    c_excess = c_loops[2]
+    spec = RegionSpec(0.5, 6.0)
+    us, vs, deltas = np.zeros(4), np.zeros(4), np.ones(3)
+    with pytest.raises(IndexError):
+        c_excess(us, vs[:-1].copy(), deltas, 0.5, 1.01, spec)
+    with pytest.raises(TypeError):
+        c_excess(us, vs, deltas.astype(np.float32), 0.5, 1.01, spec)
+    with pytest.raises(TypeError):
+        c_excess(np.zeros(8)[::2], vs, deltas, 0.5, 1.01, spec)
+    assert c_excess(us, vs, deltas, 0.5, 1.01, spec).shape == (4, 3)
 
 
 def _tables():
