@@ -36,7 +36,7 @@ import threading
 
 import numpy as np
 
-from .region import _step_region_arrays, b1_eval, b2_eval
+from .region import b1_eval, b2_eval, step_region
 
 # read by perfbench/run.py metadata() to label its records; always
 # False, since the backends are C and Python
@@ -105,7 +105,7 @@ def _format_rows(n0, f, q, u, v):
 def _excess(us, vs, deltas, gamma, lam, spec):
     """Excess of (us[i], vs[i]) stepped by deltas[j], at (i, j), in numpy:
     max(|u'| - u0, B2(u') - v', v' - B1(u')), > 0 where (u', v') leaves spec."""
-    u2, v2 = _step_region_arrays(us[:, None], vs[:, None], deltas[None, :], gamma, lam)
+    u2, v2 = step_region(us[:, None], vs[:, None], deltas[None, :], gamma, lam)
     return np.maximum(np.maximum(np.abs(u2) - spec.u0, b2_eval(spec, u2) - v2),
                       v2 - b1_eval(spec, u2))
 

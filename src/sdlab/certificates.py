@@ -219,7 +219,7 @@ def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) ->
     coef = _coef(variant)
     dL, dH = 1.0 - alpha, 1.0 + alpha
     beta = beta_bound(alpha, lam, variant)
-    if beta <= 0.0:
+    if not beta > 0.0:  # NaN too, when epsilon overflows
         cutoff = 1.0 + alpha * dL / (coef * dH)
         raise InfeasibleError(
             "lambda2",
@@ -366,7 +366,12 @@ def unchecked_certificate(
     is feasible.
     """
     alpha, lam = _validate_alpha_lambda(alpha, lam)
-    epsilon = _epsilon(alpha, lam, variant) if epsilon is None else float(epsilon)
+    if epsilon is None:
+        epsilon = _real(_epsilon(alpha, lam, variant), lambda x: x >= 0.0,
+                        f"the default epsilon overflows at lambda={lam!r}; "
+                        "pass a finite epsilon (--epsilon)")
+    else:
+        epsilon = _real(epsilon, lambda x: x >= 0.0, "epsilon must be finite and >= 0")
     beta = max((alpha - epsilon) / (1.0 + epsilon), 0.0)
     return _canonical_certificate(alpha, lam, epsilon, beta, variant)
 

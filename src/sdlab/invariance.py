@@ -31,6 +31,7 @@ delta_index.
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ import numpy as np
 from . import _kernels
 from .certificates import StabilityCertificate
 from .errors import InvalidInputError
-from .region import RegionSpec, b1_eval, b2_eval, _step_region_arrays
+from .region import RegionSpec, b1_eval, b2_eval, step_region
 
 __all__ = ["InvarianceReport", "verify_invariance"]
 
@@ -140,21 +141,46 @@ def _sample_block(spec: RegionSpec, u1: float, gamma: float, rng, lo: int, hi: i
     return us, vs
 
 
+_VIOLATION = np.dtype([("point_index", "i8"), ("delta_index", "i8"), ("u", "f8"),
+                       ("v", "f8"), ("u_next", "f8"), ("v_next", "f8"), ("excess", "f8")])
+
+
 def _check_block(spec, u1, gamma, lam, deltas, seed, block, n_points, cuts, tol):
+    """(lo, us, vs, hits, excess of each hit) for one block of points.
+
+    hits index the row-major (points, deltas) layout, so they come out
+    sorted by (point, delta).
+    """
     lo = (block * n_points) // N_BLOCKS
     hi = ((block + 1) * n_points) // N_BLOCKS
     rng = np.random.default_rng([seed, block])
     us, vs = _sample_block(spec, u1, gamma, rng, lo, hi, cuts)
+    excess = _kernels.excess(us, vs, deltas, gamma, lam, spec).ravel()
+    hits = np.flatnonzero(excess > tol)
+    return lo, us, vs, hits, excess[hits]
 
-    excess = _kernels.excess(us, vs, deltas, gamma, lam, spec)
-    # row-major nonzero on the (points, deltas) layout: hits come out
-    # sorted by (point, delta) already; only their images are kept
-    pj, di = np.nonzero(excess > tol)
-    u2, v2 = _step_region_arrays(us[pj], vs[pj], deltas[di], gamma, lam)
-    return np.rec.fromarrays(
-        (lo + pj, di, us[pj], vs[pj], u2, v2, excess[pj, di]),
-        names="point_index, delta_index, u, v, u_next, v_next, excess",
-    )
+
+def _violations(blocks, deltas, gamma, lam):
+    """The escapes of all blocks as one record array, in block order.
+
+    The rows are written once, into an anonymous mapping that is unmapped
+    when the report is freed.  Built in malloc, a large report grows the
+    heap and, once freed, raises glibc's mmap and trim thresholds, so
+    later calls in the process keep that memory resident.
+    """
+    count = sum(hits.size for _, _, _, hits, _ in blocks)
+    if count == 0:
+        return np.empty(0, _VIOLATION).view(np.recarray)
+    rows = np.frombuffer(mmap.mmap(-1, count * _VIOLATION.itemsize), _VIOLATION)
+    end = 0
+    for lo, us, vs, hits, excess in blocks:
+        pj, di = np.divmod(hits, deltas.size)
+        u2, v2 = step_region(us[pj], vs[pj], deltas[di], gamma, lam)
+        start, end = end, end + hits.size
+        for name, col in zip(_VIOLATION.names,
+                             (lo + pj, di, us[pj], vs[pj], u2, v2, excess)):
+            rows[name][start:end] = col
+    return rows.view(np.recarray)
 
 
 def verify_invariance(
@@ -209,12 +235,12 @@ def verify_invariance(
 
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(check, range(N_BLOCKS)))
+            blocks = list(pool.map(check, range(N_BLOCKS)))
     else:
-        chunks = list(map(check, range(N_BLOCKS)))
+        blocks = list(map(check, range(N_BLOCKS)))
 
     # blocks cover ascending point ranges, so block order is sorted order
-    violations = np.concatenate(chunks).view(np.recarray)
+    violations = _violations(blocks, deltas, cert.gamma, cert.lam)
     return InvarianceReport(n_points=n_points, n_deltas=n_deltas, seed=seed,
                             tol=tol, lam=cert.lam, gamma=cert.gamma,
                             n_checked=n_points * n_deltas, violations=violations)

@@ -6,10 +6,12 @@ The state machine implemented here is the double-loop recursion
     u_n = lambda1 * u_{n-1} + f_n - q_n
     v_n = lambda1 * u_{n-1} + lambda2 * v_{n-1} + f_n - q_n
 
-driven from the zero state.  lambda1 = lambda2 = 1 gives the standard
-double-loop modulator; gains above 1 amplify the state at each step to
-break periodic output.  Two exact identities tie the pieces together and
-are exposed for verification:
+driven from the zero state.  run folds it over a whole input in one call
+to the recursion kernel in _kernels; there is no one-step entry point.
+lambda1 = lambda2 = 1 gives the standard double-loop modulator; gains
+above 1 amplify the state at each step to break periodic output.  Two
+exact identities tie the pieces together and are exposed for
+verification:
 
     u_n = v_n - lambda2 * v_{n-1}                                (n >= 1)
     f_n - q_n = v_n - (lambda1 + lambda2) v_{n-1}
@@ -31,13 +33,9 @@ from .errors import DivergenceError, InsufficientDataError, InvalidInputError, R
 __all__ = [
     "QuantizerKind",
     "SchemeParams",
-    "ModulatorState",
     "Trajectory",
-    "quantize",
-    "step",
     "run",
     "residual_identity",
-    "kth_difference",
 ]
 
 
@@ -89,15 +87,6 @@ class SchemeParams:
 
 
 @dataclass(frozen=True)
-class ModulatorState:
-    """Integrator pair (u, v) after n steps; the run origin is (0, 0)."""
-
-    u: float = 0.0
-    v: float = 0.0
-    n: int = 0
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Step-indexed history of one run.
 
@@ -119,55 +108,6 @@ class Trajectory:
         return np.concatenate(([0.0], self.v))
 
 
-def quantize(kind: QuantizerKind, x: float) -> int:
-    """Quantize one value to a level in {-1, 0, +1}.
-
-    Parameters
-    ----------
-    kind : QuantizerKind
-    x : float
-        Must be finite.
-
-    Returns
-    -------
-    int
-        The output level.  Q(0) = +1 for the sign kind; the trilevel kind
-        returns 0 iff |x| < deadband.
-    """
-    if not math.isfinite(x):
-        raise InvalidInputError("quantizer input must be finite")
-    if kind.tag == "trilevel" and abs(x) < kind.deadband:
-        return 0
-    return 1 if x >= 0.0 else -1
-
-
-def step(params: SchemeParams, state: ModulatorState, f: float):
-    """Advance one step.
-
-    Returns
-    -------
-    (ModulatorState, int)
-        The new state and the emitted level.
-
-    Raises
-    ------
-    DivergenceError
-        If the new state is non-finite or exceeds the hard bound.
-    """
-    if not (math.isfinite(state.u) and math.isfinite(state.v)):
-        raise InvalidInputError("state must be finite")
-    q = quantize(params.quantizer, state.u + params.gamma * state.v)
-    # shared subexpression keeps u' = v' - lambda2*v exact in floats
-    w = params.lambda1 * state.u + (f - q)
-    v = w + params.lambda2 * state.v
-    u = w
-    n = state.n + 1
-    if not (abs(u) <= _kernels.HARD_BOUND and abs(v) <= _kernels.HARD_BOUND):
-        lu, lv = (u, v) if (math.isfinite(u) and math.isfinite(v)) else (state.u, state.v)
-        raise DivergenceError(f"state diverged at step {n}", step=n, u=lu, v=lv)
-    return ModulatorState(u=u, v=v, n=n), q
-
-
 def _as_input_array(input, n_steps: int) -> np.ndarray:
     if np.isscalar(input):
         return np.full(n_steps, float(input))
@@ -187,7 +127,7 @@ def _as_input_array(input, n_steps: int) -> np.ndarray:
 
 
 def run(params: SchemeParams, input, n_steps: int) -> Trajectory:
-    """Fold `step` over the input from the zero state, recording history.
+    """Run the recursion over the input from the zero state, recording history.
 
     Parameters
     ----------
@@ -263,22 +203,3 @@ def residual_identity(traj: Trajectory) -> float:
     lhs = traj.f[1:] - traj.q[1:]
     res = lhs - (vn - (l1 + l2) * vm1 + (l1 * l2) * vm2)
     return float(np.max(np.abs(res)))
-
-
-def kth_difference(seq, K: int, n: int) -> float:
-    """Kth-order backward difference sum_{l=0}^{K} (-1)^l C(K,l) seq[n-l].
-
-    Raises
-    ------
-    IndexError
-        If n < K (not enough history).
-    """
-    if K < 0:
-        raise InvalidInputError("K must be >= 0")
-    if n < K:
-        raise IndexError(f"need n >= K, got n={n}, K={K}")
-    seq = np.asarray(seq, dtype=np.float64)
-    total = 0.0
-    for ell in range(K + 1):
-        total += (-1.0) ** ell * math.comb(K, ell) * seq[n - ell]
-    return float(total)

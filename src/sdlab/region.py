@@ -1,4 +1,4 @@
-"""Invariant-region geometry and the piecewise one-step maps.
+"""Invariant-region geometry and the piecewise affine one-step map.
 
 A region R(alpha, C) in the (u, v) plane is bounded above by B1 and below
 by B2 = -B1(-u):
@@ -17,7 +17,9 @@ magnitude delta = |f - q| and gain lam,
     right move (q = -1):  (u, v) -> (lam*u + delta, lam*u + v + delta)
 
 and the branch is decided by the sign of u + gamma*v (ties go left,
-matching the sign quantizer's tie rule Q(0) = +1).
+matching the sign quantizer's tie rule Q(0) = +1).  step_region applies
+this map to whole arrays of points; it is the one copy of it, behind the
+invariance check and the reference excess loop in _kernels.
 
 The feedback multiplier gamma and the abscissa u1 of the intersection of
 the switching line u + gamma*v = 0 with B1 determine each other:
@@ -39,30 +41,13 @@ from .errors import InfeasibleError, InvalidInputError, NoSolutionError
 
 __all__ = [
     "RegionSpec",
-    "PlanePoint",
     "b1_eval",
     "b2_eval",
     "corner_u0",
-    "region_contains",
-    "gamma_from_u1",
     "u1_from_gamma",
     "yilmaz_gamma_range",
-    "map_sl",
-    "map_sr",
     "step_region",
 ]
-
-
-@dataclass(frozen=True)
-class PlanePoint:
-    """A point of the (u, v) state plane."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
-            raise InvalidInputError("plane point coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -116,33 +101,12 @@ def corner_u0(spec: RegionSpec) -> float:
     return math.sqrt(2.0 * spec.C * spec.delta_H * spec.delta_L)
 
 
-def region_contains(spec: RegionSpec, p: PlanePoint, tol: float = 0.0) -> bool:
-    """Membership test with absolute slack tol on every inequality."""
-    if tol < 0.0:
-        raise InvalidInputError("tol must be >= 0")
-    if abs(p.u) > spec.u0 + tol:
-        return False
-    return (b2_eval(spec, p.u) - tol <= p.v) and (p.v <= b1_eval(spec, p.u) + tol)
-
-
-def gamma_from_u1(spec: RegionSpec, u1: float) -> float:
-    """Multiplier gamma determined by the switching-line abscissa u1.
-
-    Requires 0 < u1 < u0 and B1(-u1) > 0 (positive multiplier).
-    """
-    if not (0.0 < u1 < spec.u0):
-        raise InvalidInputError(f"u1 must lie in (0, u0) = (0, {spec.u0!r})")
-    denom = spec.C - 0.5 * u1 - u1 * u1 / (2.0 * spec.delta_H)
-    if denom <= 0.0:
-        raise NoSolutionError("B1(-u1) <= 0: no positive multiplier at this u1")
-    return u1 / denom
-
-
 def u1_from_gamma(spec: RegionSpec, gamma: float) -> float:
-    """Inverse of gamma_from_u1: positive root of the defining quadratic.
+    """Switching abscissa u1 of a multiplier gamma.
 
-    Solves gamma*u^2/(2*dH) + (1 + gamma/2)*u - gamma*C = 0 and returns
-    the positive root, provided it lies in (0, u0).
+    Inverts gamma = u1 / (C - u1/2 - u1^2/(2*dH)): solves
+    gamma*u^2/(2*dH) + (1 + gamma/2)*u - gamma*C = 0 and returns the
+    positive root, provided it lies in (0, u0).
     """
     if gamma <= 0.0:
         raise InvalidInputError("gamma must be > 0")
@@ -163,7 +127,8 @@ def u1_from_gamma(spec: RegionSpec, gamma: float) -> float:
 def yilmaz_gamma_range(spec: RegionSpec):
     """Admissible closed interval for gamma at this (alpha, C).
 
-    The interval is the image of u1 in [dH, u0 - dH] under gamma_from_u1:
+    The interval is the image of u1 in [dH, u0 - dH] under
+    gamma = u1 / B1(-u1):
 
         lo = dH / (C - dH)
         hi = (sqrt(2 C dH dL) - dH) / (C alpha + sqrt(C dH dL / 2))
@@ -185,31 +150,12 @@ def yilmaz_gamma_range(spec: RegionSpec):
     return (lo, hi)
 
 
-def map_sl(p: PlanePoint, delta: float, lam: float = 1.0) -> PlanePoint:
-    """Left move with gain: (u, v) -> (lam*u - delta, lam*u + v - delta)."""
-    if delta <= 0.0:
-        raise InvalidInputError("delta must be > 0")
-    w = lam * p.u
-    return PlanePoint(w - delta, w + p.v - delta)
+def step_region(u, v, delta, gamma, lam):
+    """Images (u', v') of the points (u, v): left move iff u + gamma*v >= 0.
 
-
-def map_sr(p: PlanePoint, delta: float, lam: float = 1.0) -> PlanePoint:
-    """Right move with gain: (u, v) -> (lam*u + delta, lam*u + v + delta)."""
-    if delta <= 0.0:
-        raise InvalidInputError("delta must be > 0")
-    w = lam * p.u
-    return PlanePoint(w + delta, w + p.v + delta)
-
-
-def step_region(p: PlanePoint, delta: float, gamma: float, lam: float = 1.0) -> PlanePoint:
-    """One-step map on the plane: left branch iff u + gamma*v >= 0."""
-    if p.u + gamma * p.v >= 0.0:
-        return map_sl(p, delta, lam)
-    return map_sr(p, delta, lam)
-
-
-def _step_region_arrays(u, v, delta, gamma, lam):
-    """Vectorized step_region on parallel arrays (no validation)."""
+    u, v, delta and lam are arrays or scalars that broadcast together.
+    Nothing is validated: callers pass delta > 0 and lam >= 1.
+    """
     w = lam * u
     sgn = np.where(u + gamma * v >= 0.0, -1.0, 1.0)
     return w + sgn * delta, w + v + sgn * delta

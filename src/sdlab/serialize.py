@@ -3,7 +3,8 @@
 All floats are rendered with %.17g so 64-bit values round-trip exactly
 and repeated runs produce byte-identical files.  Missing or infeasible
 cells are the literal NA in CSV and null in JSON.  Writers accept a
-filesystem path or any object with a write method.
+filesystem path or any object with a write method, so an io.StringIO
+gives the text of any of them as one string.
 
 Trajectories are streamed in CHUNK_ROWS-row chunks, formatted one at a
 time on the calling thread by _kernels.format_rows: the C row formatter
@@ -31,11 +32,8 @@ __all__ = [
     "write_csv",
     "json_text",
     "write_json",
-    "trajectory_csv_text",
     "write_trajectory_csv",
     "write_region_csv",
-    "write_filter_csv",
-    "filter_norms_dict",
     "sweep_fieldnames",
     "TRAJECTORY_FIELDS",
     "REGION_FIELDS",
@@ -164,13 +162,6 @@ def write_json(dest, obj) -> None:
 CHUNK_ROWS = 65_536
 
 
-def trajectory_csv_text(traj) -> str:
-    """The CSV text write_trajectory_csv writes, as one string."""
-    out = StringIO()
-    write_trajectory_csv(out, traj)
-    return out.getvalue()
-
-
 def _write_ascii(write, buf):
     """write(buf as str), 256 KiB at a time, so no full-chunk copy exists."""
     with memoryview(buf) as view:
@@ -207,27 +198,3 @@ def write_region_csv(dest, spec, n_points: int = 513) -> None:
                                 b2_eval(spec, u).tolist())
     )
     write_csv(dest, REGION_FIELDS, rows)
-
-
-def write_filter_csv(dest, filt) -> None:
-    """Kernel table t,g over the full mirrored support [-W, W]."""
-    t = np.concatenate((-filt.t_tab[::-1][:-1], filt.t_tab))
-    g = np.concatenate((filt.g_tab[::-1][:-1], filt.g_tab))
-    rows = ({"t": ti, "g": gi} for ti, gi in zip(t.tolist(), g.tolist()))
-    write_csv(dest, ("t", "g"), rows)
-
-
-def filter_norms_dict(filt) -> dict:
-    """Norm block accompanying a kernel export."""
-    return {
-        "T0": filt.T0,
-        "rolloff": filt.rolloff,
-        "dt": filt.dt,
-        "W": filt.W,
-        "trunc_tol": filt.trunc_tol,
-        "tail_bound": filt.tail_bound,
-        "g_l1": filt.g_l1,
-        "g1_l1": filt.g1_l1,
-        "g2_l1": filt.g2_l1,
-        "C_g": filt.C_g,
-    }

@@ -20,7 +20,7 @@ from sdlab.errors import DivergenceError
 from sdlab.invariance import verify_invariance
 from sdlab.modulator import SchemeParams, residual_identity, run
 from sdlab.pipeline import error_curve, gen_signal, order_fit
-from sdlab.region import PlanePoint, RegionSpec, map_sl, map_sr, yilmaz_gamma_range
+from sdlab.region import RegionSpec, step_region, yilmaz_gamma_range
 from sdlab.serialize import csv_text, sweep_fieldnames
 from sdlab.sweeps import (
     SweepConfig,
@@ -135,26 +135,31 @@ def test_criterion_5_exact_identities_hold_in_floating_point():
         worst_res = max(worst_res, residual_identity(tr))
         completed += 1
 
-    # part 2: the gain move equals the unit move at a shifted offset
-    worst_conj = 0.0
-    for _ in range(10**4):
-        u = float(rng.uniform(-3, 3))
-        v = float(rng.uniform(-5, 5))
-        lam = float(rng.uniform(1.0, 1.05))
-        delta = float(rng.uniform(0.5, 1.5))
-        den_u = max(1.0, abs(lam * u) + delta)
-        den_v = max(1.0, abs(lam * u) + abs(v) + delta)
-        a = map_sl(PlanePoint(u, v), delta, lam)
-        b = map_sl(PlanePoint(u, v), delta - (lam - 1.0) * u, 1.0)
-        worst_conj = max(worst_conj, abs(a.u - b.u) / den_u, abs(a.v - b.v) / den_v)
-        a = map_sr(PlanePoint(u, v), delta, lam)
-        b = map_sr(PlanePoint(u, v), delta + (lam - 1.0) * u, 1.0)
-        worst_conj = max(worst_conj, abs(a.u - b.u) / den_u, abs(a.v - b.v) / den_v)
+    # part 2: the gain move equals the unit move at a shifted offset, on
+    # both sides of the switching line and on it, where the tie goes left
+    n, gamma, tie = 2 * 10**4, 0.5, slice(0, 2000)
+    u = rng.uniform(-3, 3, n)
+    v = rng.uniform(-5, 5, n)
+    v[tie] = -2.0 * u[tie]                      # u + gamma*v == 0 exactly
+    lam = rng.uniform(1.0, 1.05, n)
+    delta = rng.uniform(0.5, 1.5, n)
+    left = u + gamma * v >= 0.0
+    shifted = np.where(left, delta - (lam - 1.0) * u, delta + (lam - 1.0) * u)
+    au, av = step_region(u, v, delta, gamma, lam)
+    bu, bv = step_region(u, v, shifted, gamma, 1.0)
+    den_u = np.maximum(1.0, np.abs(lam * u) + delta)
+    den_v = np.maximum(1.0, np.abs(lam * u) + np.abs(v) + delta)
+    worst_conj = float(max(np.max(np.abs(au - bu) / den_u),
+                           np.max(np.abs(av - bv) / den_v)))
+    ties_left = bool(np.all(au[tie] == lam[tie] * u[tie] - delta[tie]))
+    sides = int(np.count_nonzero(left[tie.stop:])), int(np.count_nonzero(~left))
 
-    ok = completed >= 15 and worst_res < 1e-10 and worst_conj <= 1e-15
+    ok = (completed >= 15 and worst_res < 1e-10 and worst_conj <= 1e-15
+          and ties_left and min(sides) > 1000)
     _report(5, ok, f"residual {worst_res:.2e} over {completed} runs of 1e5 steps "
-                   f"(< 1e-10); offset-shift mismatch {worst_conj:.2e} over 2e4 "
-                   f"map pairs (<= 1e-15)")
+                   f"(< 1e-10); offset-shift mismatch {worst_conj:.2e} over {n} "
+                   f"map pairs, {sides[0]} left, {sides[1]} right and {tie.stop} "
+                   f"on the line (<= 1e-15); ties go left: {ties_left}")
 
 
 def test_criterion_6_reconstruction_converges_at_second_order(filt_default):

@@ -182,6 +182,19 @@ def test_unchecked_certificate_clamps_beta_and_skips_gates():
 
 
 @pytest.mark.parametrize("variant", [VARIANT_REMARK, VARIANT_EQ5])
+def test_an_overflowing_epsilon_is_rejected_not_certified(variant):
+    # the default epsilon is inf at lambda = 1e308, so beta would be NaN
+    with pytest.raises(InfeasibleError):
+        thm1_certificate(0.5, 1e308, variant)
+    with pytest.raises(InvalidInputError, match="default epsilon overflows"):
+        unchecked_certificate(0.5, 1e308, variant=variant)
+    for bad in (math.inf, math.nan, -0.1):
+        with pytest.raises(InvalidInputError, match="epsilon must be finite"):
+            unchecked_certificate(0.5, 1.2, epsilon=bad, variant=variant)
+    assert unchecked_certificate(0.5, 1e308, epsilon=0.2, variant=variant).beta == 0.25
+
+
+@pytest.mark.parametrize("variant", [VARIANT_REMARK, VARIANT_EQ5])
 def test_epsilon_reproduces_beta_for_both_variants(variant):
     checked = 0
     for alpha in np.linspace(0.05, 0.95, 19):

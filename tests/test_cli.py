@@ -156,6 +156,19 @@ def test_verify_inadmissible_gain_is_falsified(capsys):
     assert "violations" in cap.err
 
 
+def test_verify_with_an_overflowing_default_epsilon_is_invalid_input(capsys):
+    # coef*(lambda - 1)*(1 + alpha)/(1 - alpha) overflows to inf at 1e308
+    for variant in ("remark", "eq5"):
+        rc = main(["verify", "--alpha", "0.5", "--lambda", "1e308",
+                   "--variant", variant, "--points", "10"])
+        cap = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in cap.err
+        assert "invalid input: the default epsilon overflows" in cap.err
+        assert "--epsilon" in cap.err
+        assert cap.out == ""
+
+
 def test_sweep_fig1_golden_table(capsys):
     rc = main(["sweep", "fig1", "--lambda-min", "1.0", "--lambda-max", "1.02",
                "--grid-step", "0.01"])

@@ -1,5 +1,6 @@
 """One-step containment probes: certified regions hold, inflated gains leak."""
 
+import mmap
 import shutil
 
 import numpy as np
@@ -72,6 +73,22 @@ def test_violations_are_one_record_array_in_point_delta_order():
     assert np.all((v.delta_index >= 0) & (v.delta_index < 9))
     assert np.all(v.excess > report.tol)
     assert report.max_excess == v.excess.max()
+
+
+def test_violations_live_in_an_anonymous_mapping_not_the_malloc_heap():
+    # rows freed from malloc would raise glibc's mmap threshold and keep
+    # freed heap resident in later calls
+    cert = unchecked_certificate(0.5, 1.2, epsilon=0.2)
+    report = verify_invariance(cert, n_points=2000, n_deltas=11, seed=3)
+    assert len(report.violations) > 1000
+    base = report.violations
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+    assert base.nbytes == report.violations.nbytes
+    empty = verify_invariance(thm1_certificate(0.5, 1.01), n_points=100, n_deltas=3)
+    assert len(empty.violations) == 0
+    assert empty.violations.dtype == report.violations.dtype
 
 
 def test_json_dict_keeps_the_full_count_and_the_first_hundred_rows():

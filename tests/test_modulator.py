@@ -7,18 +7,10 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
+from sdlab import _kernels
 from sdlab.errors import DivergenceError, InsufficientDataError, InvalidInputError, ResourceError
-from sdlab.modulator import (
-    ModulatorState,
-    QuantizerKind,
-    SchemeParams,
-    Trajectory,
-    kth_difference,
-    quantize,
-    residual_identity,
-    run,
-    step,
-)
+from sdlab.modulator import QuantizerKind, SchemeParams, residual_identity, run
+from sdlab.region import step_region
 
 gains = st.floats(min_value=1.0, max_value=1.2)
 inputs = st.lists(st.floats(min_value=-0.999, max_value=0.999), min_size=3, max_size=64)
@@ -44,16 +36,18 @@ def test_constant_input_first_steps_hand_computed():
 
 
 def test_step_agrees_with_run_prefix():
+    # run on the chosen backend against the plain-Python recursion kernel
     params = SchemeParams(lambda1=1.03, lambda2=1.01, gamma=0.7)
     f = np.linspace(-0.4, 0.4, 9)
     tr = run(params, f, f.size)
-    state = ModulatorState()
-    for i in range(f.size):
-        state, q = step(params, state, float(f[i]))
-        assert q == tr.q[i]
-        assert state.u == tr.u[i]
-        assert state.v == tr.v[i]
-    assert state.n == f.size
+    q, u, v = np.empty(f.size), np.empty(f.size), np.empty(f.size)
+    at, _ = _kernels._recur(params.lambda1, params.lambda2, params.gamma,
+                            _kernels.KIND_SIGN, 0.0, f, 0.0, f.size,
+                            _kernels.HARD_BOUND, _kernels.HARD_BOUND, q, u, v)
+    assert at == -1
+    assert tr.q.tolist() == q.tolist()
+    assert tr.u.tolist() == u.tolist()
+    assert tr.v.tolist() == v.tolist()
 
 
 @given(lam1=gains, lam2=gains, gamma=st.floats(min_value=0.05, max_value=3.0), f=inputs)
@@ -85,33 +79,39 @@ def test_residual_identity_near_zero_on_every_run(lam1, lam2, gamma, f):
 @given(
     u=st.floats(min_value=-10, max_value=10),
     v=st.floats(min_value=-10, max_value=10),
-    f=st.floats(min_value=-0.999, max_value=0.999),
+    delta=st.floats(min_value=0.001, max_value=1.999),
     gamma=st.floats(min_value=0.05, max_value=3.0),
+    lam=st.floats(min_value=1.0, max_value=1.2),
 )
-def test_sign_symmetry_of_one_step(u, v, f, gamma):
-    # negating state and input negates the next state, away from the
-    # quantizer tie at u + gamma v = 0 where Q(0) = +1 breaks the symmetry
+def test_sign_symmetry_of_one_step(u, v, delta, gamma, lam):
+    # negating the state negates its image, away from the quantizer tie
+    # at u + gamma v = 0 where Q(0) = +1 sends both points left
     assume(abs(u + gamma * v) > 1e-9)
-    params = SchemeParams(gamma=gamma)
-    a, qa = step(params, ModulatorState(u=u, v=v), f)
-    b, qb = step(params, ModulatorState(u=-u, v=-v), -f)
-    assert qb == -qa
-    assert b.u == -a.u
-    assert b.v == -a.v
+    a = step_region(np.array([u]), np.array([v]), delta, gamma, lam)
+    b = step_region(np.array([-u]), np.array([-v]), delta, gamma, lam)
+    assert b[0].tolist() == (-a[0]).tolist()
+    assert b[1].tolist() == (-a[1]).tolist()
 
 
 def test_quantizer_sign_convention_at_zero():
-    assert quantize(QuantizerKind(), 0.0) == 1
-    assert quantize(QuantizerKind(), -0.0) == 1
-    assert quantize(QuantizerKind(), -1e-300) == -1
+    # f = (0.75, -0.75) leads to u = 0 exactly and v = -0.25, so the third
+    # quantizer input is gamma * v: 0 at step 1, then exactly -1e-300
+    tr = run(SchemeParams(gamma=4e-300), [0.75, -0.75, 0.0], 3)
+    assert tr.q.tolist() == [1, -1, -1]
+    assert (tr.u[1], tr.v[1]) == (0.0, -0.25)
+    assert run(SchemeParams(), 0.0, 1).q.tolist() == [1]
 
 
 def test_trilevel_deadband_and_tie_resolution():
+    # the first input 0 is in the dead band, so u = v = f1 and, with
+    # gamma = 1, the second quantizer input is 2 * f1, exact at +-0.5
     kind = QuantizerKind(tag="trilevel", deadband=0.5)
-    assert quantize(kind, 0.49) == 0
-    assert quantize(kind, -0.49) == 0
-    assert quantize(kind, 0.5) == 1
-    assert quantize(kind, -0.5) == -1
+    params = SchemeParams(gamma=1.0, quantizer=kind)
+    for f1, want in ((0.245, 0), (-0.245, 0), (0.25, 1), (-0.25, -1)):
+        tr = run(params, [f1, 0.0], 2)
+        assert tr.q[0] == 0
+        assert tr.u[0] == tr.v[0] == f1
+        assert tr.q[1] == want, f1
 
 
 def test_trilevel_run_emits_zeros_for_small_input():
@@ -123,7 +123,7 @@ def test_trilevel_run_emits_zeros_for_small_input():
 
 def test_quantizer_rejects_non_finite_and_bad_tags():
     with pytest.raises(InvalidInputError):
-        quantize(QuantizerKind(), math.nan)
+        run(SchemeParams(), [math.nan], 1)
     with pytest.raises(InvalidInputError):
         QuantizerKind(tag="four-level")
     with pytest.raises(InvalidInputError):
@@ -180,21 +180,6 @@ def test_residual_identity_needs_three_steps():
     tr = run(SchemeParams(), 0.0, 2)
     with pytest.raises(InsufficientDataError):
         residual_identity(tr)
-
-
-def test_kth_difference_matches_numpy_diff():
-    rng = np.random.default_rng(3)
-    seq = rng.normal(size=12)
-    for k in (0, 1, 2, 3):
-        want = np.diff(seq, k)[-1] if k else seq[-1]
-        assert kth_difference(seq, k, 11) == pytest.approx(want, rel=1e-12)
-
-
-def test_kth_difference_bounds():
-    with pytest.raises(IndexError):
-        kth_difference([1.0, 2.0], 3, 1)
-    with pytest.raises(InvalidInputError):
-        kth_difference([1.0], -1, 0)
 
 
 def test_million_step_run_stays_fast():

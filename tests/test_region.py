@@ -1,4 +1,4 @@
-"""Region geometry: boundary symmetry, corners, multiplier inversion, maps."""
+"""Region geometry: boundary symmetry, corners, multiplier inversion, the step map."""
 
 import math
 
@@ -9,21 +9,21 @@ from hypothesis import strategies as st
 
 from sdlab.errors import InfeasibleError, InvalidInputError, NoSolutionError
 from sdlab.region import (
-    PlanePoint,
     RegionSpec,
     b1_eval,
     b2_eval,
     corner_u0,
-    gamma_from_u1,
-    map_sl,
-    map_sr,
-    region_contains,
     step_region,
     u1_from_gamma,
     yilmaz_gamma_range,
 )
 
 alphas = st.floats(min_value=0.05, max_value=0.95)
+
+
+def gamma_of(spec, u1):
+    """The multiplier of switching abscissa u1: u1 / B1(-u1)."""
+    return u1 / (spec.C - u1 / 2.0 - u1 * u1 / (2.0 * spec.delta_H))
 
 
 def spec_for(alpha, c_scale=1.0):
@@ -68,27 +68,13 @@ def test_vectorized_boundary_matches_scalar():
         assert vec[i] == b1_eval(spec, float(ui))
 
 
-def test_region_contains_interior_boundary_exterior():
-    spec = RegionSpec(alpha=0.5, C=6.0)
-    assert region_contains(spec, PlanePoint(0.0, 0.0))
-    assert region_contains(spec, PlanePoint(0.0, 6.0))          # on B1
-    assert region_contains(spec, PlanePoint(spec.u0, 0.0)) is False or True
-    assert not region_contains(spec, PlanePoint(0.0, 6.0 + 1e-9))
-    assert not region_contains(spec, PlanePoint(spec.u0 + 1e-9, 0.0))
-    assert region_contains(spec, PlanePoint(0.0, 6.0 + 1e-9), tol=1e-8)
-    with pytest.raises(InvalidInputError):
-        region_contains(spec, PlanePoint(0.0, 0.0), tol=-1.0)
-
-
 @given(alpha=alphas, c_scale=st.floats(min_value=1.0, max_value=5.0),
        frac=st.floats(min_value=1e-3, max_value=0.999))
 def test_multiplier_roundtrip_through_u1(alpha, c_scale, frac):
     spec = spec_for(alpha, c_scale)
     u1 = frac * spec.u0
-    try:
-        gamma = gamma_from_u1(spec, u1)
-    except NoSolutionError:
-        assume(False)  # B1(-u1) <= 0 near the corner for large C
+    gamma = gamma_of(spec, u1)
+    assume(gamma > 0.0)  # B1(-u1) <= 0 near the corner for large C
     back = u1_from_gamma(spec, gamma)
     assert back == pytest.approx(u1, rel=1e-9)
 
@@ -96,11 +82,9 @@ def test_multiplier_roundtrip_through_u1(alpha, c_scale, frac):
 def test_multiplier_input_contracts():
     spec = RegionSpec(alpha=0.5, C=6.0)
     with pytest.raises(InvalidInputError):
-        gamma_from_u1(spec, 0.0)
-    with pytest.raises(InvalidInputError):
-        gamma_from_u1(spec, spec.u0)
-    with pytest.raises(InvalidInputError):
         u1_from_gamma(spec, 0.0)
+    with pytest.raises(InvalidInputError):
+        u1_from_gamma(spec, -1.0)
     with pytest.raises(NoSolutionError):
         u1_from_gamma(spec, 1e9)
 
@@ -142,26 +126,19 @@ def test_gamma_range_contains_every_interior_multiplier(alpha, c_scale, frac):
     dH = spec.delta_H
     u1 = dH + frac * (spec.u0 - 2.0 * dH)
     assume(dH < u1 < spec.u0 - dH)
-    try:
-        gamma = gamma_from_u1(spec, u1)
-    except NoSolutionError:
-        assume(False)
+    gamma = gamma_of(spec, u1)
+    assume(gamma > 0.0)
     lo, hi = yilmaz_gamma_range(spec)
     assert lo - 1e-12 <= gamma <= hi + 1e-12
 
 
 def test_one_step_maps_are_the_documented_affine_forms():
-    p = PlanePoint(0.25, -1.5)
-    a = map_sl(p, 0.75, 1.02)
-    assert a.u == 1.02 * 0.25 - 0.75
-    assert a.v == 1.02 * 0.25 + (-1.5) - 0.75
-    b = map_sr(p, 0.75, 1.02)
-    assert b.u == 1.02 * 0.25 + 0.75
-    assert b.v == 1.02 * 0.25 + (-1.5) + 0.75
-    with pytest.raises(InvalidInputError):
-        map_sl(p, 0.0)
-    with pytest.raises(InvalidInputError):
-        map_sr(p, -1.0)
+    # u + gamma v is 0.25 - 0.15 > 0 at gamma = 0.1 and < 0 at gamma = 1
+    u, v = np.array([0.25]), np.array([-1.5])
+    a = step_region(u, v, 0.75, 0.1, 1.02)
+    assert (a[0][0], a[1][0]) == (1.02 * 0.25 - 0.75, 1.02 * 0.25 + (-1.5) - 0.75)
+    b = step_region(u, v, 0.75, 1.0, 1.02)
+    assert (b[0][0], b[1][0]) == (1.02 * 0.25 + 0.75, 1.02 * 0.25 + (-1.5) + 0.75)
 
 
 @given(
@@ -171,29 +148,27 @@ def test_one_step_maps_are_the_documented_affine_forms():
     delta=st.floats(min_value=0.5, max_value=1.5),
 )
 def test_gain_folds_into_a_state_dependent_offset(u, v, lam, delta):
-    # the gain-lam move equals the gain-1 move at a shifted offset
-    p = PlanePoint(u, v)
+    # the gain-lam move equals the gain-1 move at a shifted offset; p and
+    # -p take opposite branches unless p is on the switching line
+    gamma = 0.5
+    us, vs = np.array([u, -u]), np.array([v, -v])
+    left = us + gamma * vs >= 0.0
+    shifted = np.where(left, delta - (lam - 1.0) * us, delta + (lam - 1.0) * us)
+    au, av = step_region(us, vs, delta, gamma, lam)
+    bu, bv = step_region(us, vs, shifted, gamma, 1.0)
     den_u = max(1.0, abs(lam * u) + delta)
     den_v = max(1.0, abs(lam * u) + abs(v) + delta)
-    a = map_sl(p, delta, lam)
-    b = map_sl(p, delta - (lam - 1.0) * u, 1.0)
-    assert abs(a.u - b.u) / den_u < 1e-15
-    assert abs(a.v - b.v) / den_v < 1e-15
-    a = map_sr(p, delta, lam)
-    b = map_sr(p, delta + (lam - 1.0) * u, 1.0)
-    assert abs(a.u - b.u) / den_u < 1e-15
-    assert abs(a.v - b.v) / den_v < 1e-15
+    assert np.max(np.abs(au - bu)) / den_u < 1e-15
+    assert np.max(np.abs(av - bv)) / den_v < 1e-15
 
 
 def test_step_region_branches_on_the_switching_line():
     delta, gamma = 0.8, 0.5
-    left = step_region(PlanePoint(1.0, 0.0), delta, gamma)
-    assert left == map_sl(PlanePoint(1.0, 0.0), delta)
-    right = step_region(PlanePoint(-1.0, 0.0), delta, gamma)
-    assert right == map_sr(PlanePoint(-1.0, 0.0), delta)
-    # tie goes left, same as Q(0) = +1
-    tie = step_region(PlanePoint(1.0, -2.0), delta, gamma)
-    assert tie == map_sl(PlanePoint(1.0, -2.0), delta)
+    # right of the line, left of it, and on it: the tie goes left, as Q(0) = +1
+    u, v = np.array([1.0, -1.0, 1.0]), np.array([0.0, 0.0, -2.0])
+    got_u, got_v = step_region(u, v, delta, gamma, 1.0)
+    assert got_u.tolist() == [1.0 - delta, -1.0 + delta, 1.0 - delta]
+    assert got_v.tolist() == [1.0 - delta, -1.0 + delta, -1.0 - delta]
 
 
 def test_region_spec_validation():
@@ -204,4 +179,4 @@ def test_region_spec_validation():
     with pytest.raises(InvalidInputError):
         RegionSpec(alpha=0.5, C=0.0)
     with pytest.raises(InvalidInputError):
-        PlanePoint(math.inf, 0.0)
+        RegionSpec(alpha=0.5, C=math.inf)

@@ -23,16 +23,20 @@ from sdlab.serialize import (
     REGION_FIELDS,
     TRAJECTORY_FIELDS,
     csv_text,
-    filter_norms_dict,
     fmt_float,
     json_text,
     sweep_fieldnames,
-    trajectory_csv_text,
     write_csv,
     write_json,
     write_region_csv,
     write_trajectory_csv,
 )
+
+
+def trajectory_text(tr):
+    buf = io.StringIO()
+    write_trajectory_csv(buf, tr)
+    return buf.getvalue()
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -55,7 +59,7 @@ def test_csv_rejects_rows_missing_a_field():
 
 def test_trajectory_fast_path_matches_the_generic_writer():
     tr = run(SchemeParams(lambda1=1.02, gamma=0.8), np.linspace(-0.4, 0.4, 50), 50)
-    fast = trajectory_csv_text(tr)
+    fast = trajectory_text(tr)
     rows = [
         {"n": i + 1, "f": tr.f[i], "q": int(tr.q[i]), "u": tr.u[i], "v": tr.v[i]}
         for i in range(tr.n_steps)
@@ -65,7 +69,7 @@ def test_trajectory_fast_path_matches_the_generic_writer():
 
 def test_trajectory_text_is_parse_exact():
     tr = run(SchemeParams(), 0.3, 20)
-    lines = trajectory_csv_text(tr).splitlines()
+    lines = trajectory_text(tr).splitlines()
     assert lines[0] == "n,f,q,u,v"
     n, f, q, u, v = lines[3].split(",")
     assert (int(n), int(q)) == (3, int(tr.q[2]))
@@ -75,7 +79,7 @@ def test_trajectory_text_is_parse_exact():
 def test_million_row_trajectory_formats_within_budget():
     tr = run(SchemeParams(), 0.3, 10**6)
     t0 = time.monotonic()
-    text = trajectory_csv_text(tr)
+    text = trajectory_text(tr)
     elapsed = time.monotonic() - t0
     assert text.count("\n") == 10**6 + 1
     assert elapsed < 5.0
@@ -229,30 +233,8 @@ def test_trajectory_writer_to_file(tmp_path):
     p = tmp_path / "traj.csv"
     write_trajectory_csv(p, tr)
     body = p.read_text()
-    assert body == trajectory_csv_text(tr)
+    assert body == trajectory_text(tr)
     assert body.splitlines()[1].startswith("1,0.29999999999999999,1,")
-
-
-def test_filter_table_is_mirrored(filt_fast, tmp_path):
-    from sdlab.serialize import write_filter_csv
-
-    buf = io.StringIO()
-    write_filter_csv(buf, filt_fast)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,g"
-    n = len(lines) - 1
-    assert n % 2 == 1  # odd: one row per +-t pair plus t = 0
-    t_first, g_first = map(float, lines[1].split(","))
-    t_last, g_last = map(float, lines[-1].split(","))
-    assert t_first == -filt_fast.W and t_last == filt_fast.W
-    assert g_first == g_last
-
-
-def test_filter_norms_dict_keys(filt_fast):
-    d = filter_norms_dict(filt_fast)
-    assert list(d) == ["T0", "rolloff", "dt", "W", "trunc_tol", "tail_bound",
-                       "g_l1", "g1_l1", "g2_l1", "C_g"]
-    assert d["C_g"] == filt_fast.C_g
 
 
 def test_sweep_fieldnames_schemas():
