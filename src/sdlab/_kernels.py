@@ -2,7 +2,9 @@
 
 One loop, _recur, runs the double-loop recursion; run_fill, probe_const
 and probe_input are one-call entry points that differ only in the input
-(array or constant), in whether steps are recorded, and in the bounds.
+(an array, a constant or a KeyedUniform stream of numpy's uniform draws),
+in whether steps are recorded, and in the bounds.  The C loop draws a
+stream itself, so a random probe holds no array and no GIL.
 A second loop, _format_rows, renders trajectory rows as CSV text for
 serialize.write_trajectory_csv through format_rows, and a third, _excess,
 measures one region step's escapes for invariance through excess.
@@ -14,7 +16,8 @@ of them runs (never at import) and reported as BACKEND:
              gcc -O2 -ffp-contract=off into
              sdlab/__pycache__/_recur-<hash>.so (or a per-user directory
              under tempfile.gettempdir() when that one is not writable)
-             and called through ctypes, which releases the GIL;
+             and called through ctypes, which releases the GIL (a build
+             without __int128 gets streams drawn by numpy);
     "python" the plain-Python _recur and %-formatting _format_rows and
              the numpy _excess, when the library cannot be built or loaded.
 
@@ -30,7 +33,9 @@ mapping to 0.
 
 from __future__ import annotations
 
+import operator
 import os
+import sys
 import tempfile
 import threading
 
@@ -49,21 +54,46 @@ KIND_TRILEVEL = 1
 HARD_BOUND = 1.0e12
 
 
+class KeyedUniform:
+    """np.random.default_rng(list(key)).uniform(-beta, beta, n), drawn only
+    when a loop runs; len() is n, the steps it drives."""
+
+    __slots__ = ("key", "beta", "n")
+
+    def __init__(self, key, beta, n):
+        self.key = tuple(map(operator.index, key))
+        self.beta, self.n = float(beta), operator.index(n)
+        # what numpy refuses; C's seeding also needs the ints >= 0
+        if (min(self.key, default=-1) < 0 or self.n < 0
+                or not 0.0 <= self.beta <= sys.float_info.max / 2):
+            raise ValueError(f"bad stream key={key!r}, beta={beta!r}, n={n!r}")
+
+    def __len__(self):
+        return self.n
+
+    def draw(self):
+        return np.random.default_rng(list(self.key)).uniform(
+            -self.beta, self.beta, self.n)
+
+
 def _recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound, vbound,
            q_out, u_out, v_out):
     """The two-gain recursion from u = v = 0, behind all three entry points.
 
-    The input is f[i], or the constant beta when f is None.  q, u, v are
-    written per step unless q_out is None.  Returns (diverged_at, vmax):
-    diverged_at is the 0-based step at which |u| > ubound or |v| > vbound
-    (a non-finite state fails the same test), -1 if all n_steps stayed
-    bounded; vmax is the largest |v| seen up to and including that step.
+    The input is f[i] (a KeyedUniform is drawn first), or the constant
+    beta when f is None.  q, u, v are written per step unless q_out is
+    None.  Returns (diverged_at, vmax): diverged_at is the 0-based step at
+    which |u| > ubound or |v| > vbound (a non-finite state fails the same
+    test), -1 if all n_steps stayed bounded; vmax is the largest |v| seen
+    up to and including that step.
     The arithmetic runs on Python floats, as C runs on doubles: same bits,
     no numpy overflow warnings, and a float vmax.
     """
     lam1, lam2, gamma, tau, beta = map(float, (lam1, lam2, gamma, tau, beta))
     ubound, vbound = float(ubound), float(vbound)
     trilevel = kind == KIND_TRILEVEL
+    if isinstance(f, KeyedUniform):
+        f = f.draw()
     const = f is None
     record = q_out is not None
     u = 0.0
@@ -182,31 +212,40 @@ def _address(a, n_steps, writable, dtype=np.float64):
     return a.ctypes.data
 
 
-def _load_c():
-    """_recur, _format_rows and _excess on the C loops, arrays checked first."""
+def _load_c(path=None):
+    """_recur, _format_rows and _excess on the C loops of the library at
+    path (by default the one built from _SRC), arrays checked first."""
     import ctypes
 
-    lib = ctypes.CDLL(_library_path())
+    lib = ctypes.CDLL(path or _library_path())
+    keyed = ctypes.c_int.in_dll(lib, "sdlab_keyed_stream").value == 1
     fn = lib.sdlab_recur
-    d, p = ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [d, d, d, ctypes.c_int, d, p, d, ctypes.c_longlong, d, d,
+    d, p, ll = ctypes.c_double, ctypes.c_void_p, ctypes.c_longlong
+    fn.argtypes = [d, d, d, ctypes.c_int, d, p, d, p, ll, ll, d, d,
                    p, p, p, ctypes.POINTER(d)]
-    fn.restype = ctypes.c_longlong
+    fn.restype = ll
 
     def c_recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound,
                 vbound, q_out, u_out, v_out):
-        fp = None if f is None else _address(f, n_steps, False)
+        key, n_key, fp = None, 0, None
+        if isinstance(f, KeyedUniform) and keyed:
+            # SeedSequence's uint32 words: each int little-endian, 0 as one
+            key = b"".join(k.to_bytes(4 * max(1, -(-k.bit_length() // 32)),
+                                      "little") for k in f.key)
+            n_key, beta, f = len(key) // 4, f.beta, None
+        elif f is not None:
+            f = f.draw() if isinstance(f, KeyedUniform) else f
+            fp = _address(f, n_steps, False)
         if q_out is not None:
             qp, up, vp = (_address(a, n_steps, True) for a in (q_out, u_out, v_out))
         else:
             qp = up = vp = None
         vmax = d()
-        at = fn(lam1, lam2, gamma, kind, tau, fp, beta, n_steps, ubound,
-                vbound, qp, up, vp, ctypes.byref(vmax))
+        at = fn(lam1, lam2, gamma, kind, tau, fp, beta, key, n_key, n_steps,
+                ubound, vbound, qp, up, vp, ctypes.byref(vmax))
         return at, vmax.value
 
     fmt = lib.sdlab_format_rows
-    ll = ctypes.c_longlong
     fmt.argtypes = [ll, p, p, p, p, ll, p, ll]
     fmt.restype = ll
 
@@ -290,8 +329,8 @@ def probe_const(lam1, lam2, gamma, kind, tau, beta, n_steps, bound):
 
 
 def probe_input(lam1, lam2, gamma, kind, tau, f, bound):
-    """Same as probe_const but driven by a precomputed input array."""
-    return _loop()(lam1, lam2, gamma, kind, tau, f, 0.0, f.shape[0],
+    """Same as probe_const but driven by f, an array or a KeyedUniform."""
+    return _loop()(lam1, lam2, gamma, kind, tau, f, 0.0, len(f),
                    HARD_BOUND, bound, None, None, None)
 
 

@@ -4,13 +4,39 @@
 
    sdlab_recur is a line-for-line port: the same operations in the same
    order, so with -ffp-contract=off (no fused multiply-add) every state is
-   bit-identical to the Python reference.  f == NULL means the constant
-   input beta; q_out == NULL means "do not record".  The caller guarantees
-   that f and the three output arrays hold at least n_steps doubles.
+   bit-identical to the Python reference.  The input has three modes:
+   key != NULL is the keyed uniform stream below, else f != NULL is the
+   array f, else the constant beta.  q_out == NULL means "do not record".
+   The caller guarantees that f and the three output arrays hold at least
+   n_steps doubles, and passes a key only when sdlab_keyed_stream is 1.
 
    Returns the 0-based step at which |u| > ubound or |v| > vbound (a NaN
    state fails the same test), or -1 if all n_steps stayed bounded, and
    stores the largest |v| seen up to and including that step in *vmax_out.
+
+   The keyed stream is numpy's default_rng(key).uniform(-beta, beta, n),
+   drawn one value per step inside the loop, bit for bit:
+   - The key's n_key uint32 words: each non-negative int of the key in
+     little-endian 32-bit words, 0 as one zero word.
+   - SeedSequence, all arithmetic in uint32:
+       hashmix(x): x ^= h; h *= 0x931e8875; x *= h; x ^ (x >> 16),
+                   one h, starting at 0x43b0d7e5;
+       mix(x, y):  r = 0xca01f9dd x - 0x4973f715 y; r ^ (r >> 16).
+     A pool of 4 words takes hashmix of the first 4 key words (0 when
+     missing); then pool[d] = mix(pool[d], hashmix(pool[s])) for every
+     s != d, s outer; then each remaining key word w, in order, gives
+     pool[d] = mix(pool[d], hashmix(w)) for d = 0..3.  The 8 state words
+     are, for i = 0..7, x = pool[i & 3] ^ hb; hb *= 0x58f38ded; x *= hb;
+     w[i] = x ^ (x >> 16), with hb starting at 0x8b51f9dd.  They pair
+     into 64-bit v[k] = w[2k] | w[2k+1] << 32.
+   - PCG64 seeding, in 128 bits: seed = v0:v1 (v0 high), inc = (v2:v3 << 1)
+     | 1 and state = (inc + seed) M + inc, M = 2549297995355413924 2^64 +
+     4865540595714422341.  Each draw steps state = state M + inc first,
+     then outputs x = rotr64(hi ^ lo, state >> 122).
+   - f_i = -beta + (beta - (-beta)) ((x >> 11) 2^-53), Generator.uniform's
+     low + range * next_double.
+   The 128-bit arithmetic needs __int128; without it sdlab_keyed_stream is
+   0 and _kernels draws the stream with numpy and passes it as an array.
 */
 #include <math.h>
 #include <stddef.h>
@@ -18,14 +44,84 @@
 #include <stdio.h>
 #include <string.h>
 
-long long sdlab_recur(double lam1, double lam2, double gamma, int kind,
-                      double tau, const double *f, double beta,
-                      long long n_steps, double ubound, double vbound,
-                      double *q_out, double *u_out, double *v_out,
-                      double *vmax_out)
+#ifdef __SIZEOF_INT128__
+const int sdlab_keyed_stream = 1;
+
+typedef unsigned __int128 u128;
+
+#define PCG_MULT ((u128)2549297995355413924ULL << 64 | 4865540595714422341ULL)
+
+static uint32_t hashmix(uint32_t x, uint32_t *h)
+{
+    x ^= *h;
+    *h *= 0x931e8875u;
+    x *= *h;
+    return x ^ (x >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ (r >> 16);
+}
+
+static void pcg64_seed(const uint32_t *key, long long n_key, u128 *state,
+                       u128 *inc)
+{
+    uint32_t pool[4], h = 0x43b0d7e5u, hb = 0x8b51f9ddu;
+    uint64_t v[4] = {0, 0, 0, 0};
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < n_key ? key[i] : 0u, &h);
+    for (int s = 0; s < 4; s++)
+        for (int d = 0; d < 4; d++)
+            if (s != d)
+                pool[d] = mix(pool[d], hashmix(pool[s], &h));
+    for (long long s = 4; s < n_key; s++)
+        for (int d = 0; d < 4; d++)
+            pool[d] = mix(pool[d], hashmix(key[s], &h));
+    for (int i = 0; i < 8; i++) {
+        uint32_t x = pool[i & 3] ^ hb;
+        hb *= 0x58f38dedu;
+        x *= hb;
+        v[i >> 1] |= (uint64_t)(x ^ (x >> 16)) << (32 * (i & 1));
+    }
+    *inc = ((u128)v[2] << 64 | v[3]) << 1 | 1u;
+    *state = (*inc + ((u128)v[0] << 64 | v[1])) * PCG_MULT + *inc;
+}
+
+static uint64_t pcg64_next(u128 *state, u128 inc)
+{
+    *state = *state * PCG_MULT + inc;
+    uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    unsigned r = (unsigned)(*state >> 122);
+    return x >> r | x << (-r & 63);
+}
+#else
+const int sdlab_keyed_stream = 0;
+#endif
+
+enum { INPUT_CONST, INPUT_ARRAY, INPUT_KEYED };
+
+/* The one recursion loop.  sdlab_recur instantiates it once per input
+   mode, so each copy reads its input as a loop constant, a load or a draw
+   without testing the mode on every step; gcc then schedules the constant
+   mode's loop about twice as fast as one loop that tests the mode. */
+static inline __attribute__((always_inline)) long long
+recur(int mode, double lam1, double lam2, double gamma, int kind, double tau,
+      const double *f, double beta, const uint32_t *key, long long n_key,
+      long long n_steps, double ubound, double vbound, double *q_out,
+      double *u_out, double *v_out, double *vmax_out)
 {
     int trilevel = kind == 1;
     double u = 0.0, v = 0.0, vmax = 0.0;
+#ifdef __SIZEOF_INT128__
+    double low = -beta, range = beta - low;
+    u128 state = 0, inc = 0;
+    if (mode == INPUT_KEYED)
+        pcg64_seed(key, n_key, &state, &inc);
+#else
+    (void)key, (void)n_key;
+#endif
     for (long long i = 0; i < n_steps; i++) {
         double s = u + gamma * v;
         double q;
@@ -35,7 +131,12 @@ long long sdlab_recur(double lam1, double lam2, double gamma, int kind,
             q = 1.0;
         else
             q = -1.0;
-        double w = lam1 * u + ((f == NULL ? beta : f[i]) - q);
+        double x = mode == INPUT_ARRAY ? f[i] : beta;
+#ifdef __SIZEOF_INT128__
+        if (mode == INPUT_KEYED)
+            x = low + range * ((double)(pcg64_next(&state, inc) >> 11) * 0x1p-53);
+#endif
+        double w = lam1 * u + (x - q);
         v = w + lam2 * v;
         u = w;
         if (q_out != NULL) {
@@ -53,6 +154,26 @@ long long sdlab_recur(double lam1, double lam2, double gamma, int kind,
     }
     *vmax_out = vmax;
     return -1;
+}
+
+long long sdlab_recur(double lam1, double lam2, double gamma, int kind,
+                      double tau, const double *f, double beta,
+                      const uint32_t *key, long long n_key,
+                      long long n_steps, double ubound, double vbound,
+                      double *q_out, double *u_out, double *v_out,
+                      double *vmax_out)
+{
+#define RECUR(mode) recur(mode, lam1, lam2, gamma, kind, tau, f, beta, key, \
+                          n_key, n_steps, ubound, vbound, q_out, u_out,   \
+                          v_out, vmax_out)
+#ifdef __SIZEOF_INT128__
+    if (key != NULL)
+        return RECUR(INPUT_KEYED);
+#endif
+    if (f != NULL)
+        return RECUR(INPUT_ARRAY);
+    return RECUR(INPUT_CONST);
+#undef RECUR
 }
 
 /* Trajectory rows n0+1 .. n0+count as "%lld,%.17g,%lld,%.17g,%.17g\n", the

@@ -306,28 +306,32 @@ def thm2_certificate(
 def max_beta_theoretical(lam: float, alpha_cap: float = 0.99, variant: str = VARIANT_REMARK):
     """Largest guaranteed input bound over alpha, and its maximizer.
 
-    Scans beta_bound(alpha, lam, variant) on a 1e-4 grid of alpha values
-    in (0, alpha_cap] (the single point alpha_cap when the cap lies below
-    1e-4), then refines around the best grid point by golden
-    section.  Returns (beta_max, alpha_star); (0.0, nan) when no positive
-    beta exists at this lambda.
+    With k = coef*(lambda-1), beta(alpha) peaks at alpha* = (1-sqrt k) /
+    (1+sqrt k) and is <= 0 for every alpha once k >= 1.  Of a 1e-4 grid of
+    alpha in (0, alpha_cap], the best of the 8 points around alpha* (so
+    the best of all) is refined by golden section.  Returns (beta_max,
+    alpha_star); (0.0, nan) when no positive beta exists at this lambda.
     """
     lam = _real(lam, lambda x: x >= 1.0, "lambda must be >= 1")
     if not (0.0 < alpha_cap < 1.0):
         raise InvalidInputError(f"alpha_cap must lie in (0, 1), got {alpha_cap!r}")
+    k = _coef(variant) * (lam - 1.0)
+    if not k < 1.0:  # inf too, when coef*(lambda-1) overflows
+        return 0.0, math.nan
 
     def beta_of(a):
         return beta_bound(a, lam, variant)
 
     n = max(2, int(round(alpha_cap / 1e-4)))
     grid = np.linspace(min(1e-4, alpha_cap), alpha_cap, n)
-    vals = beta_of(grid)
-    i = int(np.argmax(vals))
-    if vals[i] <= 0.0:
+    j = int(np.searchsorted(grid, (1.0 - math.sqrt(k)) / (1.0 + math.sqrt(k))))
+    lo = max(j - 4, 0)
+    vals = beta_of(grid[lo:j + 4])
+    i = lo + int(np.argmax(vals))
+    if not vals[i - lo] > 0.0:
         return 0.0, math.nan
 
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, n - 1)]
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, n - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)

@@ -220,6 +220,11 @@ def verify_invariance(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidInputError("tol must be finite and >= 0")
     spec = cert.region
+    # |u| <= u0, |v| <= v_extent, delta <= 1 + beta: a bound on every excess
+    reach = cert.lam * spec.u0 + 1.0 + cert.beta
+    if not math.isfinite(reach + spec.v_extent + 0.5 * reach + spec.C
+                         + reach * reach / (2.0 * spec.delta_L)):
+        raise InvalidInputError(f"lambda={cert.lam!r} too large: a step may overflow")
     deltas = np.empty(n_deltas)
     deltas[0] = 1.0 - cert.beta
     deltas[1] = 1.0 + cert.beta

@@ -7,11 +7,12 @@ divergence cutoff (bisection), or the largest |v_n| reached by a run.
 Companion columns carry the certified values so the tables line up
 theory against observation.
 
-Determinism: every stochastic probe draws from a fresh generator keyed
-by (seed, row index, probe index), so results are byte-identical for
-any worker count and rows can run concurrently.  The C kernel backend
-releases the GIL, so the row threads run in parallel; the pure-Python
-fallback holds the GIL and the threads take turns.
+Of the kernel's three input modes (constant, array, keyed stream) a
+probe uses the constant beta or the stream of uniform draws on [-beta,
+beta] keyed by (seed, row index, probe index), so results are
+byte-identical for any worker count and rows can run concurrently.  The
+C backend draws the stream in its loop, in constant memory, without the
+GIL, so row threads run in parallel; the Python fallback takes turns.
 """
 
 from __future__ import annotations
@@ -82,25 +83,21 @@ class SweepConfig:
             raise InvalidInputError("bisect_tol must be positive")
         if not self.divergence_bound > 10.0:
             raise InvalidInputError("divergence_bound must exceed 10")
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be positive")
+        if not 1 <= self.max_iters <= 2**63 - 1:  # the C loop's long long
+            raise InvalidInputError("max_iters must lie in [1, 2^63 - 1]")
         if not (0.0 < self.alpha_cap < 1.0):
             raise InvalidInputError("alpha_cap must lie in (0, 1)")
 
 
 def _probe(lam, gamma, beta, cfg, row_index, probe_index):
     """(diverged_at, vmax) for one run from the zero state."""
+    scheme = (lam, 1.0, gamma, _kernels.KIND_SIGN, 0.5)
     if cfg.input_mode == "constant":
-        return _kernels.probe_const(
-            lam, 1.0, gamma, _kernels.KIND_SIGN, 0.5,
-            beta, cfg.max_iters, cfg.divergence_bound,
-        )
-    rng = np.random.default_rng([cfg.seed, row_index, probe_index])
-    f = rng.uniform(-beta, beta, cfg.max_iters)
-    return _kernels.probe_input(
-        lam, 1.0, gamma, _kernels.KIND_SIGN, 0.5,
-        f, cfg.divergence_bound,
-    )
+        return _kernels.probe_const(*scheme, beta, cfg.max_iters,
+                                    cfg.divergence_bound)
+    f = _kernels.KeyedUniform((cfg.seed, row_index, probe_index), beta,
+                              cfg.max_iters)
+    return _kernels.probe_input(*scheme, f, cfg.divergence_bound)
 
 
 def is_stable(lam: float, gamma: float, beta: float, cfg: SweepConfig,

@@ -1,10 +1,11 @@
 """Certificate algebra: gain cutoffs, unit-gain reduction, feasibility tags."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdlab.certificates import (
@@ -113,6 +114,57 @@ def test_max_beta_regression_and_monotone_decay():
     vals = [max_beta_theoretical(l)[0] for l in grid]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert vals[-1] == 0.0
+
+
+def _scanned_max_beta(lam, alpha_cap, variant):
+    """max_beta_theoretical as it was before the closed form: the best of
+    all 1e-4 grid points, then the same golden-section refinement."""
+    n = max(2, int(round(alpha_cap / 1e-4)))
+    grid = np.linspace(min(1e-4, alpha_cap), alpha_cap, n)
+    vals = beta_bound(grid, lam, variant)
+    i = int(np.argmax(vals))
+    if not vals[i] > 0.0:
+        return 0.0, math.nan
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, n - 1)])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = beta_bound(c, lam, variant), beta_bound(d, lam, variant)
+    while b - a > 1e-13:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = beta_bound(c, lam, variant)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = beta_bound(d, lam, variant)
+    alpha_star = min(0.5 * (a + b), alpha_cap)
+    for cand in (float(grid[i]), alpha_cap):
+        if beta_bound(cand, lam, variant) >= beta_bound(alpha_star, lam, variant):
+            alpha_star = cand
+    return float(beta_bound(alpha_star, lam, variant)), float(alpha_star)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_gap=st.floats(-9.0, 0.0), cap=st.sampled_from([0.99, 0.5, 0.9999, 5e-5]),
+       variant=st.sampled_from([VARIANT_REMARK, VARIANT_EQ5]))
+@example(log_gap=-math.inf, cap=0.99, variant=VARIANT_REMARK)
+@example(log_gap=math.log10(CUTOFF_EQ5 - 1.0), cap=0.99, variant=VARIANT_EQ5)
+def test_closed_form_start_matches_the_full_grid_scan(log_gap, cap, variant):
+    lam = 1.0 + 10.0 ** log_gap
+    got = max_beta_theoretical(lam, alpha_cap=cap, variant=variant)
+    want = _scanned_max_beta(lam, cap, variant)
+    assert got[0] == want[0]
+    assert got[1] == want[1] or math.isnan(got[1]) and math.isnan(want[1])
+
+
+@pytest.mark.parametrize("lam", [1e307, 1e308, 1.7976931348623157e308])
+@pytest.mark.parametrize("variant", [VARIANT_REMARK, VARIANT_EQ5])
+def test_max_beta_past_epsilon_overflow_is_infeasible(lam, variant):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta_max, alpha_star = max_beta_theoretical(lam, variant=variant)
+    assert beta_max == 0.0 and math.isnan(alpha_star)
 
 
 @given(lam=st.floats(min_value=1.0, max_value=CUTOFF_REMARK - 1e-6))

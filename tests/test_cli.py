@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output routing, seed precedence."""
 
 import json
+import warnings
 
 import pytest
 
@@ -167,6 +168,40 @@ def test_verify_with_an_overflowing_default_epsilon_is_invalid_input(capsys):
         assert "invalid input: the default epsilon overflows" in cap.err
         assert "--epsilon" in cap.err
         assert cap.out == ""
+
+
+@pytest.mark.parametrize("lam", ["1e308", "1e154"])
+def test_verify_refuses_a_gain_whose_step_can_overflow(lam, capsys):
+    # the region check is refused before any point is sampled, where it
+    # used to run and then fail to write infinite excesses as JSON
+    rc = main(["verify", "--alpha", "0.5", "--lambda", lam, "--epsilon", "0.2"])
+    cap = capsys.readouterr()
+    assert rc == 1
+    assert f"invalid input: lambda={float(lam)!r} too large" in cap.err
+    assert "checked" not in cap.err and "Traceback" not in cap.err
+    assert cap.out == ""
+
+
+def test_verify_at_the_largest_finite_gains_still_reports(tmp_path, capsys):
+    dest = tmp_path / "report.json"
+    rc = main(["verify", "--alpha", "0.5", "--lambda", "1e150", "--epsilon",
+               "0.2", "--points", "200", "--out", str(dest)])
+    capsys.readouterr()
+    assert rc == 2
+    doc = json.loads(dest.read_text())
+    assert doc["ok"] is False and 1e300 < doc["max_excess"] < float("inf")
+
+
+def test_sweep_fig1_past_overflow_writes_infeasible_rows(capsys):
+    # coef*(lambda - 1) overflows at 1e308; every row is infeasible alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "fig1", "--lambda-min", "1e307", "--lambda-max",
+                   "1e308", "--grid-step", "1e307"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert len(lines) == 11 and lines[-1] == "1e+308,0,NA"
+    assert all(line.endswith(",0,NA") for line in lines[1:])
 
 
 def test_sweep_fig1_golden_table(capsys):

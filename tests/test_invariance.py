@@ -136,9 +136,8 @@ def test_sample_count_contracts():
 @pytest.mark.parametrize("cert, is_max_excess", [
     (thm2_certificate(0.5, 1.02, 0.3), lambda m: m == 0.0),
     (unchecked_certificate(0.5, 2.0), lambda m: 0.0 < m < np.inf),
-    (unchecked_certificate(0.5, 1e308, epsilon=0.2), lambda m: m == np.inf),
-], ids=["certified", "violating", "overflowing"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on overflow
+    (unchecked_certificate(0.5, 1e150, epsilon=0.2), lambda m: 1e300 < m < np.inf),
+], ids=["certified", "violating", "huge-gain"])
 def test_report_does_not_depend_on_backend_or_workers(cert, is_max_excess,
                                                       monkeypatch):
     if shutil.which(_kernels._CC[0]) is None:

@@ -73,6 +73,37 @@ def test_probe_matches_the_recorded_run(scheme, beta, n, bound, seed):
         assert _kernels.probe_const(*scheme, beta, n, bound) == (diverged_at, vmax)
 
 
+# key words at the 32- and 64-bit edges, and keys of more than 4 words
+key_ints = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]),
+                     st.integers(0, 2**100))
+stream_betas = st.one_of(st.sampled_from([0.0, 0.999]), st.floats(0.0, 1.2))
+stream_lengths = st.one_of(st.sampled_from([0, 1, 2500]), st.integers(0, N_MAX))
+
+
+@settings(deadline=None, max_examples=200)
+@given(scheme=schemes, key=st.lists(key_ints, min_size=1, max_size=7),
+       beta=stream_betas, n=stream_lengths, bound=bounds)
+def test_keyed_stream_probe_equals_the_drawn_array(c_recur, scheme, key, beta,
+                                                   n, bound):
+    stream = _kernels.KeyedUniform(key, beta, n)
+    drawn = np.random.default_rng(key).uniform(-beta, beta, n)
+    assert len(stream) == n and stream.draw().tobytes() == drawn.tobytes()
+    args = (_kernels.HARD_BOUND, bound, None, None, None)
+    want = _kernels._recur(*scheme, drawn, 0.0, n, *args)
+    assert _kernels._recur(*scheme, stream, 0.0, n, *args) == want
+    assert c_recur(*scheme, stream, 0.0, n, *args) == want
+    assert _kernels.probe_input(*scheme, stream, bound) == want
+
+
+def test_keyed_stream_refuses_what_numpy_refuses():
+    for key, beta, n in [((-1,), 0.5, 3), ((), 0.5, 3), ((1,), -0.5, 3),
+                         ((1,), np.nan, 3), ((1,), 1e308, 3), ((1,), 0.5, -1)]:
+        with pytest.raises(ValueError):
+            _kernels.KeyedUniform(key, beta, n)
+    with pytest.raises(TypeError):
+        _kernels.KeyedUniform((1.5,), 0.5, 3)
+
+
 def test_run_fill_stops_at_its_own_bound():
     f = np.full(50, 0.99)
     q, u, v = np.empty(50), np.empty(50), np.empty(50)
@@ -327,6 +358,33 @@ def test_c_excess_refuses_arrays_it_could_overrun(c_loops):
     with pytest.raises(TypeError):
         c_excess(np.zeros(8)[::2], vs, deltas, 0.5, 1.01, spec)
     assert c_excess(us, vs, deltas, 0.5, 1.01, spec).shape == (4, 3)
+
+
+def test_a_build_without_int128_writes_and_probes_the_same(c_loops, tmp_path):
+    # without __int128 the formatter prints every double with snprintf and
+    # the keyed stream is drawn by numpy; both must give the same results
+    import ctypes
+
+    lib = tmp_path / "_recur-no-int128.so"
+    subprocess.run([*_kernels._CC, *_kernels._CFLAGS, "-U__SIZEOF_INT128__",
+                    "-o", str(lib), _kernels._SRC, "-lm"],
+                   check=True, capture_output=True)
+    assert ctypes.c_int.in_dll(ctypes.CDLL(str(lib)), "sdlab_keyed_stream").value == 0
+    fallback = _kernels._load_c(str(lib))
+
+    x = _sweep_doubles()[::50]
+    x = x[: x.size - x.size % 3]
+    f, u, v = (np.ascontiguousarray(x[i::3]) for i in range(3))
+    q = np.arange(f.size, dtype=np.int64) - f.size // 2
+    assert bytes(fallback[1](7, f, q, u, v)) == bytes(c_loops[1](7, f, q, u, v))
+
+    for key, beta, n in [((0,), 0.999, 2500), ((2**64 + 5, 1, 2**32), 0.5, 2500),
+                         ((1, 2, 3, 4, 5, 6), 0.0, 1), ((9,), 0.99, 0)]:
+        stream = _kernels.KeyedUniform(key, beta, n)
+        for scheme in [(1.05, 1.0, 0.7, _kernels.KIND_SIGN, 0.5),
+                       (1.2, 1.0, 1.0, _kernels.KIND_TRILEVEL, 0.4)]:
+            args = (*scheme, stream, 0.0, n, _kernels.HARD_BOUND, 50.0, None, None, None)
+            assert fallback[0](*args) == c_loops[0](*args) == _kernels._recur(*args)
 
 
 def _tables():

@@ -4,10 +4,13 @@ All sweeps here run with reduced iteration budgets; the full-budget runs
 live in the acceptance suite.  Determinism claims are exact equality.
 """
 
+import shutil
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sdlab import sweeps
+from sdlab import _kernels, sweeps
 from sdlab.errors import (
     DegenerateConfigurationError,
     DivergenceError,
@@ -194,3 +197,48 @@ def test_config_validation():
         SweepConfig(input_mode="impulse")
     with pytest.raises(TypeError):  # the coupling is an argument of each sweep
         SweepConfig(gamma_mode="thm1")
+    with pytest.raises(InvalidInputError):  # the C loop counts in a long long
+        SweepConfig(max_iters=2**63)
+    assert SweepConfig(max_iters=2**63 - 1).max_iters == 2**63 - 1
+
+
+needs_gcc = pytest.mark.skipif(shutil.which(_kernels._CC[0]) is None,
+                               reason="no C compiler on PATH")
+
+
+@needs_gcc
+def test_random_probes_do_not_depend_on_the_backend(monkeypatch):
+    # the C loop draws each probe's stream itself, the Python loop with numpy
+    cfg = small_cfg(input_mode="random-uniform", max_iters=4000)
+    cases = [(1.0, 0.99, 0.9), (1.05, 0.8, 0.5), (1.2, 1.0, 0.95), (1.12, 0.6, 0.3)]
+
+    def results():
+        return [(is_stable(lam, g, b, cfg, row_index=3, probe_index=7),
+                 _vmax_or_divergence(lam, g, b, cfg)) for lam, g, b in cases]
+
+    monkeypatch.setattr(_kernels, "_chosen", ("c", *_kernels._load_c()))
+    ran = results()
+    assert {r[0] for r in ran} == {True, False}
+    monkeypatch.setattr(_kernels, "_chosen", _kernels._PYTHON)
+    assert results() == ran
+
+
+def _vmax_or_divergence(lam, gamma, beta, cfg):
+    try:
+        return measure_vmax(lam, gamma, beta, cfg, row_index=2)
+    except DivergenceError as e:
+        return "diverged", e.step
+
+
+@needs_gcc
+def test_a_random_probe_holds_no_input_array(monkeypatch):
+    # 10^6 steps would take an 8 MB input array; the C loop draws in place
+    monkeypatch.setattr(_kernels, "_chosen", ("c", *_kernels._load_c()))
+    cfg = small_cfg(input_mode="random-uniform", max_iters=10**6)
+    tracemalloc.start()
+    try:
+        assert is_stable(1.0, 0.99, 0.5, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
