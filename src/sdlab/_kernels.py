@@ -6,8 +6,11 @@ and probe_input are one-call entry points that differ only in the input
 in whether steps are recorded, and in the bounds.  The C loop draws a
 stream itself, so a random probe holds no array and no GIL.
 A second loop, _format_rows, renders trajectory rows as CSV text for
-serialize.write_trajectory_csv through format_rows, and a third, _excess,
-measures one region step's escapes for invariance through excess.
+serialize.write_trajectory_csv through format_lanes, which on the C loop
+allocates a buffer per lane on the calling thread, runs each lane but the
+last as just its C call on a helper thread, and formats the last on the
+calling thread.  A third, _excess, measures one region step's escapes
+for invariance through excess.
 
 The entry points run the loops on the backend chosen the first time one
 of them runs (never at import) and reported as BACKEND:
@@ -33,6 +36,7 @@ mapping to 0.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import os
 import sys
@@ -149,8 +153,9 @@ _CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 # longest %.17g text of a double, as in -2.2250738585072014e-308
 _NUM_WIDTH = 24
 
-# (BACKEND, then loops with the signatures of _recur, _format_rows, _excess)
-_PYTHON = ("python", _recur, _format_rows, _excess)
+# (BACKEND, then loops like _recur, _format_rows, _excess and format_lanes)
+_PYTHON = ("python", _recur, _format_rows, _excess,
+           lambda n0, f, q, u, v, lanes: [_format_rows(n0, f, q, u, v)])
 _chosen = None
 _choose_lock = threading.Lock()
 
@@ -161,8 +166,9 @@ def _library_path():
     The name hashes the source, the compiler command and the platform, so
     a stale library is never loaded.  The build writes a temporary file
     and renames it into place, so a concurrent reader never sees half a
-    library.
+    library, then removes older ones from the package's __pycache__.
     """
+    import glob
     import hashlib
     import subprocess
     import sysconfig
@@ -197,6 +203,10 @@ def _library_path():
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        if writable:  # not the per-user directory, which other installs share
+            for old in set(glob.glob(os.path.join(home, "_recur-*.so"))) - {path}:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(old)
     return path
 
 
@@ -249,23 +259,41 @@ def _load_c(path=None):
     fmt.argtypes = [ll, p, p, p, p, ll, p, ll]
     fmt.restype = ll
 
-    def c_format_rows(n0, f, q, u, v):
+    def c_format_lanes(n0, f, q, u, v, lanes):
         count = f.shape[0]
-        if count == 0:
-            return b""
         fp, up, vp = (_address(a, count, False) for a in (f, u, v))
         qp = _address(q, count, False, np.int64)
-        # the widest row this chunk can have, so the buffer cannot overflow
-        q_width = max(len(str(q[:count].min())), len(str(q[:count].max())))
-        cap = count * (len(str(n0 + count)) + q_width + 3 * _NUM_WIDTH + 5)
-        buf = bytearray(cap)
-        out = (ctypes.c_char * cap).from_buffer(buf)
-        written = fmt(n0, fp, qp, up, vp, count, out, cap)
-        del out
-        if written < 0:
-            raise RuntimeError(f"{count} rows overflowed {cap} bytes")
-        del buf[written:]
-        return buf
+        q_width = max(len(str(q[:count].min(initial=0))),
+                      len(str(q[:count].max(initial=0))))
+        lanes = max(1, min(lanes, count))
+        cuts = [count * i // lanes for i in range(lanes + 1)]
+        bufs, outs, written = [], [], [None] * lanes
+        for lo, hi in zip(cuts, cuts[1:]):
+            # the widest row this lane can have, so its buffer cannot overflow
+            cap = (hi - lo) * (len(str(n0 + hi)) + q_width + 3 * _NUM_WIDTH + 5)
+            bufs.append(bytearray(cap))
+            outs.append((ctypes.c_char * cap).from_buffer(bufs[-1]))
+
+        def fill(i):
+            lo = cuts[i]
+            written[i] = fmt(n0 + lo, fp + 8 * lo, qp + 8 * lo, up + 8 * lo,
+                             vp + 8 * lo, cuts[i + 1] - lo, outs[i], len(bufs[i]))
+
+        helpers = [threading.Thread(target=fill, args=(i,)) for i in range(lanes - 1)]
+        for t in helpers:
+            t.start()
+        fill(lanes - 1)
+        for t in helpers:
+            t.join()
+        del outs  # the exports, so the buffers can shrink
+        for buf, n in zip(bufs, written):
+            if n is None or n < 0:
+                raise RuntimeError(f"rows {n0 + 1}..{n0 + count} were not formatted")
+            del buf[n:]
+        return bufs
+
+    def c_format_rows(n0, f, q, u, v):
+        return c_format_lanes(n0, f, q, u, v, 1)[0]
 
     exc = lib.sdlab_excess
     exc.argtypes, exc.restype = [p, p, ll, p, ll, *[d] * 6, p], None
@@ -278,7 +306,7 @@ def _load_c(path=None):
             spec.delta_H, spec.delta_L, out.ctypes.data)
         return out
 
-    return c_recur, c_format_rows, c_excess
+    return c_recur, c_format_rows, c_excess, c_format_lanes
 
 
 def _choose():
@@ -342,6 +370,12 @@ def format_rows(n0, f, q, u, v):
     result is bytes or a bytearray.
     """
     return (_chosen or _choose())[2](n0, f, q, u, v)
+
+
+def format_lanes(n0, f, q, u, v, lanes):
+    """format_rows as a list of buffers to write in order: on the C loop
+    one per lane, formatted at once (see the module docstring)."""
+    return (_chosen or _choose())[4](n0, f, q, u, v, lanes)
 
 
 def excess(us, vs, deltas, gamma, lam, spec):

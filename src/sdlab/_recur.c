@@ -183,98 +183,134 @@ long long sdlab_recur(double lam1, double lam2, double gamma, int kind,
    Normal doubles with 1e-16 <= |x| < 1e17 are printed without snprintf:
    with |x| = m 2^e and X = floor(log10 |x|), the 17 significant digits are
    D = m 5^k 2^(e+k), k = 16 - X, rounded half to even in 128-bit integers,
-   the exact %.17g rounding.  snprintf is only the fallback: for zero,
-   subnormals, infinities, the rest of the range and no __int128.
+   the exact %.17g rounding.  One multiply by a tabled 5^k gives m 5^k
+   (m 5^32 < 2^128).  When the first guess at X is one too low, the
+   18-digit integer part is divided by 10 and rounded with the same
+   remainder, so there is no second pass.  Digits print two at a time
+   from a table.
+   snprintf is only the fallback: for zero, subnormals, infinities, the
+   rest of the range and no __int128.
 
-   Each row is formatted on the stack and copied into buf, so the output
-   is exactly the rows, with no terminating NUL.  Returns the number of
-   bytes written, or -1 if the rows do not fit in cap bytes.
+   The number writers copy fixed-size blocks that may run past their text,
+   so a row needs ROW_MAX bytes of room (its text is at most 117).  Rows go
+   straight into buf while that much is left, and through a row on the
+   stack near its end, so the output is exactly the rows, with no
+   terminating NUL.  Returns the number of bytes written, or -1 if the
+   rows do not fit in cap bytes.
 */
+enum { ROW_MAX = 160 };
+
+static const char pairs[201] =
+    "000102030405060708091011121314151617181920212223242526272829"
+    "303132333435363738394041424344454647484950515253545556575859"
+    "606162636465666768697071727374757677787980818283848586878889"
+    "90919293949596979899";
+
+/* n in decimal; writes 21 bytes at p whatever its length */
 static char *put_int(char *p, long long n)
 {
-    char tmp[20], *t = tmp + sizeof tmp;
+    char tmp[40], *t = tmp + 20;
     unsigned long long a = n < 0 ? 0ULL - (unsigned long long)n
                                  : (unsigned long long)n;
-    do
-        *--t = (char)('0' + a % 10);
-    while (a /= 10);
-    if (n < 0)
-        *p++ = '-';
-    memcpy(p, t, (size_t)(tmp + sizeof tmp - t));
-    return p + (tmp + sizeof tmp - t);
+    for (; a >= 100; a /= 100)
+        memcpy(t -= 2, pairs + 2 * (a % 100), 2);
+    if (a >= 10)
+        memcpy(t -= 2, pairs + 2 * a, 2);
+    else
+        *--t = (char)('0' + a);
+    *p = '-';
+    p += n < 0;
+    memcpy(p, t, 20);
+    return p + (tmp + 20 - t);
 }
 
 #ifdef __SIZEOF_INT128__
-static const uint64_t pow5[16] = {1, 5, 25, 125, 625, 3125, 15625, 78125,
-    390625, 1953125, 9765625, 48828125, 244140625, 1220703125, 6103515625ULL,
-    30517578125ULL};
+static const u128 pow5[33] = {1, 5, 25, 125, 625, 3125, 15625, 78125, 390625,
+    1953125, 9765625, 48828125, 244140625, 1220703125, 6103515625ULL,
+    30517578125ULL, 152587890625ULL, 762939453125ULL, 3814697265625ULL,
+    19073486328125ULL, 95367431640625ULL, 476837158203125ULL,
+    2384185791015625ULL, 11920928955078125ULL, 59604644775390625ULL,
+    298023223876953125ULL, 1490116119384765625ULL, 7450580596923828125ULL,
+    (u128)7450580596923828125ULL * 5, (u128)7450580596923828125ULL * 25,
+    (u128)7450580596923828125ULL * 125, (u128)7450580596923828125ULL * 625,
+    (u128)7450580596923828125ULL * 3125};
 
 /* |x| = d 10^(X-16) rounded to 17 digits, 10^16 <= d < 10^17; 0 when x is
    outside the fast range */
 static int digits17(double x, uint64_t *d, int *X)
 {
-    const unsigned __int128 e16 = 10000000000000000ULL, e17 = 10 * e16;
-    uint64_t bits, m;
+    const uint64_t e16 = 10000000000000000ULL, e17 = 10 * e16;
+    uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
     int be = (int)(bits >> 52 & 0x7ff);
-    if (be == 0 || be == 0x7ff)
-        return 0;
-    m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
-    /* floor((be - 1023) log10 2): X itself or X - 1 */
+    /* floor((be - 1023) log10 2): X itself or X - 1, and far out of range
+       for zero, subnormals, infinities and NaNs */
     int x10 = ((be - 1023) * 78913) >> 18;
-    for (; x10 >= -16 && x10 <= 16; x10++) {
-        int k = 16 - x10, s = 1075 - be - k;        /* x 10^k = P / 2^s */
-        unsigned __int128 P = (unsigned __int128)m * pow5[k & 15], D;
-        for (int j = k >> 4; j > 0; j--)
-            P *= 152587890625ULL;                   /* 5^16 */
-        if (s <= 0) {
-            D = P << -s;
-        } else {
-            unsigned __int128 half = (unsigned __int128)1 << (s - 1);
-            D = P >> s;
-            P -= D << s;
-            if (P > half || (P == half && (D & 1)))
-                D++;
-        }
-        if (D <= e17) {
-            *d = (uint64_t)(D == e17 ? e16 : D);
-            *X = x10 + (D == e17);
-            return 1;
-        }
+    if (x10 < -16 || x10 > 16)
+        return 0;
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    int k = 16 - x10, s = 1075 - be - k;        /* x 10^k = P / 2^s */
+    u128 P = (u128)m * pow5[k], r = 0, half = 1;
+    if (s <= 0) {
+        P <<= -s;
+    } else {                    /* P and the remainder r / 2^s */
+        half <<= s - 1;
+        r = P & (2 * half - 1);
+        P >>= s;
     }
-    return 0;
+    uint64_t D = (uint64_t)P;
+    if (P < e17) {                              /* X = x10 */
+        D += r > half || (r == half && (D & 1));
+        *d = D == e17 ? e16 : D;
+        *X = x10 + (D == e17);
+        return D >= e16;
+    }
+    if (P >= 10 * (u128)e17 || x10 == 16)      /* never, or |x| >= 1e17 */
+        return 0;
+    uint64_t a = D / 10, b = D % 10;            /* X = x10 + 1 */
+    *d = a + (b > 5 || (b == 5 && (r != 0 || (a & 1))));
+    *X = x10 + 1;
+    return 1;
 }
 
-/* d 10^(X-16) in %.17g form: fixed when -4 <= X < 17, trailing zeros cut */
+/* d 10^(X-16) in %.17g form: fixed when -4 <= X < 17, trailing zeros cut;
+   writes up to 34 bytes at p */
 static char *put_digits(char *p, uint64_t d, int X)
 {
-    char dig[17];
-    int n = 17, fixed = X >= -4 && X < 17, lead = fixed ? X + 1 : 1;
-    int from = lead > 0 ? lead : 0, a = X < 0 ? -X : X;
-    for (int i = 16; i >= 0; i--, d /= 10)
-        dig[i] = (char)('0' + d % 10);
+    char dig[40];
+    uint32_t hi = (uint32_t)(d / 100000000), lo = (uint32_t)(d % 100000000);
+    dig[0] = (char)('0' + hi / 100000000);
+    hi %= 100000000;
+    for (int i = 0; i < 4; i++) {       /* dig[1..9) from hi, dig[9..17) lo */
+        memcpy(dig + 7 - 2 * i, pairs + 2 * (hi % 100), 2);
+        memcpy(dig + 15 - 2 * i, pairs + 2 * (lo % 100), 2);
+        hi /= 100;
+        lo /= 100;
+    }
+    int n = 17;
     while (dig[n - 1] == '0')
         n--;
-    if (lead > 0) {                       /* integer digits, zeros kept */
-        memcpy(p, dig, (size_t)lead);
-        p += lead;
-        if (n > lead)
-            *p++ = '.';
-    } else {                              /* 0.000ddd */
-        memcpy(p, "0.0000", (size_t)(1 - X));
+    if (X >= 0 && X < 17) {               /* integer digits, zeros kept */
+        int lead = X + 1;
+        memcpy(p, dig, 17);
+        memcpy(p + lead + 1, dig + lead, 16);
+        p[lead] = '.';
+        return p + (n > lead ? n + 1 : lead);
+    }
+    if (X < 0 && X >= -4) {               /* 0.000ddd */
+        memcpy(p, "0.0000", 6);
         p += 1 - X;
+        memcpy(p, dig, 17);
+        return p + n;
     }
-    if (n > from) {
-        memcpy(p, dig + from, (size_t)(n - from));
-        p += n - from;
-    }
-    if (!fixed) {                         /* |X| <= 17 on the fast path */
-        *p++ = 'e';
-        *p++ = X < 0 ? '-' : '+';
-        *p++ = (char)('0' + a / 10);
-        *p++ = (char)('0' + a % 10);
-    }
-    return p;
+    p[0] = dig[0];                        /* d.ddde+XX, |X| <= 17 here */
+    p[1] = '.';
+    memcpy(p + 2, dig + 1, 16);
+    p += n > 1 ? n + 1 : 1;
+    *p++ = 'e';
+    *p++ = X < 0 ? '-' : '+';
+    memcpy(p, pairs + 2 * (X < 0 ? -X : X), 2);
+    return p + 2;
 }
 #endif
 
@@ -288,38 +324,46 @@ static char *put_num(char *p, double x)
     uint64_t d;
     int X;
     if (digits17(x, &d, &X)) {
-        if (x < 0)
-            *p++ = '-';
-        return put_digits(p, d, X);
+        *p = '-';
+        return put_digits(p + (x < 0), d, X);
     }
 #endif
     return p + snprintf(p, 32, "%.17g", x);
+}
+
+static char *put_row(char *p, long long n, double f, long long q, double u,
+                     double v)
+{
+    p = put_int(p, n);
+    *p++ = ',';
+    p = put_num(p, f);
+    *p++ = ',';
+    p = put_int(p, q);
+    *p++ = ',';
+    p = put_num(p, u);
+    *p++ = ',';
+    p = put_num(p, v);
+    *p++ = '\n';
+    return p;
 }
 
 long long sdlab_format_rows(long long n0, const double *f, const long long *q,
                             const double *u, const double *v, long long count,
                             char *buf, long long cap)
 {
-    char row[160];
-    long long pos = 0;
+    char row[ROW_MAX], *p = buf, *end = buf + cap;
     for (long long i = 0; i < count; i++) {
-        char *p = put_int(row, n0 + i + 1);
-        *p++ = ',';
-        p = put_num(p, f[i]);
-        *p++ = ',';
-        p = put_int(p, q[i]);
-        *p++ = ',';
-        p = put_num(p, u[i]);
-        *p++ = ',';
-        p = put_num(p, v[i]);
-        *p++ = '\n';
-        long long k = p - row;
-        if (k > cap - pos)
-            return -1;
-        memcpy(buf + pos, row, (size_t)k);
-        pos += k;
+        if (end - p >= ROW_MAX) {
+            p = put_row(p, n0 + i + 1, f[i], q[i], u[i], v[i]);
+        } else {
+            long long k = put_row(row, n0 + i + 1, f[i], q[i], u[i], v[i]) - row;
+            if (k > end - p)
+                return -1;
+            memcpy(p, row, (size_t)k);
+            p += k;
+        }
     }
-    return pos;
+    return p - buf;
 }
 
 /* The containment excess of one region step for every (point, delta)

@@ -110,10 +110,6 @@ class StabilityCertificate:
     variant: str
 
     @property
-    def gamma_range(self):
-        return (self.gamma_lo, self.gamma_hi)
-
-    @property
     def region(self) -> RegionSpec:
         return RegionSpec(self.alpha, self.C)
 

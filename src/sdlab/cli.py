@@ -32,7 +32,6 @@ from .certificates import (
     unchecked_certificate,
 )
 from .errors import (
-    CoverageError,
     DegenerateConfigurationError,
     DivergenceError,
     InfeasibleError,
@@ -42,7 +41,7 @@ from .errors import (
     ResourceError,
 )
 from .filters import design_filter
-from .invariance import verify_invariance
+from .invariance import check_reach, verify_invariance
 from .modulator import QuantizerKind, SchemeParams, run
 from .pipeline import _MAX_FLOATS, error_curve, gen_signal, order_fit
 from .region import RegionSpec
@@ -236,10 +235,11 @@ def cmd_verify(args) -> int:
         else:
             cert = thm2_certificate(args.alpha, args.lam, args.epsilon)
     except InfeasibleError as e:
-        print(f"no certificate ({e.bound} bound fails): checking the "
-              "nominal region anyway", file=sys.stderr)
         cert = unchecked_certificate(args.alpha, args.lam,
                                      epsilon=args.epsilon, variant=variant)
+        check_reach(cert)
+        print(f"no certificate ({e.bound} bound fails): checking the "
+              "nominal region anyway", file=sys.stderr)
     report = verify_invariance(cert, n_points=args.points,
                                n_deltas=args.deltas,
                                seed=_resolve_seed(args.seed),
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except InsufficientDataError as e:
         print(f"insufficient data: {e}", file=sys.stderr)
         return 1
-    except (InfeasibleError, ResourceError, CoverageError, NoSolutionError,
+    except (InfeasibleError, ResourceError, NoSolutionError,
             DegenerateConfigurationError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3

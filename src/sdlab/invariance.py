@@ -42,7 +42,7 @@ from .certificates import StabilityCertificate
 from .errors import InvalidInputError
 from .region import RegionSpec, b1_eval, b2_eval, step_region
 
-__all__ = ["InvarianceReport", "verify_invariance"]
+__all__ = ["InvarianceReport", "check_reach", "verify_invariance"]
 
 N_BLOCKS = 64
 _DELTA_STREAM = 1_000_003  # sub-seed for the shared delta draws
@@ -183,6 +183,16 @@ def _violations(blocks, deltas, gamma, lam):
     return rows.view(np.recarray)
 
 
+def check_reach(cert: StabilityCertificate) -> None:
+    """Refuse, with an InvalidInputError, a gain whose step can overflow."""
+    spec = cert.region
+    # |u| <= u0, |v| <= v_extent, delta <= 1 + beta: a bound on every excess
+    reach = cert.lam * spec.u0 + 1.0 + cert.beta
+    if not math.isfinite(reach + spec.v_extent + 0.5 * reach + spec.C
+                         + reach * reach / (2.0 * spec.delta_L)):
+        raise InvalidInputError(f"lambda={cert.lam!r} too large: a step may overflow")
+
+
 def verify_invariance(
     cert: StabilityCertificate,
     n_points: int = 2000,
@@ -219,12 +229,8 @@ def verify_invariance(
         raise InvalidInputError("n_deltas must be >= 2")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidInputError("tol must be finite and >= 0")
+    check_reach(cert)
     spec = cert.region
-    # |u| <= u0, |v| <= v_extent, delta <= 1 + beta: a bound on every excess
-    reach = cert.lam * spec.u0 + 1.0 + cert.beta
-    if not math.isfinite(reach + spec.v_extent + 0.5 * reach + spec.C
-                         + reach * reach / (2.0 * spec.delta_L)):
-        raise InvalidInputError(f"lambda={cert.lam!r} too large: a step may overflow")
     deltas = np.empty(n_deltas)
     deltas[0] = 1.0 - cert.beta
     deltas[1] = 1.0 + cert.beta

@@ -11,7 +11,7 @@ Reconstruction windows: a run at rate T uses N = round(L*T) samples on
 [L/4, 3L/4].  The margin L/4 = W + 1 exceeds the kernel half-width W,
 so every evaluated point sees a fully covered kernel sum.
 
-On that default grid the reconstruction is polyphase: one convolution
+On that grid the reconstruction is polyphase: one convolution
 per phase of the 16 evaluation points per sampling interval, taken in
 "valid" mode over just the samples the grid reads, so nothing is
 computed that is thrown away.  Rates below about 3 leave fewer samples
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, InsufficientDataError, InvalidInputError, ResourceError
+from .errors import InsufficientDataError, InvalidInputError, ResourceError
 from .filters import FilterSpec
 from .modulator import SchemeParams, run
 
@@ -36,7 +36,6 @@ __all__ = [
     "SamplingConfig",
     "gen_signal",
     "sampling_plan",
-    "reconstruct",
     "sup_error",
     "perfect_sample_error",
     "error_curve",
@@ -129,36 +128,6 @@ def sampling_plan(T: float, filt: FilterSpec) -> SamplingConfig:
     return SamplingConfig(T=float(T), n_samples=int(round(L * T)), window=(0.0, L))
 
 
-def reconstruct(q, T: float, filt: FilterSpec, t):
-    """Kernel reconstruction (1/T) * sum_n q_n g(t - n/T) at time(s) t.
-
-    q[i] is the sample taken at time (i+1)/T.  Every evaluation point
-    must have its kernel window [t - W, t + W] inside the sampled range,
-    otherwise a CoverageError is raised.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.size == 0:
-        raise InvalidInputError("q must be a nonempty 1-D sequence")
-    if not T > 1.0:
-        raise InvalidInputError(f"oversampling rate must exceed 1, got {T!r}")
-    t = np.asarray(t, dtype=np.float64)
-    scalar = t.ndim == 0
-    tt = np.atleast_1d(t)
-    N = q.size
-    out = np.empty(tt.shape)
-    for i, ti in enumerate(tt):
-        n_lo = math.ceil((ti - filt.W) * T)
-        n_hi = math.floor((ti + filt.W) * T)
-        if n_lo < 1 or n_hi > N:
-            raise CoverageError(
-                f"evaluation at t={ti!r} needs samples n in [{n_lo}, {n_hi}] "
-                f"but only 1..{N} are available"
-            )
-        n = np.arange(n_lo, n_hi + 1)
-        out[i] = (q[n - 1] @ filt.g(ti - n / T)) / T
-    return float(out[0]) if scalar else out
-
-
 def _grid_indices(plan: SamplingConfig):
     """Central-half grid c/(16T), c = c_lo..c_hi, as (c_lo, c_hi, step)."""
     L = plan.window[1]
@@ -206,40 +175,28 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
     return grid, out
 
 
-def _run_reconstruction(values, signal, plan, filt, eval_grid):
-    if eval_grid is None:
-        grid, rec = _reconstruct_polyphase(values, plan, filt)
-    else:
-        grid = np.asarray(eval_grid, dtype=np.float64)
-        if grid.ndim != 1 or grid.size == 0:
-            raise InvalidInputError("eval_grid must be a nonempty 1-D sequence")
-        rec = reconstruct(values, plan.T, filt, grid)
+def _run_reconstruction(values, signal, plan, filt):
+    grid, rec = _reconstruct_polyphase(values, plan, filt)
     return float(np.max(np.abs(signal.eval(grid) - rec)))
 
 
-def sup_error(signal, params: SchemeParams, T: float, filt: FilterSpec,
-              eval_grid=None) -> float:
-    """Max reconstruction error of the quantized scheme on the eval grid.
-
-    With eval_grid None the default central-half grid is used via the
-    polyphase fast path; a custom grid goes through the generic summation
-    and must respect the coverage margins.  Divergence of the modulator
-    propagates.
-    """
-    err, _ = _sup_error_detail(signal, params, T, filt, eval_grid)
+def sup_error(signal, params: SchemeParams, T: float, filt: FilterSpec) -> float:
+    """Max reconstruction error of the quantized scheme on the central-half
+    grid.  Divergence of the modulator propagates."""
+    err, _ = _sup_error_detail(signal, params, T, filt)
     return err
 
 
-def _sup_error_detail(signal, params, T, filt, eval_grid):
+def _sup_error_detail(signal, params, T, filt):
     plan = sampling_plan(T, filt)
     samples = signal.eval(plan.times())
     traj = run(params, samples, plan.n_samples)
     vmax = float(np.max(np.abs(traj.v)))
-    err = _run_reconstruction(traj.q.astype(np.float64), signal, plan, filt, eval_grid)
+    err = _run_reconstruction(traj.q.astype(np.float64), signal, plan, filt)
     return err, vmax
 
 
-def perfect_sample_error(signal, T: float, filt: FilterSpec, eval_grid=None) -> float:
+def perfect_sample_error(signal, T: float, filt: FilterSpec) -> float:
     """Reconstruction error from exact (unquantized) samples.
 
     This is the floor set by spectral truncation and kernel interpolation;
@@ -247,7 +204,7 @@ def perfect_sample_error(signal, T: float, filt: FilterSpec, eval_grid=None) -> 
     """
     plan = sampling_plan(T, filt)
     samples = signal.eval(plan.times())
-    return _run_reconstruction(samples, signal, plan, filt, eval_grid)
+    return _run_reconstruction(samples, signal, plan, filt)
 
 
 def first_order_quantize(samples) -> np.ndarray:
@@ -264,8 +221,7 @@ def first_order_quantize(samples) -> np.ndarray:
     return np.array(q, dtype=np.int64)
 
 
-def reconstruction_error_of(q, signal, T: float, filt: FilterSpec,
-                            eval_grid=None) -> float:
+def reconstruction_error_of(q, signal, T: float, filt: FilterSpec) -> float:
     """Sup error of a caller-supplied sample stream q against the signal."""
     plan = sampling_plan(T, filt)
     q = np.asarray(q, dtype=np.float64)
@@ -273,7 +229,7 @@ def reconstruction_error_of(q, signal, T: float, filt: FilterSpec,
         raise InvalidInputError(
             f"expected {plan.n_samples} samples for T={T!r}, got {q.size}"
         )
-    return _run_reconstruction(q, signal, plan, filt, eval_grid)
+    return _run_reconstruction(q, signal, plan, filt)
 
 
 def error_curve(signal, params, T_list, filt: FilterSpec):
@@ -285,7 +241,7 @@ def error_curve(signal, params, T_list, filt: FilterSpec):
     rows = []
     for T in T_list:
         p = params(T) if callable(params) else params
-        err, vmax = _sup_error_detail(signal, p, float(T), filt, None)
+        err, vmax = _sup_error_detail(signal, p, float(T), filt)
         rows.append({
             "T": float(T),
             "sup_error": err,

@@ -6,11 +6,13 @@ cells are the literal NA in CSV and null in JSON.  Writers accept a
 filesystem path or any object with a write method, so an io.StringIO
 gives the text of any of them as one string.
 
-Trajectories are streamed in CHUNK_ROWS-row chunks, formatted one at a
-time on the calling thread by _kernels.format_rows: the C row formatter
-in the same library as the recursion or, when no compiler is present,
-its plain-Python %-formatting reference.  One chunk buffer is alive at a
-time, and the bytes do not depend on the backend.
+Trajectories are streamed in CHUNK_ROWS-row chunks by
+_kernels.format_lanes (the C row formatter or, without a compiler, its
+%-formatting reference).  With two or more cores, the C formatter formats
+a chunk's first half on a helper thread while the calling thread, which
+allocated both half buffers, formats the second; the halves are then
+written in order, to a path as bytes, to a file object as ASCII text.
+The bytes depend neither on the backend nor on the core count.
 """
 
 from __future__ import annotations
@@ -94,19 +96,14 @@ def csv_text(fieldnames, rows) -> str:
     return out.getvalue()
 
 
-@contextmanager
-def _opened(dest):
-    """dest itself if it has a write method, else the file at that path."""
+def _dump(text: str, dest) -> None:
+    """Write text to dest itself if it has a write method, else to the file
+    at that path."""
     if hasattr(dest, "write"):
-        yield dest
+        dest.write(text)
     else:
         with open(os.fspath(dest), "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
-def _dump(text: str, dest) -> None:
-    with _opened(dest) as fh:
-        fh.write(text)
+            fh.write(text)
 
 
 def write_csv(dest, fieldnames, rows) -> None:
@@ -162,11 +159,19 @@ def write_json(dest, obj) -> None:
 CHUNK_ROWS = 65_536
 
 
-def _write_ascii(write, buf):
-    """write(buf as str), 256 KiB at a time, so no full-chunk copy exists."""
-    with memoryview(buf) as view:
-        for i in range(0, len(view), 1 << 18):
-            write(str(view[i:i + (1 << 18)], "ascii"))
+@contextmanager
+def _byte_writer(dest):
+    """A write(bytes) into dest: a path takes the bytes as they are, a file
+    object ASCII text in 256 KiB pieces (no text copy of a whole chunk)."""
+    if hasattr(dest, "write"):
+        def write(buf):
+            with memoryview(buf) as view:
+                for i in range(0, len(view), 1 << 18):
+                    dest.write(str(view[i:i + (1 << 18)], "ascii"))
+        yield write
+    else:
+        with open(os.fspath(dest), "wb") as fh:
+            yield fh.write
 
 
 def write_trajectory_csv(dest, traj) -> None:
@@ -175,13 +180,15 @@ def write_trajectory_csv(dest, traj) -> None:
     f, u, v = (np.ascontiguousarray(a, dtype=np.float64)
                for a in (traj.f, traj.u, traj.v))
     q = np.ascontiguousarray(traj.q, dtype=np.int64)
-    with _opened(dest) as fh:
-        fh.write(",".join(TRAJECTORY_FIELDS) + "\n")
+    lanes = min(2, os.cpu_count() or 1)
+    with _byte_writer(dest) as write:
+        write(",".join(TRAJECTORY_FIELDS).encode() + b"\n")
         for lo in range(0, n, CHUNK_ROWS):
             hi = min(lo + CHUNK_ROWS, n)
-            # passed, never named, so each chunk is freed before the next
-            _write_ascii(fh.write, _kernels.format_rows(
-                lo, f[lo:hi], q[lo:hi], u[lo:hi], v[lo:hi]))
+            for buf in _kernels.format_lanes(lo, f[lo:hi], q[lo:hi], u[lo:hi],
+                                             v[lo:hi], lanes):
+                write(buf)
+            del buf  # so each chunk is freed before the next is allocated
 
 
 def write_region_csv(dest, spec, n_points: int = 513) -> None:

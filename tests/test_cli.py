@@ -179,6 +179,7 @@ def test_verify_refuses_a_gain_whose_step_can_overflow(lam, capsys):
     assert rc == 1
     assert f"invalid input: lambda={float(lam)!r} too large" in cap.err
     assert "checked" not in cap.err and "Traceback" not in cap.err
+    assert "checking" not in cap.err
     assert cap.out == ""
 
 

@@ -468,6 +468,28 @@ def test_concurrent_first_use_builds_the_library_once(monkeypatch, tmp_path):
     assert len(built) == 1 and built[0].startswith("_recur-") and built[0].endswith(".so")
 
 
+@needs_gcc
+def test_a_new_build_removes_the_older_libraries(monkeypatch, tmp_path):
+    # two versions of the source in turn; the second build removes the
+    # first one's library, and a library that is already gone is no error
+    import glob
+
+    real_glob = glob.glob
+    monkeypatch.setattr(glob, "glob", lambda pattern: [
+        *real_glob(pattern), str(tmp_path / "__pycache__" / "_recur-gone.so")])
+    with open(_kernels._SRC) as fh:
+        source = fh.read()
+    src = tmp_path / "_recur.c"
+    monkeypatch.setattr(_kernels, "_SRC", str(src))
+    paths = []
+    for version in ("", "\n/* a later version */\n"):
+        src.write_text(source + version)
+        paths.append(_kernels._library_path())
+    assert paths[0] != paths[1]
+    left = sorted(p.name for p in (tmp_path / "__pycache__").glob("_recur-*.so"))
+    assert left == [os.path.basename(paths[1])]
+
+
 def test_cold_import_neither_loads_nor_builds_the_loop():
     # numpy imports ctypes itself, so the checks are that no loop is
     # chosen, no compiler process module is loaded and no library is

@@ -18,11 +18,41 @@ from sdlab.pipeline import (
     gen_signal,
     order_fit,
     perfect_sample_error,
-    reconstruct,
     reconstruction_error_of,
     sampling_plan,
     sup_error,
 )
+
+
+def reconstruct(q, T, filt, t):
+    """Kernel reconstruction (1/T) * sum_n q_n g(t - n/T) at time(s) t, by
+    direct summation: the oracle for the polyphase path.
+
+    q[i] is the sample taken at time (i+1)/T.  Every evaluation point
+    must have its kernel window [t - W, t + W] inside the sampled range,
+    otherwise a CoverageError is raised.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 1 or q.size == 0:
+        raise InvalidInputError("q must be a nonempty 1-D sequence")
+    if not T > 1.0:
+        raise InvalidInputError(f"oversampling rate must exceed 1, got {T!r}")
+    t = np.asarray(t, dtype=np.float64)
+    scalar = t.ndim == 0
+    tt = np.atleast_1d(t)
+    N = q.size
+    out = np.empty(tt.shape)
+    for i, ti in enumerate(tt):
+        n_lo = math.ceil((ti - filt.W) * T)
+        n_hi = math.floor((ti + filt.W) * T)
+        if n_lo < 1 or n_hi > N:
+            raise CoverageError(
+                f"evaluation at t={ti!r} needs samples n in [{n_lo}, {n_hi}] "
+                f"but only 1..{N} are available"
+            )
+        n = np.arange(n_lo, n_hi + 1)
+        out[i] = (q[n - 1] @ filt.g(ti - n / T)) / T
+    return float(out[0]) if scalar else out
 
 
 def test_gen_signal_normalizes_to_just_under_beta():

@@ -91,13 +91,17 @@ def _reference_text(tr):
     return "n,f,q,u,v\n" + "".join("%d,%.17g,%d,%.17g,%.17g\n" % r for r in rows)
 
 
-@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+# 100_001 rows end in an odd chunk of 34_465 rows, whose first half is all
+# 5-digit row numbers and whose second half crosses 99_999 -> 100_000
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                               100_001])
 def test_chunked_output_is_the_same_for_every_backend_and_worker_count(
         n, monkeypatch, tmp_path):
     # rows on both sides of a chunk boundary, with n counting on across it
     f = np.random.default_rng(n).uniform(-0.4, 0.4, n)
     tr = run(SchemeParams(lambda1=1.01, lambda2=1.01, gamma=0.5), f, n)
     expected = _reference_text(tr)
+    c_lanes = _kernels.BACKEND == "c" and _kernels._chosen[4]
     outputs = []
     for backend in ("chosen", "python"):
         if backend == "python":
@@ -107,10 +111,18 @@ def test_chunked_output_is_the_same_for_every_backend_and_worker_count(
             buf = io.StringIO()
             write_trajectory_csv(buf, tr)
             outputs.append(buf.getvalue())
+            # a path takes the formatted bytes as they are
             path = tmp_path / f"{backend}-{workers}.csv"
             write_trajectory_csv(path, tr)
+            assert path.read_bytes() == buf.getvalue().encode("ascii")
             outputs.append(path.read_bytes().decode("ascii"))
     assert outputs == [expected] * len(outputs)
+    if n > 1 and c_lanes:
+        # the C formatter's two lanes are the two halves of the rows
+        q = np.ascontiguousarray(tr.q, dtype=np.int64)
+        halves = c_lanes(0, tr.f, q, tr.u, tr.v, 2)
+        assert [bytes(h).count(b"\n") for h in halves] == [n // 2, n - n // 2]
+        assert b"".join(halves) == expected.encode("ascii")[len("n,f,q,u,v\n"):]
     if n > CHUNK_ROWS:
         lines = expected.splitlines()  # lines[k] is row k
         assert [ln.split(",")[0] for ln in lines[CHUNK_ROWS - 1:CHUNK_ROWS + 2]] == [
