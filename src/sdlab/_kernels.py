@@ -36,6 +36,7 @@ mapping to 0.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import operator
 import os
@@ -153,9 +154,11 @@ _CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 # longest %.17g text of a double, as in -2.2250738585072014e-308
 _NUM_WIDTH = 24
 
-# (BACKEND, then loops like _recur, _format_rows, _excess and format_lanes)
-_PYTHON = ("python", _recur, _format_rows, _excess,
-           lambda n0, f, q, u, v, lanes: [_format_rows(n0, f, q, u, v)])
+# a backend: the name BACKEND reports and loops like _recur, _excess and
+# format_lanes
+_Backend = collections.namedtuple("_Backend", "name recur excess format_lanes")
+_PYTHON = _Backend("python", _recur, _excess,
+                   lambda n0, f, q, u, v, lanes: [_format_rows(n0, f, q, u, v)])
 _chosen = None
 _choose_lock = threading.Lock()
 
@@ -223,8 +226,8 @@ def _address(a, n_steps, writable, dtype=np.float64):
 
 
 def _load_c(path=None):
-    """_recur, _format_rows and _excess on the C loops of the library at
-    path (by default the one built from _SRC), arrays checked first."""
+    """The "c" backend: the loops of the library at path (by default the
+    one built from _SRC), arrays checked first."""
     import ctypes
 
     lib = ctypes.CDLL(path or _library_path())
@@ -292,9 +295,6 @@ def _load_c(path=None):
             del buf[n:]
         return bufs
 
-    def c_format_rows(n0, f, q, u, v):
-        return c_format_lanes(n0, f, q, u, v, 1)[0]
-
     exc = lib.sdlab_excess
     exc.argtypes, exc.restype = [p, p, ll, p, ll, *[d] * 6, p], None
 
@@ -306,7 +306,7 @@ def _load_c(path=None):
             spec.delta_H, spec.delta_L, out.ctypes.data)
         return out
 
-    return c_recur, c_format_rows, c_excess, c_format_lanes
+    return _Backend("c", c_recur, c_excess, c_format_lanes)
 
 
 def _choose():
@@ -317,20 +317,20 @@ def _choose():
     with _choose_lock:
         if _chosen is None:
             try:
-                _chosen = ("c", *_load_c())
+                _chosen = _load_c()
             except (OSError, subprocess.SubprocessError):
                 _chosen = _PYTHON
     return _chosen
 
 
 def _loop():
-    return (_chosen or _choose())[1]
+    return (_chosen or _choose()).recur
 
 
 def __getattr__(name):
     # BACKEND is settled lazily, so reading it counts as first use
     if name == "BACKEND":
-        return (_chosen or _choose())[0]
+        return (_chosen or _choose()).name
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -362,22 +362,17 @@ def probe_input(lam1, lam2, gamma, kind, tau, f, bound):
                    HARD_BOUND, bound, None, None, None)
 
 
-def format_rows(n0, f, q, u, v):
-    """CSV rows n0+1 .. n0+len(f) of a trajectory as ASCII bytes.
+def format_lanes(n0, f, q, u, v, lanes):
+    """CSV rows n0+1 .. n0+len(f) of a trajectory as ASCII bytes, in a list
+    of buffers (bytes or bytearrays) to write in order: on the C loop one
+    per lane, formatted at once (see the module docstring).
 
     f, u, v are float64 and q int64 arrays of one length; each row is
-    "n,f,q,u,v\\n" with the floats in %.17g and a NaN as "nan".  The
-    result is bytes or a bytearray.
+    "n,f,q,u,v\\n" with the floats in %.17g and a NaN as "nan".
     """
-    return (_chosen or _choose())[2](n0, f, q, u, v)
-
-
-def format_lanes(n0, f, q, u, v, lanes):
-    """format_rows as a list of buffers to write in order: on the C loop
-    one per lane, formatted at once (see the module docstring)."""
-    return (_chosen or _choose())[4](n0, f, q, u, v, lanes)
+    return (_chosen or _choose()).format_lanes(n0, f, q, u, v, lanes)
 
 
 def excess(us, vs, deltas, gamma, lam, spec):
     """_excess of 1-D C-contiguous float64 us, vs, deltas in a RegionSpec."""
-    return (_chosen or _choose())[3](us, vs, deltas, gamma, lam, spec)
+    return (_chosen or _choose()).excess(us, vs, deltas, gamma, lam, spec)

@@ -46,8 +46,6 @@ __all__ = [
     "thm2_certificate",
     "max_beta_theoretical",
     "unchecked_certificate",
-    "PrintedGammaIntervalReport",
-    "printed_gamma_interval_report",
 ]
 
 VARIANT_REMARK = "remark-derived"
@@ -75,23 +73,6 @@ def _epsilon(alpha, lam, variant: str):
     return _coef(variant) * (lam - 1.0) * (1.0 + alpha) / (1.0 - alpha)
 
 
-def _json_fields(record) -> dict:
-    """to_json_dict of the certificate records: the fields as a flat dict.
-
-    Keys follow field order; lam is written as "lambda" and a (lo, hi)
-    pair field x as x_lo, x_hi.
-    """
-    out = {}
-    for f in fields(record):
-        value = getattr(record, f.name)
-        key = "lambda" if f.name == "lam" else f.name
-        if isinstance(value, tuple):
-            out[key + "_lo"], out[key + "_hi"] = value
-        else:
-            out[key] = value
-    return out
-
-
 @dataclass(frozen=True)
 class StabilityCertificate:
     """An admissible parameter tuple with its guaranteed state bound."""
@@ -113,7 +94,10 @@ class StabilityCertificate:
     def region(self) -> RegionSpec:
         return RegionSpec(self.alpha, self.C)
 
-    to_json_dict = _json_fields
+    def to_json_dict(self) -> dict:
+        """The fields as a flat dict in field order, lam written as "lambda"."""
+        return {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+                for f in fields(self)}
 
 
 def beta_bound(alpha: float, lam: float, variant: str = VARIANT_REMARK) -> float:
@@ -159,14 +143,6 @@ def _validate_alpha_lambda(alpha, lam):
             _real(lam, lambda x: x >= 1.0, "lambda must be >= 1"))
 
 
-def _c_interval(alpha: float, lam: float, epsilon: float):
-    """(C_min, C_max): 2dH/dL and epsilon^2 dL/(2 dH (lambda-1)^2), or inf."""
-    dL, dH = 1.0 - alpha, 1.0 + alpha
-    if lam > 1.0:
-        return 2.0 * dH / dL, epsilon * epsilon * dL / (2.0 * dH * (lam - 1.0) ** 2)
-    return 2.0 * dH / dL, math.inf
-
-
 def _canonical(alpha: float):
     """The smallest region R(alpha, 2dH/dL) and the fixed gamma = dL/dH.
 
@@ -186,15 +162,6 @@ def _canonical_certificate(alpha: float, lam: float, epsilon: float, beta: float
         beta=beta, v_max_bound=spec.v_extent,
         u0=corner_u0(spec), u1=spec.delta_H, variant=variant,
     )
-
-
-def _check_epsilon(alpha: float, lam: float, epsilon: float) -> None:
-    """Raise InfeasibleError("eps2") unless 2dH(lam-1)/dL <= epsilon <= alpha."""
-    eps_min = 2.0 * (1.0 + alpha) * (lam - 1.0) / (1.0 - alpha)
-    if epsilon < eps_min * (1.0 - 1e-14) or epsilon > alpha * (1.0 + 1e-14):
-        raise InfeasibleError(
-            "eps2", f"epsilon={epsilon!r} outside [{eps_min!r}, {alpha!r}]"
-        )
 
 
 def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) -> StabilityCertificate:
@@ -255,9 +222,13 @@ def thm2_certificate(
             f"lambda={lam!r} exceeds 1 + alpha(1-alpha)/(2(1+alpha)) = {lam_cut!r}",
         )
 
-    _check_epsilon(alpha, lam, epsilon)
+    eps_min = 2.0 * dH * (lam - 1.0) / dL
+    if epsilon < eps_min * (1.0 - 1e-14) or epsilon > alpha * (1.0 + 1e-14):
+        raise InfeasibleError("eps2", f"epsilon={epsilon!r} outside [{eps_min!r}, {alpha!r}]")
 
-    c_min, c_max = _c_interval(alpha, lam, epsilon)
+    c_min = 2.0 * dH / dL
+    c_max = (epsilon * epsilon * dL / (2.0 * dH * (lam - 1.0) ** 2)
+             if lam > 1.0 else math.inf)
     if c_max < c_min * (1.0 - 1e-12):
         raise InfeasibleError("C2", f"C interval [{c_min!r}, {c_max!r}] is empty")
     c_max = max(c_max, c_min)
@@ -374,87 +345,3 @@ def unchecked_certificate(
         epsilon = _real(epsilon, lambda x: x >= 0.0, "epsilon must be finite and >= 0")
     beta = max((alpha - epsilon) / (1.0 + epsilon), 0.0)
     return _canonical_certificate(alpha, lam, epsilon, beta, variant)
-
-
-@dataclass(frozen=True)
-class PrintedGammaIntervalReport:
-    """Numerical comparison of two forms of the admissible gamma range.
-
-    The closed-form interval [printed_lo, printed_hi] (a function of
-    alpha, lambda, epsilon alone) is compared against the C-dependent
-    range evaluated across the whole admissible C interval.  Empirically
-    the closed form's lower endpoint coincides with the C-dependent lower
-    endpoint at C = C_max, while its upper endpoint generally exceeds
-    every C-dependent upper endpoint, so containment fails; certificates
-    therefore always use the C-dependent range.
-    """
-
-    alpha: float
-    lam: float
-    epsilon: float
-    printed_lo: float
-    printed_hi: float
-    c_min: float
-    c_max: float
-    range_at_cmin: tuple
-    range_at_cmax: tuple
-    union_lo: float
-    union_hi: float
-    lo_abs_diff: float      # |printed_lo - lo(C_max)|
-    lo_matches_cmax: bool   # lo_abs_diff <= tol
-    contained: bool         # printed interval inside the union
-    hi_excess: float        # printed_hi - union_hi
-
-    to_json_dict = _json_fields
-
-
-def printed_gamma_interval_report(
-    alpha: float, lam: float, epsilon: float, tol: float = 1e-9
-) -> PrintedGammaIntervalReport:
-    """Record how the closed-form gamma interval relates to the C-dependent one.
-
-    Requires lambda > 1 (the closed form divides by lambda - 1) and an
-    epsilon admissible at (alpha, lambda).  No containment is asserted;
-    the relationship is returned as data.
-    """
-    alpha, lam = _validate_alpha_lambda(alpha, lam)
-    if lam <= 1.0:
-        raise InvalidInputError("the closed-form interval needs lambda > 1")
-    epsilon = _real(epsilon, lambda x: x >= 0.0, "epsilon must be finite and >= 0")
-    _check_epsilon(alpha, lam, epsilon)
-    dL, dH = 1.0 - alpha, 1.0 + alpha
-
-    lm1 = lam - 1.0
-    printed_lo = 2.0 * dH**2 * lm1**2 / (epsilon**2 * dL - 2.0 * dH**2 * lm1**2)
-    printed_hi = (epsilon * dL**2 - dH * dL * lm1) / (dH**2 * lm1)
-
-    c_min, c_max = _c_interval(alpha, lam, epsilon)
-    c_max = max(c_max, c_min)
-    r_cmin = yilmaz_gamma_range(RegionSpec(alpha, c_min))
-    r_cmax = yilmaz_gamma_range(RegionSpec(alpha, c_max))
-
-    # lo(C) = dH/(C - dH) falls as C grows, so the union starts at
-    # lo(C_max).  With x = sqrt(C) and k = sqrt(2 dH dL), hi(C) =
-    # (k x - dH)/(alpha x^2 + k x/2) rises then falls in x: its derivative
-    # has the sign of -k alpha x^2 + 2 alpha dH x + k dH/2, which has one
-    # positive root.  So the union ends at hi of that root, clipped to
-    # [C_min, C_max].
-    k = math.sqrt(2.0 * dH * dL)
-    ad = alpha * dH
-    x = (ad + math.sqrt(ad * ad + 0.5 * k * k * ad)) / (k * alpha)
-    c_peak = min(max(x * x, c_min), c_max)
-    union_lo = r_cmax[0]
-    union_hi = yilmaz_gamma_range(RegionSpec(alpha, c_peak))[1]
-
-    lo_abs_diff = abs(printed_lo - r_cmax[0])
-    lo_matches = lo_abs_diff <= tol * max(1.0, abs(printed_lo))
-    contained = (printed_lo >= union_lo - tol) and (printed_hi <= union_hi + tol)
-    return PrintedGammaIntervalReport(
-        alpha=alpha, lam=lam, epsilon=epsilon,
-        printed_lo=printed_lo, printed_hi=printed_hi,
-        c_min=c_min, c_max=c_max,
-        range_at_cmin=r_cmin, range_at_cmax=r_cmax,
-        union_lo=union_lo, union_hi=union_hi,
-        lo_abs_diff=lo_abs_diff, lo_matches_cmax=lo_matches,
-        contained=contained, hi_excess=printed_hi - union_hi,
-    )

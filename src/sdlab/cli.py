@@ -210,10 +210,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _variant(args):
+    """--variant, which shapes only the certificate without --epsilon."""
+    if args.epsilon is not None and args.variant != "remark":
+        raise InvalidInputError("--variant eq5 does not apply with --epsilon: "
+                                "the general certificate is remark-derived")
+    return _VARIANTS[args.variant]
+
+
 def cmd_certificate(args) -> int:
+    variant = _variant(args)
     if args.epsilon is None:
-        cert = thm1_certificate(args.alpha, args.lam,
-                                variant=_VARIANTS[args.variant])
+        if args.gamma is not None:
+            raise InvalidInputError("--gamma applies only with --epsilon")
+        cert = thm1_certificate(args.alpha, args.lam, variant=variant)
     else:
         cert = thm2_certificate(args.alpha, args.lam, args.epsilon,
                                 gamma_choice=args.gamma)
@@ -228,7 +238,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    variant = _VARIANTS[args.variant]
+    variant = _variant(args)
     try:
         if args.epsilon is None:
             cert = thm1_certificate(args.alpha, args.lam, variant=variant)
@@ -319,9 +329,6 @@ def main(argv=None) -> int:
         return int(code) if isinstance(code, int) else 0
     try:
         return args.handler(args)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
     except InvalidInputError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 1

@@ -8,7 +8,6 @@ exit-code table) can dispatch on class alone:
   InsufficientDataError        not enough samples/points for the request
   InfeasibleError              a parameter bound is violated; names the bound
   NoSolutionError              an inverse map has no admissible solution
-  CoverageError                requested evaluation outside supported window
   ResourceError                a tolerance is unreachable within fixed caps
   DegenerateConfigurationError search precondition fails at the trivial point
 """
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 __all__ = ["SdlabError", "InvalidInputError", "DivergenceError",
            "InsufficientDataError", "InfeasibleError", "NoSolutionError",
-           "CoverageError", "ResourceError", "DegenerateConfigurationError"]
+           "ResourceError", "DegenerateConfigurationError"]
 
 
 class SdlabError(Exception):
@@ -71,10 +70,6 @@ class InfeasibleError(SdlabError):
 
 class NoSolutionError(SdlabError, ValueError):
     """Inverse mapping has no solution in the admissible interval."""
-
-
-class CoverageError(SdlabError, ValueError):
-    """Evaluation point not covered by the available sample window."""
 
 
 class ResourceError(SdlabError):

@@ -1,7 +1,7 @@
 """Low-pass reconstruction kernels with compactly supported spectrum.
 
-The kernel g is defined through its spectrum: ghat(omega) = 1 on [-1, 1],
-0 outside [-T0, T0], and a smooth taper in between.  Two taper profiles
+The kernel g is defined through its spectrum: 1 on [-1, 1], 0 outside
+[-T0, T0], and a smooth taper in between.  Two taper profiles
 are available:
 
     "bump"                    infinitely smooth step built from exp(-1/x);
@@ -101,21 +101,9 @@ class FilterSpec:
         self._spl_g = CubicSpline(self.t_tab, self.g_tab)
 
     @property
-    def norms(self):
-        return (self.g_l1, self.g1_l1, self.g2_l1)
-
-    @property
     def C_g(self) -> float:
         """Constant of the T**-2 error bound: ||g''|| + 2||g'|| + ||g||."""
         return self.g2_l1 + 2.0 * self.g1_l1 + self.g_l1
-
-    def ghat(self, omega):
-        """Spectrum: 1 on [-1, 1], tapered to 0 at |omega| = T0."""
-        w = np.abs(np.asarray(omega, dtype=np.float64))
-        phi = taper_profiles()[self.rolloff]
-        s = (w - 1.0) / (self.T0 - 1.0)
-        out = np.where(w <= 1.0, 1.0, np.where(w >= self.T0, 0.0, phi(s)))
-        return float(out) if out.ndim == 0 else out
 
     def g(self, t):
         """Kernel values by cubic interpolation; 0 beyond the half-width W.

@@ -14,12 +14,12 @@ from sdlab.certificates import (
     beta_bound,
     feasible_alpha_interval,
     max_beta_theoretical,
-    printed_gamma_interval_report,
     thm1_certificate,
     thm2_certificate,
     unchecked_certificate,
 )
 from sdlab.errors import InfeasibleError, InvalidInputError
+from sdlab.region import RegionSpec, yilmaz_gamma_range
 
 # largest admissible gain over all alpha, per variant, in closed form
 CUTOFF_REMARK = 1.0 + (3.0 - 2.0 * math.sqrt(2.0)) / 2.0
@@ -310,8 +310,6 @@ def test_numpy_scalars_give_the_results_of_their_float_values(to):
         (thm1_certificate(alpha, lam), thm1_certificate(a, lm)),
         (thm2_certificate(alpha, lam, eps), thm2_certificate(a, lm, e)),
         (unchecked_certificate(alpha, lam, eps), unchecked_certificate(a, lm, e)),
-        (printed_gamma_interval_report(alpha, lam, eps),
-         printed_gamma_interval_report(a, lm, e)),
         (feasible_alpha_interval(lam), feasible_alpha_interval(lm)),
         (max_beta_theoretical(lam), max_beta_theoretical(lm)),
     ]
@@ -327,7 +325,6 @@ def test_bools_strings_and_nan_are_rejected(bad):
         lambda: thm1_certificate(bad, 1.01),
         lambda: thm2_certificate(0.5, 1.01, bad),
         lambda: unchecked_certificate(0.5, bad),
-        lambda: printed_gamma_interval_report(0.5, 1.01, bad),
         lambda: feasible_alpha_interval(bad),
         lambda: max_beta_theoretical(bad),
     ]
@@ -336,59 +333,48 @@ def test_bools_strings_and_nan_are_rejected(bad):
             call()
 
 
-def test_report_c_max_is_the_c_max_thm2_certifies():
-    # epsilon**2 and epsilon*epsilon differ in the last bit here
-    alpha, lam, eps = 0.23377786731220526, 1.000884940394962, 0.13760730385293787
-    dL, dH = 1.0 - alpha, 1.0 + alpha
-    c_max = eps * eps * dL / (2.0 * dH * (lam - 1.0) ** 2)
-    assert c_max != eps**2 * dL / (2.0 * dH * (lam - 1.0) ** 2)
-    rep = printed_gamma_interval_report(alpha, lam, eps)
-    assert rep.c_max == c_max == 7508.3179245763195
-    # thm2 takes the geometric mean of the same [C_min, C_max]
-    assert thm2_certificate(alpha, lam, eps).C == math.sqrt(rep.c_min * c_max)
-
-
-def test_printed_gamma_interval_report_flags_the_defect():
-    # the two printed endpoints do not bound the true union of ranges;
-    # the report quantifies the mismatch instead of hiding it
-    rep = printed_gamma_interval_report(0.5, 1.01, 0.2)
-    assert rep.c_min <= rep.c_max
-    assert rep.union_lo <= rep.union_hi
-    assert isinstance(rep.contained, bool)
-    assert rep.lo_abs_diff >= 0.0
+def _printed_gamma_interval(alpha, lam, eps):
+    """The paper's closed-form gamma interval, printed as a function of
+    alpha, lambda and epsilon alone (lambda > 1)."""
+    dL, dH, lm1 = 1.0 - alpha, 1.0 + alpha, lam - 1.0
+    return (2.0 * dH**2 * lm1**2 / (eps**2 * dL - 2.0 * dH**2 * lm1**2),
+            (eps * dL**2 - dH * dL * lm1) / (dH**2 * lm1))
 
 
 @pytest.mark.parametrize("alpha,lam,eps", [
-    (0.3, 1.0001, 0.25),   # a 4,097-point grid misses this peak by 1.3e-7
+    (0.3, 1.0001, 0.25),
     (0.5, 1.01, 0.2),
     (0.8, 1.001, 0.5),
     (0.1, 1.0001, 0.05),
-    (0.5, 1.01, 0.0601),   # C interval narrower than the peak's distance
+    (0.5, 1.01, 0.0601),   # printed_hi is above the union by only 9e-4
+    # epsilon**2 and epsilon*epsilon differ in the last bit of C_max here
+    (0.23377786731220526, 1.000884940394962, 0.13760730385293787),
 ])
 def test_gamma_union_ends_are_exact(alpha, lam, eps):
-    rep = printed_gamma_interval_report(alpha, lam, eps)
-    dH, dL = 1.0 + alpha, 1.0 - alpha
-    cs = np.exp(np.linspace(math.log(rep.c_min), math.log(rep.c_max), 65537))
-    u0s = np.sqrt(2.0 * cs * dH * dL)
-    his = (u0s - dH) / (cs * alpha + 0.5 * u0s)
-    # near the flat peak the grid and the closed form round differently,
-    # by at most a few ulps; a missed peak is off by far more
-    assert rep.union_hi >= his.max() - 4.0 * np.spacing(his.max())
-    assert rep.union_lo == rep.range_at_cmax[0]
+    # The union over C in [C_min, C_max] of the C-dependent gamma ranges
+    # starts exactly at the printed lower end, lo(C_max), but the printed
+    # upper end lies above every C-dependent upper end: the printed
+    # interval is not contained in the union, so certificates use the
+    # C-dependent range.
+    dL, dH = 1.0 - alpha, 1.0 + alpha
+    c_min = 2.0 * dH / dL
+    c_max = eps * eps * dL / (2.0 * dH * (lam - 1.0) ** 2)
+    cs = np.exp(np.linspace(math.log(c_min), math.log(c_max), 65537))
+    los, his = np.array([yilmaz_gamma_range(RegionSpec(alpha, float(c)))
+                         for c in cs]).T
+    printed_lo, printed_hi = _printed_gamma_interval(alpha, lam, eps)
+    assert los.min() == los[-1] == pytest.approx(printed_lo, rel=1e-12)
+    assert printed_hi > his.max()
+    # thm2 takes the geometric mean of the same [C_min, C_max]
+    assert thm2_certificate(alpha, lam, eps).C == math.sqrt(c_min * c_max)
 
 
-def test_report_json_keys_flatten_the_fields():
-    rep = printed_gamma_interval_report(0.5, 1.01, 0.2)
-    assert list(rep.to_json_dict()) == [
-        "alpha", "lambda", "epsilon", "printed_lo", "printed_hi", "c_min",
-        "c_max", "range_at_cmin_lo", "range_at_cmin_hi", "range_at_cmax_lo",
-        "range_at_cmax_hi", "union_lo", "union_hi", "lo_abs_diff",
-        "lo_matches_cmax", "contained", "hi_excess"]
-    assert rep.to_json_dict()["range_at_cmax_hi"] == rep.range_at_cmax[1]
+def test_certificate_json_keys_follow_the_fields():
     cert = thm1_certificate(0.5, 1.01)
     assert list(cert.to_json_dict()) == [
         "alpha", "lambda", "epsilon", "C", "gamma", "gamma_lo", "gamma_hi",
         "beta", "v_max_bound", "u0", "u1", "variant"]
+    assert cert.to_json_dict()["lambda"] == cert.lam
 
 
 @given(

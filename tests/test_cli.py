@@ -114,6 +114,22 @@ def test_certificate_variant_and_epsilon_paths(capsys):
     assert doc["epsilon"] == 0.2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    # --gamma picks a point of the general certificate's gamma range
+    (["certificate", "--gamma", "0.3"], "--gamma"),
+    # the general certificate is remark-derived; eq5 shapes only thm1
+    (["certificate", "--epsilon", "0.2", "--variant", "eq5"], "--variant"),
+    (["verify", "--epsilon", "0.2", "--variant", "eq5", "--points", "10"],
+     "--variant"),
+])
+def test_flags_that_would_be_ignored_are_invalid_input(argv, flag, capsys):
+    rc = main([*argv, "--alpha", "0.5", "--lambda", "1.02"])
+    cap = capsys.readouterr()
+    assert rc == 1
+    assert cap.err.startswith("invalid input:") and flag in cap.err
+    assert cap.out == ""
+
+
 def test_certificate_infeasible_names_the_gain_bound(capsys):
     rc = main(["certificate", "--alpha", "0.5", "--lambda", "1.09",
                "--variant", "remark"])

@@ -70,13 +70,13 @@ def test_tabulated_derivative_matches_finite_differences(filt_fast):
 
 
 def test_frequency_response_shape(filt_fast):
-    ghat = filt_fast.ghat
-    assert ghat(np.array([0.0]))[0] == 1.0
-    assert ghat(np.array([0.999]))[0] == 1.0
-    assert ghat(np.array([filt_fast.T0]))[0] == pytest.approx(0.0, abs=1e-15)
-    assert ghat(np.array([filt_fast.T0 + 4.0]))[0] == 0.0
-    mid = ghat(np.array([0.5 * (1.0 + filt_fast.T0)]))[0]
-    assert 0.0 < mid < 1.0
+    # the spectrum's taper on [1, T0], at s = (omega - 1)/(T0 - 1)
+    phi = taper_profiles()[filt_fast.rolloff]
+    edges = phi(np.array([0.0, 1.0]))
+    assert edges[0] == 1.0
+    assert edges[1] == pytest.approx(0.0, abs=1e-15)
+    taper = phi(np.linspace(0.0, 1.0, 101))
+    assert np.all(np.diff(taper) <= 0.0) and 0.0 < taper[50] < 1.0
 
 
 def test_slow_taper_cannot_reach_tight_tolerance():
@@ -171,7 +171,7 @@ def test_design_is_bit_identical_to_three_transform_tables(kwargs):
     for got, want in ((f.t_tab, t), (f.g_tab, g), (f.g1_tab, g1), (f.g2_tab, g2)):
         assert got.tobytes() == want.tobytes()
     assert (f.W, f.tail_bound) == (W, tail_bound)
-    assert f.norms == norms
+    assert (f.g_l1, f.g1_l1, f.g2_l1) == norms
 
 
 def test_unreachable_tolerance_keeps_its_message():

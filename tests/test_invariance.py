@@ -143,7 +143,7 @@ def test_report_does_not_depend_on_backend_or_workers(cert, is_max_excess,
     if shutil.which(_kernels._CC[0]) is None:
         pytest.skip("no C compiler on PATH")
     runs = []
-    for chosen in (("c", *_kernels._load_c()), _kernels._PYTHON):
+    for chosen in (_kernels._load_c(), _kernels._PYTHON):
         monkeypatch.setattr(_kernels, "_chosen", chosen)
         for workers in (1, 2):
             rep = verify_invariance(cert, n_points=3000, n_deltas=12, seed=4,

@@ -128,12 +128,13 @@ def c_loops():
 
 @pytest.fixture(scope="module")
 def c_recur(c_loops):
-    return c_loops[0]
+    return c_loops.recur
 
 
 @pytest.fixture(scope="module")
 def c_format_rows(c_loops):
-    return c_loops[1]
+    # the C formatter on one lane, as one buffer
+    return lambda n0, f, q, u, v: c_loops.format_lanes(n0, f, q, u, v, 1)[0]
 
 
 non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -309,11 +310,12 @@ def test_formatter_is_exact_over_a_million_doubles():
     assert x.size >= 10**6
     f, u, v = (np.ascontiguousarray(x[i::3]) for i in range(3))
     q = np.zeros(f.size, dtype=np.int64)
-    got = bytes(_kernels.format_rows(0, f, q, u, v)).split(b"\n")
-    want = ("%d,%.17g,0,%.17g,%.17g" % row for row in zip(
-        range(1, f.size + 1), f.tolist(), u.tolist(), v.tolist()))
-    bad = [(g, w) for g, w in zip(got, want) if g.decode() != w]
-    assert bad[:5] == [] and len(got) == f.size + 1
+    want = ["%d,%.17g,0,%.17g,%.17g" % row for row in zip(
+        range(1, f.size + 1), f.tolist(), u.tolist(), v.tolist())]
+    for lanes in (1, 2):
+        got = b"".join(_kernels.format_lanes(0, f, q, u, v, lanes)).split(b"\n")
+        bad = [(g, w) for g, w in zip(got, want) if g.decode() != w]
+        assert bad[:5] == [] and len(got) == f.size + 1
 
 
 @settings(deadline=None, max_examples=200)
@@ -338,7 +340,7 @@ def test_c_excess_matches_the_numpy_reference(c_loops, seed, n, nd, alpha, C,
         deltas[seed % nd] = special
     with np.errstate(all="ignore"):
         want = _kernels._excess(us, vs, deltas, gamma, lam, spec)
-    got = c_loops[2](us, vs, deltas, gamma, lam, spec)
+    got = c_loops.excess(us, vs, deltas, gamma, lam, spec)
     assert got.shape == want.shape == (n, nd)
     # NaN where numpy has NaN; elsewhere the same values (a zero's sign
     # aside, which no comparison against tol sees)
@@ -348,7 +350,7 @@ def test_c_excess_matches_the_numpy_reference(c_loops, seed, n, nd, alpha, C,
 def test_c_excess_refuses_arrays_it_could_overrun(c_loops):
     from sdlab.region import RegionSpec
 
-    c_excess = c_loops[2]
+    c_excess = c_loops.excess
     spec = RegionSpec(0.5, 6.0)
     us, vs, deltas = np.zeros(4), np.zeros(4), np.ones(3)
     with pytest.raises(IndexError):
@@ -376,7 +378,8 @@ def test_a_build_without_int128_writes_and_probes_the_same(c_loops, tmp_path):
     x = x[: x.size - x.size % 3]
     f, u, v = (np.ascontiguousarray(x[i::3]) for i in range(3))
     q = np.arange(f.size, dtype=np.int64) - f.size // 2
-    assert bytes(fallback[1](7, f, q, u, v)) == bytes(c_loops[1](7, f, q, u, v))
+    assert (bytes(fallback.format_lanes(7, f, q, u, v, 1)[0])
+            == bytes(c_loops.format_lanes(7, f, q, u, v, 1)[0]))
 
     for key, beta, n in [((0,), 0.999, 2500), ((2**64 + 5, 1, 2**32), 0.5, 2500),
                          ((1, 2, 3, 4, 5, 6), 0.0, 1), ((9,), 0.99, 0)]:
@@ -384,7 +387,7 @@ def test_a_build_without_int128_writes_and_probes_the_same(c_loops, tmp_path):
         for scheme in [(1.05, 1.0, 0.7, _kernels.KIND_SIGN, 0.5),
                        (1.2, 1.0, 1.0, _kernels.KIND_TRILEVEL, 0.4)]:
             args = (*scheme, stream, 0.0, n, _kernels.HARD_BOUND, 50.0, None, None, None)
-            assert fallback[0](*args) == c_loops[0](*args) == _kernels._recur(*args)
+            assert fallback.recur(*args) == c_loops.recur(*args) == _kernels._recur(*args)
 
 
 def _tables():
@@ -526,7 +529,7 @@ def test_python_backend_overflows_silently(monkeypatch, capsys):
 
 @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_gcc)])
 def test_probe_input_vmax_is_a_python_float(backend, monkeypatch):
-    chosen = _kernels._PYTHON if backend == "python" else ("c", *_kernels._load_c())
+    chosen = _kernels._PYTHON if backend == "python" else _kernels._load_c()
     monkeypatch.setattr(_kernels, "_chosen", chosen)
     f = np.random.default_rng(0).uniform(-0.5, 0.5, 100)
     # sweeps pass gains straight from a numpy grid

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdlab.errors import CoverageError, InsufficientDataError, InvalidInputError, ResourceError
+from sdlab.errors import InsufficientDataError, InvalidInputError, ResourceError
 from sdlab.modulator import SchemeParams, run
 from sdlab.pipeline import (
     _grid_indices,
@@ -22,6 +22,10 @@ from sdlab.pipeline import (
     sampling_plan,
     sup_error,
 )
+
+
+class CoverageError(ValueError):
+    """The oracle's refusal of a time whose kernel window is not sampled."""
 
 
 def reconstruct(q, T, filt, t):

@@ -101,7 +101,7 @@ def test_chunked_output_is_the_same_for_every_backend_and_worker_count(
     f = np.random.default_rng(n).uniform(-0.4, 0.4, n)
     tr = run(SchemeParams(lambda1=1.01, lambda2=1.01, gamma=0.5), f, n)
     expected = _reference_text(tr)
-    c_lanes = _kernels.BACKEND == "c" and _kernels._chosen[4]
+    c_lanes = _kernels.BACKEND == "c" and _kernels._chosen.format_lanes
     outputs = []
     for backend in ("chosen", "python"):
         if backend == "python":

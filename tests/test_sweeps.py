@@ -216,7 +216,7 @@ def test_random_probes_do_not_depend_on_the_backend(monkeypatch):
         return [(is_stable(lam, g, b, cfg, row_index=3, probe_index=7),
                  _vmax_or_divergence(lam, g, b, cfg)) for lam, g, b in cases]
 
-    monkeypatch.setattr(_kernels, "_chosen", ("c", *_kernels._load_c()))
+    monkeypatch.setattr(_kernels, "_chosen", _kernels._load_c())
     ran = results()
     assert {r[0] for r in ran} == {True, False}
     monkeypatch.setattr(_kernels, "_chosen", _kernels._PYTHON)
@@ -233,7 +233,7 @@ def _vmax_or_divergence(lam, gamma, beta, cfg):
 @needs_gcc
 def test_a_random_probe_holds_no_input_array(monkeypatch):
     # 10^6 steps would take an 8 MB input array; the C loop draws in place
-    monkeypatch.setattr(_kernels, "_chosen", ("c", *_kernels._load_c()))
+    monkeypatch.setattr(_kernels, "_chosen", _kernels._load_c())
     cfg = small_cfg(input_mode="random-uniform", max_iters=10**6)
     tracemalloc.start()
     try:
