@@ -341,6 +341,30 @@ def _printed_gamma_interval(alpha, lam, eps):
             (eps * dL**2 - dH * dL * lm1) / (dH**2 * lm1))
 
 
+def _gamma_ranges_over_c(alpha, lam, eps):
+    """C_min, C_max and the C-dependent gamma ranges on a log grid of
+    [C_min, C_max]."""
+    dL, dH = 1.0 - alpha, 1.0 + alpha
+    c_min = 2.0 * dH / dL
+    c_max = eps * eps * dL / (2.0 * dH * (lam - 1.0) ** 2)
+    cs = np.exp(np.linspace(math.log(c_min), math.log(c_max), 65537))
+    los, his = np.array([yilmaz_gamma_range(RegionSpec(alpha, float(c)))
+                         for c in cs]).T
+    return c_min, c_max, los, his
+
+
+def test_printed_gamma_interval_report_flags_the_defect():
+    # the two printed endpoints do not bound the true union of ranges:
+    # the lower end is the range's lower end at C_max, the upper end
+    # lies above every C-dependent upper end
+    c_min, c_max, los, his = _gamma_ranges_over_c(0.5, 1.01, 0.2)
+    assert c_min <= c_max
+    assert los.min() <= his.max()
+    printed_lo, printed_hi = _printed_gamma_interval(0.5, 1.01, 0.2)
+    assert los.min() == los[-1] == pytest.approx(printed_lo, rel=1e-12)
+    assert printed_hi > his.max()
+
+
 @pytest.mark.parametrize("alpha,lam,eps", [
     (0.3, 1.0001, 0.25),
     (0.5, 1.01, 0.2),
@@ -356,12 +380,7 @@ def test_gamma_union_ends_are_exact(alpha, lam, eps):
     # upper end lies above every C-dependent upper end: the printed
     # interval is not contained in the union, so certificates use the
     # C-dependent range.
-    dL, dH = 1.0 - alpha, 1.0 + alpha
-    c_min = 2.0 * dH / dL
-    c_max = eps * eps * dL / (2.0 * dH * (lam - 1.0) ** 2)
-    cs = np.exp(np.linspace(math.log(c_min), math.log(c_max), 65537))
-    los, his = np.array([yilmaz_gamma_range(RegionSpec(alpha, float(c)))
-                         for c in cs]).T
+    c_min, c_max, los, his = _gamma_ranges_over_c(alpha, lam, eps)
     printed_lo, printed_hi = _printed_gamma_interval(alpha, lam, eps)
     assert los.min() == los[-1] == pytest.approx(printed_lo, rel=1e-12)
     assert printed_hi > his.max()
