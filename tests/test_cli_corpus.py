@@ -3,7 +3,7 @@ goldens do not cover.
 
 Each case pins the sha256 of one command's output, written once to a
 file through --out and once to stdout.  A refactor that changes any
-byte of a certificate, region table, verify report, fig1/fig3 table or
+byte of a certificate, region table, verify report, fig1-fig4 table or
 short trajectory fails here.
 """
 
@@ -40,6 +40,19 @@ CORPUS = [
     (("simulate", "--beta", "0.3", "--steps", "200", "--input", "random",
       "--seed", "5"), 0,
      "d2db3044f175327369e9f075cd504ee80fc99a375d45aced304b4fed54e3fe64"),
+    (("sweep", "fig1", "--variant", "eq5", "--alpha-cap", "0.5"), 0,
+     "491a93e200271d33d3a0fa37574a52b18bef8da57be7f853aed996f52891af2b"),
+    (("sweep", "fig2", "--lambda-min", "1.0", "--lambda-max", "1.1",
+      "--grid-step", "0.05", "--max-iters", "10000", "--seed", "3"), 0,
+     "e86c233af0f4455c1896eff036d7ed15190ee418fe26fe537237c222956adfac"),
+    (("sweep", "fig2", "--variant", "eq5", "--alpha-cap", "0.6",
+      "--lambda-min", "1.0", "--lambda-max", "1.1", "--grid-step", "0.05",
+      "--max-iters", "5000"), 0,
+     "13d7c6cbfb385a78ab84fc3d74940b4e6e990d3979d19da89d3687e09a436418"),
+    (("sweep", "fig4", "--input", "random", "--lambda-min", "1.0",
+      "--lambda-max", "1.1", "--grid-step", "0.05", "--max-iters", "2000",
+      "--seed", "3"), 0,
+     "c2a6a31968888c87c12f3da42c68ef459ad2a969501b9f83e6010132eada6a48"),
 ]
 
 
