@@ -20,7 +20,7 @@ from sdlab import (
 )
 
 print("== fig1: best certified input bound per gain ==")
-rows = run_fig1(lambda_grid=np.linspace(1.0, 1.09, 10))
+rows = run_fig1(SweepConfig(lambda_grid=np.linspace(1.0, 1.09, 10)))
 for r in rows:
     star = "%.4f" % r["alpha_star"] if r["beta_max"] else "  -   "
     print("  lambda=%.3f  beta_max=%.4f  alpha*=%s" % (r["lambda"], r["beta_max"], star))

@@ -213,6 +213,9 @@ def thm2_certificate(
     """
     alpha, lam = _validate_alpha_lambda(alpha, lam)
     epsilon = _real(epsilon, lambda x: x >= 0.0, "epsilon must be finite and >= 0")
+    if gamma_choice is not None:
+        gamma_choice = _real(gamma_choice, lambda x: x > 0.0,
+                             "gamma must be finite and > 0")
     dL, dH = 1.0 - alpha, 1.0 + alpha
 
     lam_cut = 1.0 + alpha * dL / (2.0 * dH)

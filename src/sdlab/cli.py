@@ -39,11 +39,12 @@ from .errors import (
     InvalidInputError,
     NoSolutionError,
     ResourceError,
+    _check_array_len,
 )
 from .filters import design_filter
 from .invariance import check_reach, verify_invariance
 from .modulator import QuantizerKind, SchemeParams, run
-from .pipeline import _MAX_FLOATS, error_curve, gen_signal, order_fit
+from .pipeline import error_curve, gen_signal, order_fit
 from .region import RegionSpec
 from .serialize import (
     ERROR_CURVE_FIELDS,
@@ -198,7 +199,8 @@ def cmd_simulate(args) -> int:
         source = args.beta
     else:
         rng = np.random.default_rng(_resolve_seed(args.seed))
-        source = rng.uniform(-args.beta, args.beta, args.steps)
+        source = rng.uniform(-args.beta, args.beta,
+                             _check_array_len(args.steps, "steps"))
     try:
         traj = run(params, source, args.steps)
     except DivergenceError as e:
@@ -210,24 +212,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _variant(args):
-    """--variant, which shapes only the certificate without --epsilon."""
-    if args.epsilon is not None and args.variant != "remark":
+def _certificate(args):
+    """thm1 without --epsilon, thm2 with it; a flag the choice ignores is
+    refused (--variant shapes only thm1, --gamma only thm2)."""
+    gamma = getattr(args, "gamma", None)  # only `certificate` has --gamma
+    if args.epsilon is None:
+        if gamma is not None:
+            raise InvalidInputError("--gamma applies only with --epsilon")
+        return thm1_certificate(args.alpha, args.lam,
+                                variant=_VARIANTS[args.variant])
+    if args.variant != "remark":
         raise InvalidInputError("--variant eq5 does not apply with --epsilon: "
                                 "the general certificate is remark-derived")
-    return _VARIANTS[args.variant]
+    return thm2_certificate(args.alpha, args.lam, args.epsilon,
+                            gamma_choice=gamma)
 
 
 def cmd_certificate(args) -> int:
-    variant = _variant(args)
-    if args.epsilon is None:
-        if args.gamma is not None:
-            raise InvalidInputError("--gamma applies only with --epsilon")
-        cert = thm1_certificate(args.alpha, args.lam, variant=variant)
-    else:
-        cert = thm2_certificate(args.alpha, args.lam, args.epsilon,
-                                gamma_choice=args.gamma)
-    write_json(_out(args), cert.to_json_dict())
+    write_json(_out(args), _certificate(args).to_json_dict())
     return 0
 
 
@@ -238,15 +240,11 @@ def cmd_region(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    variant = _variant(args)
     try:
-        if args.epsilon is None:
-            cert = thm1_certificate(args.alpha, args.lam, variant=variant)
-        else:
-            cert = thm2_certificate(args.alpha, args.lam, args.epsilon)
+        cert = _certificate(args)
     except InfeasibleError as e:
-        cert = unchecked_certificate(args.alpha, args.lam,
-                                     epsilon=args.epsilon, variant=variant)
+        cert = unchecked_certificate(args.alpha, args.lam, epsilon=args.epsilon,
+                                     variant=_VARIANTS[args.variant])
         check_reach(cert)
         print(f"no certificate ({e.bound} bound fails): checking the "
               "nominal region anyway", file=sys.stderr)
@@ -292,28 +290,22 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError("need finite 1 <= lambda-min <= lambda-max "
                                 "and a positive grid-step")
     span = (args.lambda_max - args.lambda_min) / args.grid_step
-    if not span < _MAX_FLOATS:
-        raise ResourceError(f"grid-step {args.grid_step!r} gives more lambda "
-                            f"points than one array can hold")
-    n = int(round(span)) + 1
-    grid = np.linspace(args.lambda_min, args.lambda_max, n)
-    if args.fig == "fig1":
-        rows = run_fig1(grid, variant=_VARIANTS[args.variant],
-                        alpha_cap=args.alpha_cap, workers=args.workers)
-    else:
-        cfg = SweepConfig(
-            lambda_grid=grid,
-            input_mode="constant" if args.input == "constant" else "random-uniform",
-            max_iters=args.max_iters,
-            divergence_bound=args.divergence_bound,
-            bisect_tol=args.bisect_tol,
-            seed=_resolve_seed(args.seed),
-            variant=_VARIANTS[args.variant],
-            alpha_cap=args.alpha_cap,
-            workers=args.workers,
-        )
-        rows = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}[args.fig](cfg)
-    write_csv(_out(args), sweep_fieldnames(args.fig), rows)
+    _check_array_len(span, f"lambda points at grid-step {args.grid_step!r}")
+    cfg = SweepConfig(
+        lambda_grid=np.linspace(args.lambda_min, args.lambda_max,
+                                int(round(span)) + 1),
+        input_mode="constant" if args.input == "constant" else "random-uniform",
+        max_iters=args.max_iters,
+        divergence_bound=args.divergence_bound,
+        bisect_tol=args.bisect_tol,
+        seed=_resolve_seed(args.seed),
+        variant=_VARIANTS[args.variant],
+        alpha_cap=args.alpha_cap,
+        workers=args.workers,
+    )
+    run_fig = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3,
+               "fig4": run_fig4}[args.fig]
+    write_csv(_out(args), sweep_fieldnames(args.fig), run_fig(cfg))
     return 0
 
 

@@ -14,6 +14,8 @@ exit-code table) can dispatch on class alone:
 
 from __future__ import annotations
 
+import sys
+
 __all__ = ["SdlabError", "InvalidInputError", "DivergenceError",
            "InsufficientDataError", "InfeasibleError", "NoSolutionError",
            "ResourceError", "DegenerateConfigurationError"]
@@ -78,3 +80,14 @@ class ResourceError(SdlabError):
 
 class DegenerateConfigurationError(SdlabError):
     """A search cannot start because its trivial endpoint already fails."""
+
+
+# float64 values one numpy array can index
+_MAX_FLOATS = sys.maxsize // 8
+
+
+def _check_array_len(n, what: str):
+    """n, if an array of n float64 values can exist; else ResourceError."""
+    if not n < _MAX_FLOATS:
+        raise ResourceError(f"{n:.3g} {what}: more than one array can hold")
+    return n

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceError
+from .errors import InvalidInputError, ResourceError, _check_array_len
 
 __all__ = ["FilterSpec", "design_filter", "taper_profiles"]
 
@@ -123,7 +123,7 @@ class FilterSpec:
 
 def _quadrature(T0, phi):
     """Trapezoid nodes omega on [0, T0] and weights times the spectrum."""
-    n_om = int(round(T0 * _OMEGA_DENSITY)) + 1
+    n_om = int(round(_check_array_len(T0 * _OMEGA_DENSITY, "omega nodes"))) + 1
     om = np.linspace(0.0, T0, n_om)
     gh = np.where(om <= 1.0, 1.0, phi((om - 1.0) / (T0 - 1.0)))
     wts = np.full(n_om, om[1] - om[0])

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .certificates import StabilityCertificate
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_array_len
 from .region import RegionSpec, b1_eval, b2_eval, step_region
 
 __all__ = ["InvarianceReport", "check_reach", "verify_invariance"]
@@ -227,6 +227,8 @@ def verify_invariance(
         raise InvalidInputError("n_points must be >= 1")
     if n_deltas < 2:
         raise InvalidInputError("n_deltas must be >= 2")
+    _check_array_len(n_points, "points")
+    _check_array_len(n_deltas, "deltas")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidInputError("tol must be finite and >= 0")
     check_reach(cert)

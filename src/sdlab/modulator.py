@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DivergenceError, InsufficientDataError, InvalidInputError, ResourceError
+from .errors import (DivergenceError, InsufficientDataError, InvalidInputError,
+                     ResourceError, _check_array_len)
 
 __all__ = [
     "QuantizerKind",
@@ -146,10 +147,11 @@ def run(params: SchemeParams, input, n_steps: int) -> Trajectory:
         Carries the 1-based step index, the last finite state, and the
         partial trajectory up to the failing step.
     ResourceError
-        If the n_steps-long history cannot be allocated.
+        If the n_steps-long history cannot be allocated or indexed.
     """
     if n_steps < 0:
         raise InvalidInputError("n_steps must be >= 0")
+    _check_array_len(n_steps, "steps")
     try:
         f = _as_input_array(input, n_steps)
         q = np.empty(n_steps)

@@ -22,12 +22,11 @@ convolution, with the same outputs as before.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, ResourceError
+from .errors import InsufficientDataError, InvalidInputError, _check_array_len
 from .filters import FilterSpec
 from .modulator import SchemeParams, run
 
@@ -50,8 +49,6 @@ __all__ = [
 _NORM_SPAN = 272.0
 _NORM_STEP = 1.0 / 2048.0
 _EVAL_PER_INTERVAL = 16
-# float64 values one numpy array can index
-_MAX_FLOATS = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -105,6 +102,7 @@ def gen_signal(seed, n_components: int, beta: float) -> BandlimitedSignal:
         raise InvalidInputError(f"beta must lie in (0, 1), got {beta!r}")
     if n_components < 0:
         raise InvalidInputError("n_components must be nonnegative")
+    _check_array_len(n_components, "signal components")
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(0.0, 0.45, n_components)
     amps = rng.uniform(0.5, 1.5, n_components)
@@ -122,9 +120,7 @@ def sampling_plan(T: float, filt: FilterSpec) -> SamplingConfig:
     if not math.isfinite(T):
         raise InvalidInputError(f"oversampling rate must be finite, got {T!r}")
     L = 4.0 * (filt.W + 1.0)
-    if not L * T < _MAX_FLOATS:
-        raise ResourceError(f"rate {T!r} needs {L * T:.3g} samples, more than "
-                            f"one array can hold")
+    _check_array_len(L * T, f"samples at rate {T!r}")
     return SamplingConfig(T=float(T), n_samples=int(round(L * T)), window=(0.0, L))
 
 

@@ -60,8 +60,9 @@ class RegionSpec:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise InvalidInputError("alpha must lie in (0, 1)")
-        if not (self.C > 0.0 and math.isfinite(self.C)):
-            raise InvalidInputError("C must be positive and finite")
+        if not (self.C > 0.0 and math.isfinite(corner_u0(self))):
+            raise InvalidInputError("C must be positive, with a finite corner "
+                                    "u0 = sqrt(2 C dH dL)")
 
     @property
     def delta_L(self) -> float:

@@ -26,7 +26,7 @@ from io import StringIO
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_array_len
 
 __all__ = [
     "fmt_float",
@@ -45,12 +45,12 @@ __all__ = [
 TRAJECTORY_FIELDS = ("n", "f", "q", "u", "v")
 REGION_FIELDS = ("u", "B1", "B2")
 ERROR_CURVE_FIELDS = ("T", "sup_error", "bound")
+_THRESHOLD_FIELDS = ("lambda", "beta_theoretical", "beta_observed",
+                     "gamma_mode", "alpha_used")
 _SWEEP_FIELDS = {
     "fig1": ("lambda", "beta_max", "alpha_star"),
-    "fig2": ("lambda", "beta_theoretical", "beta_observed",
-             "gamma_mode", "alpha_used"),
-    "fig3": ("lambda", "beta_theoretical", "beta_observed",
-             "gamma_mode", "alpha_used"),
+    "fig2": _THRESHOLD_FIELDS,
+    "fig3": _THRESHOLD_FIELDS,
     "fig4": ("lambda", "vmax_theoretical", "vmax_empirical_thm1gamma",
              "vmax_empirical_gamma1"),
 }
@@ -197,7 +197,7 @@ def write_region_csv(dest, spec, n_points: int = 513) -> None:
 
     if n_points < 2:
         raise InvalidInputError("n_points must be at least 2")
-    u = np.linspace(-spec.u0, spec.u0, n_points)
+    u = np.linspace(-spec.u0, spec.u0, _check_array_len(n_points, "points"))
     rows = (
         {"u": ui, "B1": b1i, "B2": b2i}
         for ui, b1i, b2i in zip(u.tolist(),

@@ -1,11 +1,11 @@
 """Stability-threshold and state-bound sweeps over the loop gain.
 
-Each sweep walks a grid of gains lambda >= 1 for the one-parameter
-family (second accumulator gain fixed at 1), measuring per grid point
-either the largest input bound beta that keeps 10^6 iterations below a
-divergence cutoff (bisection), or the largest |v_n| reached by a run.
-Companion columns carry the certified values so the tables line up
-theory against observation.
+Each sweep walks the gains lambda >= 1 of one SweepConfig for the
+one-parameter family (second accumulator gain fixed at 1).  Every row
+starts from one certificate, Theorem 1's at the best alpha for its gain
+(None past the cutoff), and sets beside it either the largest input
+bound beta that keeps max_iters iterations below a divergence cutoff
+(one bisection path) or the largest |v_n| reached by a run.
 
 Of the kernel's three input modes (constant, array, keyed stream) a
 probe uses the constant beta or the stream of uniform draws on [-beta,
@@ -17,7 +17,6 @@ GIL, so row threads run in parallel; the Python fallback takes turns.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,18 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .certificates import VARIANT_REMARK, _canonical, max_beta_theoretical
-from .errors import (
-    DegenerateConfigurationError,
-    DivergenceError,
-    InvalidInputError,
-)
+from .certificates import VARIANT_REMARK, max_beta_theoretical, thm1_certificate
+from .errors import (DegenerateConfigurationError, DivergenceError,
+                     InvalidInputError)
 
 __all__ = [
     "DEFAULT_SEED",
     "SweepConfig",
     "is_stable",
-    "find_beta_threshold",
     "measure_vmax",
     "run_fig1",
     "run_fig2",
@@ -91,6 +86,10 @@ class SweepConfig:
 
 def _probe(lam, gamma, beta, cfg, row_index, probe_index):
     """(diverged_at, vmax) for one run from the zero state."""
+    if not (0.0 <= beta < 1.0):
+        raise InvalidInputError(f"beta must lie in [0, 1), got {beta!r}")
+    if not (lam >= 1.0 and gamma > 0.0):  # NaN too
+        raise InvalidInputError("need lam >= 1 and gamma > 0")
     scheme = (lam, 1.0, gamma, _kernels.KIND_SIGN, 0.5)
     if cfg.input_mode == "constant":
         return _kernels.probe_const(*scheme, beta, cfg.max_iters,
@@ -108,41 +107,17 @@ def is_stable(lam: float, gamma: float, beta: float, cfg: SweepConfig,
     cfg.input_mode; the random stream is keyed by (seed, row_index,
     probe_index) so repeated calls are reproducible.
     """
-    if not (0.0 <= beta < 1.0):
-        raise InvalidInputError(f"beta must lie in [0, 1), got {beta!r}")
-    if lam < 1.0 or gamma <= 0.0:
-        raise InvalidInputError("need lam >= 1 and gamma > 0")
     diverged_at, _ = _probe(lam, gamma, beta, cfg, row_index, probe_index)
     return diverged_at < 0
 
 
-def _resolve_gamma(lam: float, gamma_mode: str, cfg: SweepConfig):
-    """Per-row quantizer coupling: certified value or the fixed 1.
-
-    Returns (gamma, gamma_mode_label, alpha_used, beta_theoretical); the
-    label records the fallback when no certificate exists at this gain.
-    The fixed coupling still reports the certified beta for comparison.
-    """
-    beta_max, alpha_star = max_beta_theoretical(
-        lam, alpha_cap=cfg.alpha_cap, variant=cfg.variant
-    )
-    if gamma_mode == "gamma1":
-        return 1.0, "gamma1", None, beta_max if beta_max > 0.0 else None
-    if beta_max <= 0.0 or not math.isfinite(alpha_star):
-        return 1.0, "gamma1-fallback", None, None
-    return _canonical(alpha_star)[1], "thm1", alpha_star, beta_max
-
-
-def find_beta_threshold(lam: float, gamma_mode: str, cfg: SweepConfig,
-                        row_index: int = 0) -> float:
-    """Largest input bound confirmed stable by bisection on [0, 1).
-
-    The lower endpoint is always a probed stable beta and the upper
-    endpoint a probed unstable one (or the fiat-unstable 1.0); the gap
-    closes to cfg.bisect_tol and the lower endpoint is returned.
-    """
-    gamma, _, _, _ = _resolve_gamma(lam, gamma_mode, cfg)
-    return _observed_threshold(lam, gamma, cfg, row_index)
+def _certified(lam: float, cfg: SweepConfig):
+    """Theorem 1's certificate at the best alpha, or None past the cutoff."""
+    beta_max, alpha_star = max_beta_theoretical(lam, alpha_cap=cfg.alpha_cap,
+                                                variant=cfg.variant)
+    if not beta_max > 0.0:
+        return None
+    return thm1_certificate(alpha_star, lam, cfg.variant)
 
 
 def _observed_threshold(lam: float, gamma: float, cfg: SweepConfig,
@@ -158,23 +133,24 @@ def _observed_threshold(lam: float, gamma: float, cfg: SweepConfig,
 def _bisect_threshold(stable_probe, tol: float) -> float:
     """Bisection on a beta-monotone stability predicate.
 
-    stable_probe(beta, probe_index) -> bool.  Exposed for tests through
-    find_beta_threshold; kept separate so a stub predicate can exercise
-    the bisection logic without simulations.
+    stable_probe(beta, probe_index) -> bool.  The lower endpoint is
+    always a probed stable beta and the upper one a probed unstable beta
+    (or the fiat-unstable 1.0).  The gap closes to tol, or until no
+    double lies strictly between the ends, and the lower end is returned.
     """
     probe_index = 0
     if not stable_probe(0.0, probe_index):
         raise DegenerateConfigurationError(
             "unstable at beta = 0; no threshold exists for this configuration"
         )
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    lo, hi, mid = 0.0, 1.0, 0.5
+    while hi - lo > tol and lo < mid < hi:
         probe_index += 1
-        mid = 0.5 * (lo + hi)
         if stable_probe(mid, probe_index):
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
     return lo
 
 
@@ -186,8 +162,6 @@ def measure_vmax(lam: float, gamma: float, beta: float, cfg: SweepConfig,
     measurements so the run is independent of the bisection probes yet
     reproducible.
     """
-    if not (0.0 <= beta < 1.0):
-        raise InvalidInputError(f"beta must lie in [0, 1), got {beta!r}")
     diverged_at, vmax = _probe(lam, gamma, beta, cfg, row_index, _VMAX_PROBE_INDEX)
     if diverged_at >= 0:
         raise DivergenceError(
@@ -207,55 +181,55 @@ def _map_rows(cfg: SweepConfig, fn):
         return list(ex.map(lambda t: fn(*t), items))
 
 
-def run_fig1(lambda_grid=None, variant: str = VARIANT_REMARK,
-             alpha_cap: float = 0.99, workers: int | None = None):
+def run_fig1(cfg: SweepConfig):
     """Certified-region table: rows {lambda, beta_max, alpha_star}.
 
     beta_max is the best certified input bound over admissible alpha;
     rows past the gain cutoff carry beta_max = 0 and a None alpha_star.
     """
-    grid = _default_lambda_grid() if lambda_grid is None else \
-        np.asarray(lambda_grid, dtype=np.float64)
-    cfg = SweepConfig(lambda_grid=grid, variant=variant,
-                      alpha_cap=alpha_cap, workers=workers)
 
     def one(_i, lam):
-        beta_max, alpha_star = max_beta_theoretical(
-            lam, alpha_cap=cfg.alpha_cap, variant=cfg.variant
-        )
+        cert = _certified(lam, cfg)
         return {
             "lambda": float(lam),
-            "beta_max": float(beta_max),
-            "alpha_star": float(alpha_star) if math.isfinite(alpha_star) else None,
+            "beta_max": 0.0 if cert is None else cert.beta,
+            "alpha_star": None if cert is None else cert.alpha,
         }
 
     return _map_rows(cfg, one)
 
 
-def _threshold_row(cfg: SweepConfig, row_index: int, lam: float,
-                   gamma_mode: str) -> dict:
-    gamma, mode_label, alpha_used, beta_th = _resolve_gamma(lam, gamma_mode, cfg)
-    return {
-        "lambda": float(lam),
-        "beta_theoretical": beta_th,
-        "beta_observed": _observed_threshold(lam, gamma, cfg, row_index),
-        "gamma_mode": mode_label,
-        "alpha_used": alpha_used,
-    }
+def _threshold_table(cfg: SweepConfig, unit_gamma: bool):
+    """fig2/fig3 rows: the certified beta beside the bisected threshold.
 
+    The coupling is the certificate's (gamma_mode "thm1"), 1 where no
+    certificate exists ("gamma1-fallback"), or 1 throughout ("gamma1").
+    """
 
-def _threshold_table(cfg: SweepConfig, gamma_mode: str):
-    return _map_rows(cfg, lambda i, lam: _threshold_row(cfg, i, lam, gamma_mode))
+    def one(i, lam):
+        cert = _certified(lam, cfg)
+        thm1 = cert is not None and not unit_gamma
+        gamma = cert.gamma if thm1 else 1.0
+        return {
+            "lambda": float(lam),
+            "beta_theoretical": None if cert is None else cert.beta,
+            "beta_observed": _observed_threshold(lam, gamma, cfg, i),
+            "gamma_mode": "thm1" if thm1 else "gamma1" if unit_gamma
+                          else "gamma1-fallback",
+            "alpha_used": cert.alpha if thm1 else None,
+        }
+
+    return _map_rows(cfg, one)
 
 
 def run_fig2(cfg: SweepConfig):
     """Observed vs certified thresholds with the certificate's coupling."""
-    return _threshold_table(cfg, "thm1")
+    return _threshold_table(cfg, unit_gamma=False)
 
 
 def run_fig3(cfg: SweepConfig):
     """Observed thresholds with the coupling pinned at 1."""
-    return _threshold_table(cfg, "gamma1")
+    return _threshold_table(cfg, unit_gamma=True)
 
 
 def run_fig4(cfg: SweepConfig):
@@ -275,14 +249,12 @@ def run_fig4(cfg: SweepConfig):
             return None
 
     def one(i, lam):
-        gamma, mode_label, alpha_used, _ = _resolve_gamma(lam, "thm1", cfg)
-        certified = mode_label == "thm1"
+        cert = _certified(lam, cfg)
         return {
             "lambda": float(lam),
-            "vmax_theoretical":
-                _canonical(alpha_used)[0].v_extent if certified else None,
+            "vmax_theoretical": None if cert is None else cert.v_max_bound,
             "vmax_empirical_thm1gamma":
-                vmax_at_threshold(i, lam, gamma) if certified else None,
+                None if cert is None else vmax_at_threshold(i, lam, cert.gamma),
             "vmax_empirical_gamma1": vmax_at_threshold(i, lam, 1.0),
         }
 
@@ -298,17 +270,16 @@ def vmax_at_theoretical(cfg: SweepConfig):
     """
 
     def one(i, lam):
-        gamma, mode_label, alpha_star, beta_max = _resolve_gamma(lam, "thm1", cfg)
-        if mode_label != "thm1":
+        cert = _certified(lam, cfg)
+        if cert is None:
             return None
-        bound = _canonical(alpha_star)[0].v_extent
-        measured = measure_vmax(lam, gamma, beta_max, cfg, row_index=i)
+        measured = measure_vmax(lam, cert.gamma, cert.beta, cfg, row_index=i)
         return {
             "lambda": float(lam),
-            "beta_theoretical": float(beta_max),
-            "vmax_theoretical": bound,
+            "beta_theoretical": cert.beta,
+            "vmax_theoretical": cert.v_max_bound,
             "vmax_measured": measured,
-            "ratio": measured / bound,
+            "ratio": measured / cert.v_max_bound,
         }
 
     return [r for r in _map_rows(cfg, one) if r is not None]

@@ -24,7 +24,6 @@ from sdlab.region import RegionSpec, step_region, yilmaz_gamma_range
 from sdlab.serialize import csv_text, sweep_fieldnames
 from sdlab.sweeps import (
     SweepConfig,
-    find_beta_threshold,
     measure_vmax,
     run_fig1,
     run_fig2,
@@ -44,8 +43,8 @@ def _last_positive(rows):
 
 def test_criterion_1_gain_cutoffs_match_the_two_variants():
     t0 = time.monotonic()
-    cut_remark = _last_positive(run_fig1(variant=VARIANT_REMARK))
-    cut_eq5 = _last_positive(run_fig1(variant=VARIANT_EQ5))
+    cut_remark = _last_positive(run_fig1(SweepConfig(variant=VARIANT_REMARK)))
+    cut_eq5 = _last_positive(run_fig1(SweepConfig(variant=VARIANT_EQ5)))
     elapsed = time.monotonic() - t0
     ok = (abs(cut_remark - 1.0858) <= 2e-3
           and abs(cut_eq5 - 1.0607) <= 2e-3

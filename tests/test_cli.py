@@ -242,6 +242,27 @@ def test_sweep_fig2_small_budget(capsys):
     assert lines[1].startswith("1,0.98999999999999999,")
 
 
+def test_sweep_fig1_validates_every_sweep_flag(monkeypatch, capsys):
+    # fig1 builds the same SweepConfig as fig2-fig4, probe settings included
+    assert main(["sweep", "fig1", "--max-iters", "0"]) == 1
+    assert capsys.readouterr().err.startswith("invalid input:")
+    monkeypatch.setenv("SD_LAB_SEED", "bogus")
+    assert main(["sweep", "fig1"]) == 1
+    assert "SD_LAB_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam,budget", [("1.05", "1000"), ("1", "10")])
+def test_sweep_bisection_ends_below_the_spacing_of_doubles(lam, budget, capsys):
+    # at lambda = 1 and 10 iterations every probe is stable, so the
+    # bisection climbs to the double below 1 and must not probe 1.0
+    rc = main(["sweep", "fig2", "--bisect-tol", "1e-300", "--max-iters", budget,
+               "--lambda-min", lam, "--lambda-max", lam])
+    cap = capsys.readouterr()
+    assert rc == 0, cap.err
+    observed = float(cap.out.splitlines()[1].split(",")[2])
+    assert 0.0 < observed < 1.0
+
+
 def test_reconstruct_schema_and_slope_note(tmp_path, capsys):
     dest = tmp_path / "curve.csv"
     rc = main(["reconstruct", "--beta", "0.3", "--components", "4",
@@ -266,6 +287,10 @@ def test_reconstruct_unreachable_tolerance_is_a_resource_failure(capsys):
     ["reconstruct", "--beta", "0.5", "--rates", "nan"],
     ["reconstruct", "--beta", "0.5", "--rates", "inf"],
     ["sweep", "fig1", "--lambda-max", "inf"],
+    # u0 = sqrt(2 C dH dL) overflows, so no boundary point is finite
+    ["region", "--alpha", "0.5", "--C", "1e308"],
+    ["certificate", "--alpha", "0.5", "--lambda", "1.02", "--epsilon", "0.2",
+     "--gamma", "nan"],
 ])
 def test_non_finite_numbers_are_invalid_input(argv, capsys):
     assert main(argv) == 1
@@ -283,6 +308,16 @@ def test_non_finite_numbers_are_invalid_input(argv, capsys):
     ["sweep", "fig1", "--grid-step", "1e-300"],
     ["sweep", "fig1", "--grid-step", "5e-324"],
     ["reconstruct", "--beta", "0.5", "--rates", "1e300", "--trunc-tol", "1e-4"],
+    # counts past the largest array numpy can index
+    ["simulate", "--beta", "0.3", "--steps", "100000000000000000000"],
+    ["verify", "--alpha", "0.5", "--lambda", "1.02",
+     "--points", "100000000000000000000"],
+    ["verify", "--alpha", "0.5", "--lambda", "1.02",
+     "--deltas", "100000000000000000000"],
+    ["region", "--alpha", "0.5", "--C", "6", "--points", "100000000000000000000"],
+    ["reconstruct", "--beta", "0.5", "--rates", "32",
+     "--components", "100000000000000000000"],
+    ["reconstruct", "--beta", "0.5", "--rates", "32", "--T0", "1e300"],
 ])
 def test_requests_too_large_for_memory_are_infeasible(argv, capsys):
     assert main(argv) == 3

@@ -68,6 +68,23 @@ def test_package_names_are_the_module_lists_joined():
     assert blocks == []
 
 
+def test_every_name_a_demo_imports_is_public():
+    # two demos are too slow for the quick suite; a public name removed
+    # or renamed under them must still fail here, not in a demo run
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    for path in demos:
+        imported = 0
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "sdlab"):
+                public = importlib.import_module(node.module).__all__
+                for alias in node.names:
+                    assert alias.name in public, (path.name, alias.name)
+                    imported += 1
+        assert imported, path.name
+
+
 def test_every_traced_benchmark_layer_exists(monkeypatch):
     # perfbench patches these attributes by module; a refactor that
     # renames one must fail here, not only in the benchmark's smoke test

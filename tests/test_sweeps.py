@@ -19,8 +19,8 @@ from sdlab.errors import (
 from sdlab.sweeps import (
     SweepConfig,
     _bisect_threshold,
-    _resolve_gamma,
-    find_beta_threshold,
+    _certified,
+    _observed_threshold,
     is_stable,
     measure_vmax,
     run_fig1,
@@ -51,7 +51,34 @@ def test_bisection_requires_a_stable_floor():
         _bisect_threshold(lambda beta, k: False, 1e-3)
 
 
-def test_find_beta_threshold_uses_the_module_predicate(monkeypatch):
+def test_bisection_stops_at_the_spacing_of_doubles():
+    # a tolerance below the spacing of doubles near the edge used to spin
+    # forever once the midpoint rounded onto an endpoint
+    calls = []
+
+    def stub(beta, k):
+        calls.append(beta)
+        return beta < 0.37
+
+    got = _bisect_threshold(stub, 1e-300)
+    assert len(calls) <= 60
+    assert got < 0.37 <= np.nextafter(got, 1.0)
+
+
+def test_bisection_never_probes_beta_one():
+    calls = []
+
+    def always_stable(beta, k):
+        calls.append(beta)
+        return True
+
+    got = _bisect_threshold(always_stable, 1e-300)
+    assert max(calls) < 1.0 and got == max(calls)
+    assert np.nextafter(got, 1.0) == 1.0
+    assert len(calls) <= 60
+
+
+def test_observed_threshold_uses_the_module_predicate(monkeypatch):
     calls = []
 
     def stub(lam, gamma, beta, cfg, row_index=0, probe_index=0):
@@ -59,7 +86,7 @@ def test_find_beta_threshold_uses_the_module_predicate(monkeypatch):
         return beta < 0.37
 
     monkeypatch.setattr(sweeps, "is_stable", stub)
-    got = find_beta_threshold(1.0, "gamma1", small_cfg())
+    got = _observed_threshold(1.0, 1.0, small_cfg(), 0)
     assert abs(got - 0.37) <= 1e-3
     # probe indices advance so stochastic probes would be independent
     assert [k for _, k in calls] == list(range(len(calls)))
@@ -93,6 +120,16 @@ def test_measure_vmax_is_monotone_in_the_iteration_budget():
     assert lo <= hi
 
 
+def test_probes_refuse_arguments_outside_their_domain():
+    cfg = small_cfg()
+    for probe in (is_stable, measure_vmax):
+        for lam, gamma, beta in ((0.9, 1.0, 0.5), (1.0, 0.0, 0.5),
+                                 (np.nan, 1.0, 0.5), (1.0, np.nan, 0.5),
+                                 (1.0, 1.0, 1.0), (1.0, 1.0, -0.1)):
+            with pytest.raises(InvalidInputError):
+                probe(lam, gamma, beta, cfg)
+
+
 def test_measure_vmax_raises_on_divergence():
     with pytest.raises(DivergenceError) as exc:
         measure_vmax(1.3, 1.0, 0.99, small_cfg())
@@ -100,24 +137,24 @@ def test_measure_vmax_raises_on_divergence():
 
 
 def test_gamma_resolution_modes():
+    # every row starts from thm1's certificate at the best alpha, or None
     cfg = small_cfg()
-    gamma, label, alpha_used, beta_th = _resolve_gamma(1.01, "thm1", cfg)
-    assert label == "thm1"
-    assert alpha_used == pytest.approx(0.7522013143304804, rel=1e-9)
-    assert gamma == pytest.approx((1 - alpha_used) / (1 + alpha_used), rel=1e-12)
-    assert beta_th == pytest.approx(0.535104722043692, rel=1e-12)
-
-    gamma, label, alpha_used, beta_th = _resolve_gamma(1.2, "thm1", cfg)
-    assert label == "gamma1-fallback"
-    assert gamma == 1.0
-    assert beta_th is None
-
-    gamma, label, alpha_used, beta_th = _resolve_gamma(1.0, "gamma1", cfg)
-    assert (gamma, label) == (1.0, "gamma1")
+    cert = _certified(1.01, cfg)
+    assert cert.alpha == pytest.approx(0.7522013143304804, rel=1e-9)
+    assert cert.gamma == pytest.approx((1 - cert.alpha) / (1 + cert.alpha),
+                                       rel=1e-12)
+    assert cert.beta == pytest.approx(0.535104722043692, rel=1e-12)
+    # the same bits as the best beta over alpha
+    assert (cert.beta, cert.alpha) == sweeps.max_beta_theoretical(1.01)
+    assert _certified(1.2, cfg) is None
+    # past the cutoff fig2 falls back to the unit coupling
+    cfg = small_cfg(lambda_grid=np.array([1.2]), max_iters=100)
+    assert run_fig2(cfg)[0]["gamma_mode"] == "gamma1-fallback"
+    assert run_fig3(cfg)[0]["gamma_mode"] == "gamma1"
 
 
 def test_fig1_rows_golden():
-    rows = run_fig1(lambda_grid=np.array([1.0, 1.01, 1.09]))
+    rows = run_fig1(SweepConfig(lambda_grid=np.array([1.0, 1.01, 1.09])))
     assert rows[0] == {"lambda": 1.0, "beta_max": 0.99, "alpha_star": 0.99}
     assert rows[1]["beta_max"] == pytest.approx(0.535104722043692, rel=1e-12)
     assert rows[1]["alpha_star"] == pytest.approx(0.7522013143304804, rel=1e-9)
