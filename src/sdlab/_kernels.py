@@ -7,10 +7,10 @@ in whether steps are recorded, and in the bounds.  The C loop draws a
 stream itself, so a random probe holds no array and no GIL.
 A second loop, _format_rows, renders trajectory rows as CSV text for
 serialize.write_trajectory_csv through format_lanes, which on the C loop
-allocates a buffer per lane on the calling thread, runs each lane but the
-last as just its C call on a helper thread, and formats the last on the
-calling thread.  A third, _excess, measures one region step's escapes
-for invariance through excess.
+allocates a buffer per lane on the calling thread and formats the lanes
+through map_ordered.  A third, _excess, measures one region step's
+escapes for invariance through excess.  The lanes, the sweeps' rows and
+verify_invariance's blocks fan out to threads through one map_ordered.
 
 The entry points run the loops on the backend chosen the first time one
 of them runs (never at import) and reported as BACKEND:
@@ -19,8 +19,8 @@ of them runs (never at import) and reported as BACKEND:
              gcc -O2 -ffp-contract=off into
              sdlab/__pycache__/_recur-<hash>.so (or a per-user directory
              under tempfile.gettempdir() when that one is not writable)
-             and called through ctypes, which releases the GIL (a build
-             without __int128 gets streams drawn by numpy);
+             and called through ctypes, which releases the GIL (the source
+             needs unsigned __int128; without it the build fails);
     "python" the plain-Python _recur and %-formatting _format_rows and
              the numpy _excess, when the library cannot be built or loaded.
 
@@ -43,9 +43,11 @@ import os
 import sys
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .region import b1_eval, b2_eval, step_region
 
 # read by perfbench/run.py metadata() to label its records; always
@@ -225,13 +227,11 @@ def _address(a, n_steps, writable, dtype=np.float64):
     return a.ctypes.data
 
 
-def _load_c(path=None):
-    """The "c" backend: the loops of the library at path (by default the
-    one built from _SRC), arrays checked first."""
+def _load_c():
+    """The "c" backend: the loops built from _SRC, arrays checked first."""
     import ctypes
 
-    lib = ctypes.CDLL(path or _library_path())
-    keyed = ctypes.c_int.in_dll(lib, "sdlab_keyed_stream").value == 1
+    lib = ctypes.CDLL(_library_path())
     fn = lib.sdlab_recur
     d, p, ll = ctypes.c_double, ctypes.c_void_p, ctypes.c_longlong
     fn.argtypes = [d, d, d, ctypes.c_int, d, p, d, p, ll, ll, d, d,
@@ -241,13 +241,12 @@ def _load_c(path=None):
     def c_recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound,
                 vbound, q_out, u_out, v_out):
         key, n_key, fp = None, 0, None
-        if isinstance(f, KeyedUniform) and keyed:
+        if isinstance(f, KeyedUniform):
             # SeedSequence's uint32 words: each int little-endian, 0 as one
             key = b"".join(k.to_bytes(4 * max(1, -(-k.bit_length() // 32)),
                                       "little") for k in f.key)
-            n_key, beta, f = len(key) // 4, f.beta, None
+            n_key, beta = len(key) // 4, f.beta
         elif f is not None:
-            f = f.draw() if isinstance(f, KeyedUniform) else f
             fp = _address(f, n_steps, False)
         if q_out is not None:
             qp, up, vp = (_address(a, n_steps, True) for a in (q_out, u_out, v_out))
@@ -270,7 +269,7 @@ def _load_c(path=None):
                       len(str(q[:count].max(initial=0))))
         lanes = max(1, min(lanes, count))
         cuts = [count * i // lanes for i in range(lanes + 1)]
-        bufs, outs, written = [], [], [None] * lanes
+        bufs, outs = [], []
         for lo, hi in zip(cuts, cuts[1:]):
             # the widest row this lane can have, so its buffer cannot overflow
             cap = (hi - lo) * (len(str(n0 + hi)) + q_width + 3 * _NUM_WIDTH + 5)
@@ -279,18 +278,13 @@ def _load_c(path=None):
 
         def fill(i):
             lo = cuts[i]
-            written[i] = fmt(n0 + lo, fp + 8 * lo, qp + 8 * lo, up + 8 * lo,
-                             vp + 8 * lo, cuts[i + 1] - lo, outs[i], len(bufs[i]))
+            return fmt(n0 + lo, fp + 8 * lo, qp + 8 * lo, up + 8 * lo,
+                       vp + 8 * lo, cuts[i + 1] - lo, outs[i], len(bufs[i]))
 
-        helpers = [threading.Thread(target=fill, args=(i,)) for i in range(lanes - 1)]
-        for t in helpers:
-            t.start()
-        fill(lanes - 1)
-        for t in helpers:
-            t.join()
+        written = map_ordered(fill, range(lanes), lanes)
         del outs  # the exports, so the buffers can shrink
         for buf, n in zip(bufs, written):
-            if n is None or n < 0:
+            if n < 0:
                 raise RuntimeError(f"rows {n0 + 1}..{n0 + count} were not formatted")
             del buf[n:]
         return bufs
@@ -335,6 +329,21 @@ def __getattr__(name):
 
 
 # ------------------------------------------------------------ entry points
+
+def map_ordered(fn, items, workers):
+    """[fn(x) for x in items], in item order, on up to workers threads
+    (None: one per core), serially when one would do; InvalidInputError
+    unless workers is None or an int >= 1."""
+    if workers is None:
+        workers = os.cpu_count() or 1
+    elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise InvalidInputError(f"workers must be a positive integer, got {workers!r}")
+    items = list(items)
+    if workers == 1 or len(items) <= 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
 
 def run_fill(lam1, lam2, gamma, kind, tau, f, q_out, u_out, v_out, bound):
     """Fold the recursion over f, recording every step into q/u/v_out.

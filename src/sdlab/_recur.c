@@ -8,7 +8,7 @@
    key != NULL is the keyed uniform stream below, else f != NULL is the
    array f, else the constant beta.  q_out == NULL means "do not record".
    The caller guarantees that f and the three output arrays hold at least
-   n_steps doubles, and passes a key only when sdlab_keyed_stream is 1.
+   n_steps doubles.
 
    Returns the 0-based step at which |u| > ubound or |v| > vbound (a NaN
    state fails the same test), or -1 if all n_steps stayed bounded, and
@@ -35,17 +35,19 @@
      then outputs x = rotr64(hi ^ lo, state >> 122).
    - f_i = -beta + (beta - (-beta)) ((x >> 11) 2^-53), Generator.uniform's
      low + range * next_double.
-   The 128-bit arithmetic needs __int128; without it sdlab_keyed_stream is
-   0 and _kernels draws the stream with numpy and passes it as an array.
+   The 128-bit arithmetic, here and in the formatter, needs unsigned
+   __int128, which every 64-bit gcc target has; without it the build
+   fails and _kernels runs its Python loops.
 */
+#ifndef __SIZEOF_INT128__
+#error "_recur.c needs unsigned __int128"
+#endif
+
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
-
-#ifdef __SIZEOF_INT128__
-const int sdlab_keyed_stream = 1;
 
 typedef unsigned __int128 u128;
 
@@ -96,9 +98,6 @@ static uint64_t pcg64_next(u128 *state, u128 inc)
     unsigned r = (unsigned)(*state >> 122);
     return x >> r | x << (-r & 63);
 }
-#else
-const int sdlab_keyed_stream = 0;
-#endif
 
 enum { INPUT_CONST, INPUT_ARRAY, INPUT_KEYED };
 
@@ -114,14 +113,10 @@ recur(int mode, double lam1, double lam2, double gamma, int kind, double tau,
 {
     int trilevel = kind == 1;
     double u = 0.0, v = 0.0, vmax = 0.0;
-#ifdef __SIZEOF_INT128__
     double low = -beta, range = beta - low;
     u128 state = 0, inc = 0;
     if (mode == INPUT_KEYED)
         pcg64_seed(key, n_key, &state, &inc);
-#else
-    (void)key, (void)n_key;
-#endif
     for (long long i = 0; i < n_steps; i++) {
         double s = u + gamma * v;
         double q;
@@ -132,10 +127,8 @@ recur(int mode, double lam1, double lam2, double gamma, int kind, double tau,
         else
             q = -1.0;
         double x = mode == INPUT_ARRAY ? f[i] : beta;
-#ifdef __SIZEOF_INT128__
         if (mode == INPUT_KEYED)
             x = low + range * ((double)(pcg64_next(&state, inc) >> 11) * 0x1p-53);
-#endif
         double w = lam1 * u + (x - q);
         v = w + lam2 * v;
         u = w;
@@ -166,10 +159,8 @@ long long sdlab_recur(double lam1, double lam2, double gamma, int kind,
 #define RECUR(mode) recur(mode, lam1, lam2, gamma, kind, tau, f, beta, key, \
                           n_key, n_steps, ubound, vbound, q_out, u_out,   \
                           v_out, vmax_out)
-#ifdef __SIZEOF_INT128__
     if (key != NULL)
         return RECUR(INPUT_KEYED);
-#endif
     if (f != NULL)
         return RECUR(INPUT_ARRAY);
     return RECUR(INPUT_CONST);
@@ -188,8 +179,8 @@ long long sdlab_recur(double lam1, double lam2, double gamma, int kind,
    18-digit integer part is divided by 10 and rounded with the same
    remainder, so there is no second pass.  Digits print two at a time
    from a table.
-   snprintf is only the fallback: for zero, subnormals, infinities, the
-   rest of the range and no __int128.
+   snprintf is only the fallback: for zero, subnormals, infinities and the
+   rest of the range.
 
    The number writers copy fixed-size blocks that may run past their text,
    so a row needs ROW_MAX bytes of room (its text is at most 117).  Rows go
@@ -224,7 +215,6 @@ static char *put_int(char *p, long long n)
     return p + (tmp + 20 - t);
 }
 
-#ifdef __SIZEOF_INT128__
 static const u128 pow5[33] = {1, 5, 25, 125, 625, 3125, 15625, 78125, 390625,
     1953125, 9765625, 48828125, 244140625, 1220703125, 6103515625ULL,
     30517578125ULL, 152587890625ULL, 762939453125ULL, 3814697265625ULL,
@@ -312,7 +302,6 @@ static char *put_digits(char *p, uint64_t d, int X)
     memcpy(p, pairs + 2 * (X < 0 ? -X : X), 2);
     return p + 2;
 }
-#endif
 
 static char *put_num(char *p, double x)
 {
@@ -320,14 +309,12 @@ static char *put_num(char *p, double x)
         memcpy(p, "nan", 3);
         return p + 3;
     }
-#ifdef __SIZEOF_INT128__
     uint64_t d;
     int X;
     if (digits17(x, &d, &X)) {
         *p = '-';
         return put_digits(p + (x < 0), d, X);
     }
-#endif
     return p + snprintf(p, 32, "%.17g", x);
 }
 

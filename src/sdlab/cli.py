@@ -42,7 +42,7 @@ from .errors import (
     _check_array_len,
 )
 from .filters import design_filter
-from .invariance import check_reach, verify_invariance
+from .invariance import verify_invariance
 from .modulator import QuantizerKind, SchemeParams, run
 from .pipeline import error_curve, gen_signal, order_fit
 from .region import RegionSpec
@@ -117,8 +117,8 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--trilevel", action="store_true",
                    help="use the three-level quantizer with a zero band")
-    p.add_argument("--deadband", type=float, default=0.5,
-                   help="half-width of the trilevel zero band")
+    p.add_argument("--deadband", type=float, default=None,
+                   help="half-width of the trilevel zero band (default 0.5)")
     _add_seed_out(p)
     p.set_defaults(handler=cmd_simulate)
 
@@ -158,8 +158,8 @@ def build_parser() -> _Parser:
     p.add_argument("--components", type=int, default=8)
     p.add_argument("--rates", default="32,64,128,256",
                    help="comma-separated oversampling rates")
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
+    p.add_argument("--lambda1", type=float, default=None, help="default 1")
+    p.add_argument("--lambda2", type=float, default=None, help="default 1")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--chaotic", action="store_true",
                    help="couple the gains to the rate: lambda1 = lambda2 = 1 + 1/T")
@@ -188,8 +188,10 @@ def build_parser() -> _Parser:
 
 
 def cmd_simulate(args) -> int:
-    kind = QuantizerKind("trilevel", args.deadband) if args.trilevel \
-        else QuantizerKind()
+    if args.deadband is not None and not args.trilevel:
+        raise InvalidInputError("--deadband applies only with --trilevel")
+    band = 0.5 if args.deadband is None else args.deadband
+    kind = QuantizerKind("trilevel", band) if args.trilevel else QuantizerKind()
     params = SchemeParams(args.lambda1, args.lambda2, args.gamma, kind)
     if not (0.0 <= args.beta < 1.0):
         raise InvalidInputError(f"beta must lie in [0, 1), got {args.beta!r}")
@@ -241,17 +243,17 @@ def cmd_region(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        cert = _certificate(args)
+        cert, note = _certificate(args), None
     except InfeasibleError as e:
         cert = unchecked_certificate(args.alpha, args.lam, epsilon=args.epsilon,
                                      variant=_VARIANTS[args.variant])
-        check_reach(cert)
-        print(f"no certificate ({e.bound} bound fails): checking the "
-              "nominal region anyway", file=sys.stderr)
+        note = f"no certificate ({e.bound} bound fails)"
     report = verify_invariance(cert, n_points=args.points,
                                n_deltas=args.deltas,
                                seed=_resolve_seed(args.seed),
                                workers=args.workers, tol=args.tol)
+    if note:  # only once the check has run: it may refuse its arguments
+        print(f"{note}: checking the nominal region anyway", file=sys.stderr)
     write_json(_out(args), report.to_json_dict())
     print(f"checked {report.n_checked} transitions: "
           f"{len(report.violations)} violations", file=sys.stderr)
@@ -259,6 +261,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    gains = (args.lambda1, args.lambda2)
+    if args.chaotic and gains != (None, None):
+        raise InvalidInputError("--lambda1 and --lambda2 do not apply with "
+                                "--chaotic, which sets both gains to 1 + 1/T")
     try:
         rates = [float(s) for s in args.rates.split(",") if s.strip()]
     except ValueError:
@@ -272,7 +278,7 @@ def cmd_reconstruct(args) -> int:
         def params(T):
             return SchemeParams(1.0 + 1.0 / T, 1.0 + 1.0 / T, args.gamma)
     else:
-        params = SchemeParams(args.lambda1, args.lambda2, args.gamma)
+        params = SchemeParams(*(1.0 if g is None else g for g in gains), args.gamma)
     rows = error_curve(signal, params, rates, filt)
     write_csv(_out(args), ERROR_CURVE_FIELDS, rows)
     try:

@@ -49,6 +49,7 @@ from .errors import InvalidInputError, ResourceError, _check_array_len
 __all__ = ["FilterSpec", "design_filter", "taper_profiles"]
 
 _W_STAGES = (64.0, 256.0)   # tabulation caps, tried in order
+_DT = 1.0 / 64.0            # tabulation spacing of the kernel samples
 _W_MIN = 2.0                # never truncate inside the main lobe
 _OMEGA_DENSITY = 4096       # quadrature points per unit of omega
 _CHUNK = 1024               # t rows per phase matrix; fixed, see the note
@@ -195,7 +196,6 @@ def design_filter(
     T0: float = 2.0,
     trunc_tol: float = 1e-8,
     rolloff: str = "bump",
-    dt: float = 1.0 / 64.0,
 ) -> FilterSpec:
     """Design a kernel whose truncation tail stays below trunc_tol.
 
@@ -208,8 +208,6 @@ def design_filter(
         contribution to any sup reconstruction error since |q_n| <= 1.
     rolloff : str
         Taper profile name, see taper_profiles().
-    dt : float
-        Tabulation spacing of the kernel samples.
 
     Raises
     ------
@@ -224,8 +222,6 @@ def design_filter(
         raise InvalidInputError(f"T0 must be > 1, got {T0!r}")
     if not (trunc_tol > 0.0 and math.isfinite(trunc_tol)):
         raise InvalidInputError(f"trunc_tol must be positive, got {trunc_tol!r}")
-    if not (0.0 < dt <= 0.25):
-        raise InvalidInputError(f"dt must lie in (0, 0.25], got {dt!r}")
     try:
         phi = taper_profiles()[rolloff]
     except KeyError:
@@ -236,19 +232,19 @@ def design_filter(
     om, w0 = _quadrature(T0, phi)
     best = math.inf
     for w_cap in _W_STAGES:
-        n_t = int(round(w_cap / dt)) + 1
-        t = np.arange(n_t) * dt
+        n_t = int(round(w_cap / _DT)) + 1
+        t = np.arange(n_t) * _DT
         g, g2 = _cos_transforms(t, om, w0)
 
         # reverse cumulative trapezoid of |g|: tail(i) = int_{t_i}^{cap} |g|
         a = np.abs(g)
-        seg = 0.5 * dt * (a[:-1] + a[1:])
+        seg = 0.5 * _DT * (a[:-1] + a[1:])
         tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
-        two_units = max(int(round(2.0 / dt)), 1)
+        two_units = max(int(round(2.0 / _DT)), 1)
         beyond = 2.0 * float(np.max(a[-two_units:])) * w_cap
         total = 2.0 * tail + beyond
 
-        i_min = int(round(_W_MIN / dt))
+        i_min = int(round(_W_MIN / _DT))
         ok = np.nonzero(total[i_min:] <= trunc_tol)[0]
         best = min(best, float(np.min(total[i_min:])))
         if ok.size:
@@ -259,7 +255,7 @@ def design_filter(
             g1_l1 = 2.0 * _l1_by_sign_splits(t, g1, anti_of=g)
             g2_l1 = 2.0 * _l1_by_sign_splits(t, g2, anti_of=g1)
             return FilterSpec(
-                T0=float(T0), rolloff=rolloff, dt=float(dt), W=float(t[-1]),
+                T0=float(T0), rolloff=rolloff, dt=_DT, W=float(t[-1]),
                 trunc_tol=float(trunc_tol), tail_bound=float(total[i]),
                 g_l1=g_l1, g1_l1=g1_l1, g2_l1=g2_l1,
                 t_tab=t, g_tab=g, g1_tab=g1, g2_tab=g2,

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import mmap
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +212,8 @@ def verify_invariance(
         always included).
     seed : int
     workers : int or None
-        Thread count for block scheduling; the report is identical for
-        every value.
+        Thread count (>= 1) for block scheduling; None is 1, as threads
+        raise the peak memory.  The report is identical for every value.
     tol : float
         Absolute containment slack.
 
@@ -246,11 +245,8 @@ def verify_invariance(
         return _check_block(spec, cert.u1, cert.gamma, cert.lam, deltas, seed,
                             block, n_points, cuts, tol)
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(check, range(N_BLOCKS)))
-    else:
-        blocks = list(map(check, range(N_BLOCKS)))
+    blocks = _kernels.map_ordered(check, range(N_BLOCKS),
+                                  1 if workers is None else workers)
 
     # blocks cover ascending point ranges, so block order is sorted order
     violations = _violations(blocks, deltas, cert.gamma, cert.lam)

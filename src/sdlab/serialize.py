@@ -9,9 +9,9 @@ gives the text of any of them as one string.
 Trajectories are streamed in CHUNK_ROWS-row chunks by
 _kernels.format_lanes (the C row formatter or, without a compiler, its
 %-formatting reference).  With two or more cores, the C formatter formats
-a chunk's first half on a helper thread while the calling thread, which
-allocated both half buffers, formats the second; the halves are then
-written in order, to a path as bytes, to a file object as ASCII text.
+a chunk's two halves on two threads, into buffers the calling thread
+allocated; the halves are then written in order, to a path as bytes, to
+a file object as ASCII text.
 The bytes depend neither on the backend nor on the core count.
 """
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError, _check_array_len
+from .region import b1_eval, b2_eval
 
 __all__ = [
     "fmt_float",
@@ -193,8 +194,6 @@ def write_trajectory_csv(dest, traj) -> None:
 
 def write_region_csv(dest, spec, n_points: int = 513) -> None:
     """Tabulate the bounding curves B1 (upper) and B2 (lower) on [-u0, u0]."""
-    from .region import b1_eval, b2_eval  # local import avoids a cycle
-
     if n_points < 2:
         raise InvalidInputError("n_points must be at least 2")
     u = np.linspace(-spec.u0, spec.u0, _check_array_len(n_points, "points"))

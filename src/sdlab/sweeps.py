@@ -17,8 +17,6 @@ GIL, so row threads run in parallel; the Python fallback takes turns.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,12 +171,8 @@ def measure_vmax(lam: float, gamma: float, beta: float, cfg: SweepConfig,
 
 def _map_rows(cfg: SweepConfig, fn):
     """Apply fn(row_index, lam) across the grid, threaded, order-preserving."""
-    items = list(enumerate(cfg.lambda_grid))
-    workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(i, lam) for i, lam in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(lambda t: fn(*t), items))
+    return _kernels.map_ordered(lambda t: fn(*t), enumerate(cfg.lambda_grid),
+                                cfg.workers)
 
 
 def run_fig1(cfg: SweepConfig):

@@ -114,16 +114,27 @@ def test_certificate_variant_and_epsilon_paths(capsys):
     assert doc["epsilon"] == 0.2
 
 
+_CERT = ("--alpha", "0.5", "--lambda", "1.02")
+
+
 @pytest.mark.parametrize("argv,flag", [
     # --gamma picks a point of the general certificate's gamma range
-    (["certificate", "--gamma", "0.3"], "--gamma"),
+    (["certificate", "--gamma", "0.3", *_CERT], "--gamma"),
     # the general certificate is remark-derived; eq5 shapes only thm1
-    (["certificate", "--epsilon", "0.2", "--variant", "eq5"], "--variant"),
-    (["verify", "--epsilon", "0.2", "--variant", "eq5", "--points", "10"],
+    (["certificate", "--epsilon", "0.2", "--variant", "eq5", *_CERT], "--variant"),
+    (["verify", "--epsilon", "0.2", "--variant", "eq5", "--points", "10", *_CERT],
      "--variant"),
+    # the dead band belongs to the three-level quantizer only
+    (["simulate", "--beta", "0.3", "--steps", "5", "--deadband", "0.9"],
+     "--deadband"),
+    # --chaotic sets both gains to 1 + 1/T
+    (["reconstruct", "--beta", "0.5", "--rates", "32", "--chaotic",
+      "--lambda1", "1.5"], "--lambda1"),
+    (["reconstruct", "--beta", "0.5", "--rates", "32", "--chaotic",
+      "--lambda2", "1.0"], "--lambda2"),
 ])
 def test_flags_that_would_be_ignored_are_invalid_input(argv, flag, capsys):
-    rc = main([*argv, "--alpha", "0.5", "--lambda", "1.02"])
+    rc = main(argv)
     cap = capsys.readouterr()
     assert rc == 1
     assert cap.err.startswith("invalid input:") and flag in cap.err
@@ -162,6 +173,43 @@ def test_verify_feasible_configuration_passes(tmp_path, capsys):
     doc = json.loads(dest.read_text())
     assert doc["ok"] is True
     assert doc["n_checked"] == 300 * 9
+
+
+_NO_CERT = ("verify", "--alpha", "0.5", "--lambda", "2.0")
+
+
+@pytest.mark.parametrize("extra", [("--points", "0"), ("--deltas", "1"),
+                                   ("--tol", "nan"), ("--workers", "0")])
+def test_verify_refusals_come_before_the_nominal_region_note(extra, capsys):
+    # lambda = 2 has no certificate; the note that the nominal region is
+    # checked anyway must not precede a refusal of the check's arguments
+    rc = main([*_NO_CERT, *extra])
+    cap = capsys.readouterr()
+    assert rc == 1
+    assert cap.err.startswith("invalid input:")
+    assert "checking" not in cap.err and cap.out == ""
+
+
+def test_verify_without_a_certificate_still_notes_the_nominal_check(capsys):
+    rc = main([*_NO_CERT, "--points", "50"])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.err.splitlines()[0] == ("no certificate (lambda2 bound fails): "
+                                       "checking the nominal region anyway")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "fig1", "--workers", "-3"],
+    ["sweep", "fig2", "--workers", "0"],
+    ["verify", "--alpha", "0.5", "--lambda", "1.02", "--points", "50",
+     "--workers", "0"],
+])
+def test_a_worker_count_below_one_is_invalid_input(argv, capsys):
+    rc = main(argv)
+    cap = capsys.readouterr()
+    assert rc == 1
+    assert cap.err.startswith("invalid input:") and "workers" in cap.err
+    assert cap.out == ""
 
 
 def test_verify_inadmissible_gain_is_falsified(capsys):

@@ -131,6 +131,9 @@ def test_sample_count_contracts():
         verify_invariance(cert, n_deltas=1)
     with pytest.raises(InvalidInputError):
         verify_invariance(cert, tol=-1e-9)
+    for workers in (0, -1, True, 1.5):
+        with pytest.raises(InvalidInputError, match="workers"):
+            verify_invariance(cert, workers=workers)
 
 
 @pytest.mark.parametrize("cert, is_max_excess", [

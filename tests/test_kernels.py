@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from sdlab import _kernels
 from sdlab.cli import main
+from sdlab.errors import InvalidInputError
 from sdlab.sweeps import SweepConfig, run_fig2, run_fig4
 
 HAVE_GCC = shutil.which(_kernels._CC[0]) is not None
@@ -362,34 +364,6 @@ def test_c_excess_refuses_arrays_it_could_overrun(c_loops):
     assert c_excess(us, vs, deltas, 0.5, 1.01, spec).shape == (4, 3)
 
 
-def test_a_build_without_int128_writes_and_probes_the_same(c_loops, tmp_path):
-    # without __int128 the formatter prints every double with snprintf and
-    # the keyed stream is drawn by numpy; both must give the same results
-    import ctypes
-
-    lib = tmp_path / "_recur-no-int128.so"
-    subprocess.run([*_kernels._CC, *_kernels._CFLAGS, "-U__SIZEOF_INT128__",
-                    "-o", str(lib), _kernels._SRC, "-lm"],
-                   check=True, capture_output=True)
-    assert ctypes.c_int.in_dll(ctypes.CDLL(str(lib)), "sdlab_keyed_stream").value == 0
-    fallback = _kernels._load_c(str(lib))
-
-    x = _sweep_doubles()[::50]
-    x = x[: x.size - x.size % 3]
-    f, u, v = (np.ascontiguousarray(x[i::3]) for i in range(3))
-    q = np.arange(f.size, dtype=np.int64) - f.size // 2
-    assert (bytes(fallback.format_lanes(7, f, q, u, v, 1)[0])
-            == bytes(c_loops.format_lanes(7, f, q, u, v, 1)[0]))
-
-    for key, beta, n in [((0,), 0.999, 2500), ((2**64 + 5, 1, 2**32), 0.5, 2500),
-                         ((1, 2, 3, 4, 5, 6), 0.0, 1), ((9,), 0.99, 0)]:
-        stream = _kernels.KeyedUniform(key, beta, n)
-        for scheme in [(1.05, 1.0, 0.7, _kernels.KIND_SIGN, 0.5),
-                       (1.2, 1.0, 1.0, _kernels.KIND_TRILEVEL, 0.4)]:
-            args = (*scheme, stream, 0.0, n, _kernels.HARD_BOUND, 50.0, None, None, None)
-            assert fallback.recur(*args) == c_loops.recur(*args) == _kernels._recur(*args)
-
-
 def _tables():
     grid = np.array([1.0, 1.04, 1.1])
     return {
@@ -426,6 +400,47 @@ def test_failed_build_falls_back_to_python(monkeypatch):
     assert calls() == expected
     assert _kernels.BACKEND == "python"
     assert _kernels._loop() is _kernels._recur
+
+
+@needs_gcc
+def test_a_compiler_without_int128_falls_back_to_python(monkeypatch, tmp_path):
+    # _recur.c refuses to build without unsigned __int128; the failed build
+    # leaves no library behind and the Python loops run, as with no compiler
+    src = tmp_path / "_recur.c"
+    shutil.copy(_kernels._SRC, src)
+    monkeypatch.setattr(_kernels, "_SRC", str(src))
+    monkeypatch.setattr(_kernels, "_CFLAGS", [*_kernels._CFLAGS, "-U__SIZEOF_INT128__"])
+    with pytest.raises(subprocess.CalledProcessError) as exc:
+        _kernels._library_path()
+    assert b"needs unsigned __int128" in exc.value.stderr
+    assert list((tmp_path / "__pycache__").iterdir()) == []
+    monkeypatch.setattr(_kernels, "_chosen", None)
+    assert _kernels._choose() is _kernels._PYTHON
+    assert _kernels.BACKEND == "python"
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 4, 64])
+def test_map_ordered_keeps_item_order(workers):
+    threads = set()
+
+    def square(x):
+        threads.add(threading.get_ident())
+        time.sleep(0.002 * (x % 4 == 0))  # so later items finish first
+        return x * x
+
+    assert _kernels.map_ordered(square, range(24), workers) == [x * x for x in range(24)]
+    if workers == 1:
+        assert threads == {threading.get_ident()}
+    assert len(threads) <= (workers or os.cpu_count() or 1)
+    assert _kernels.map_ordered(square, [], workers) == []
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, False, 2.0, "2"])
+def test_map_ordered_refuses_a_worker_count_that_is_not_a_positive_int(workers):
+    calls = []
+    with pytest.raises(InvalidInputError, match="workers must be a positive integer"):
+        _kernels.map_ordered(calls.append, [1, 2], workers)
+    assert calls == []
 
 
 @needs_gcc

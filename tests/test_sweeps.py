@@ -219,6 +219,15 @@ def test_sweep_rows_do_not_depend_on_worker_count():
     assert a == b
 
 
+@pytest.mark.parametrize("workers", [0, -3, True, 2.5])
+def test_a_worker_count_that_is_not_a_positive_int_is_refused(workers, monkeypatch):
+    # refused before any row runs
+    monkeypatch.setattr(sweeps, "_certified", None)
+    for run_fig in (run_fig1, run_fig2, run_fig4):
+        with pytest.raises(InvalidInputError, match="workers"):
+            run_fig(SweepConfig(workers=workers))
+
+
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         SweepConfig(lambda_grid=np.array([]))
