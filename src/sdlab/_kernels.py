@@ -29,9 +29,9 @@ against.  Contraction stays off: IEEE evaluation order is part of the
 contract (bit-identical outputs across runs and backends, exact state
 identities up to one rounding).
 
-Quantizer encoding: kind 0 is the two-level sign quantizer (ties at 0 go
-to +1), kind 1 is the three-level quantizer with dead band |x| < tau
-mapping to 0.
+The quantizer is its dead band tau >= 0: |x| < tau maps to 0, the rest
+to +1 (ties at 0 too) or -1, so tau = 0 is the two-level sign quantizer.
+Recorded q is int64, u and v float64.
 """
 
 from __future__ import annotations
@@ -54,10 +54,8 @@ from .region import b1_eval, b2_eval, step_region
 # False, since the backends are C and Python
 HAVE_NUMBA = False
 
-KIND_SIGN = 0
-KIND_TRILEVEL = 1
-
-# run() guard: state magnitudes beyond this count as divergence
+# run_fill's bound on |u| and |v|, the probes' on |u|: beyond it a state
+# counts as divergence
 HARD_BOUND = 1.0e12
 
 
@@ -83,22 +81,22 @@ class KeyedUniform:
             -self.beta, self.beta, self.n)
 
 
-def _recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound, vbound,
+def _recur(lam1, lam2, gamma, tau, f, beta, n_steps, ubound, vbound,
            q_out, u_out, v_out):
     """The two-gain recursion from u = v = 0, behind all three entry points.
 
     The input is f[i] (a KeyedUniform is drawn first), or the constant
-    beta when f is None.  q, u, v are written per step unless q_out is
-    None.  Returns (diverged_at, vmax): diverged_at is the 0-based step at
-    which |u| > ubound or |v| > vbound (a non-finite state fails the same
-    test), -1 if all n_steps stayed bounded; vmax is the largest |v| seen
-    up to and including that step.
+    beta when f is None.  q (int64), u, v are written per step unless
+    q_out is None.  Returns (diverged_at, vmax): diverged_at is the
+    0-based step at which |u| > ubound or |v| > vbound (a non-finite state
+    fails the same test), -1 if all n_steps stayed bounded; vmax is the
+    largest |v| seen up to and including that step.
     The arithmetic runs on Python floats, as C runs on doubles: same bits,
     no numpy overflow warnings, and a float vmax.
     """
     lam1, lam2, gamma, tau, beta = map(float, (lam1, lam2, gamma, tau, beta))
     ubound, vbound = float(ubound), float(vbound)
-    trilevel = kind == KIND_TRILEVEL
+    trilevel = tau > 0.0  # tau 0 has an empty band: skip its test
     if isinstance(f, KeyedUniform):
         f = f.draw()
     const = f is None
@@ -109,11 +107,11 @@ def _recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound, vbound,
     for i in range(n_steps):
         s = u + gamma * v
         if trilevel and (-tau < s < tau):
-            q = 0.0
+            q = 0
         elif s >= 0.0:
-            q = 1.0
+            q = 1
         else:
-            q = -1.0
+            q = -1
         w = lam1 * u + ((beta if const else f.item(i)) - q)
         v = w + lam2 * v
         u = w
@@ -234,12 +232,12 @@ def _load_c():
     lib = ctypes.CDLL(_library_path())
     fn = lib.sdlab_recur
     d, p, ll = ctypes.c_double, ctypes.c_void_p, ctypes.c_longlong
-    fn.argtypes = [d, d, d, ctypes.c_int, d, p, d, p, ll, ll, d, d,
-                   p, p, p, ctypes.POINTER(d)]
+    fn.argtypes = [d, d, d, d, p, d, p, ll, ll, d, d, p, p, p,
+                   ctypes.POINTER(d)]
     fn.restype = ll
 
-    def c_recur(lam1, lam2, gamma, kind, tau, f, beta, n_steps, ubound,
-                vbound, q_out, u_out, v_out):
+    def c_recur(lam1, lam2, gamma, tau, f, beta, n_steps, ubound, vbound,
+                q_out, u_out, v_out):
         key, n_key, fp = None, 0, None
         if isinstance(f, KeyedUniform):
             # SeedSequence's uint32 words: each int little-endian, 0 as one
@@ -249,12 +247,13 @@ def _load_c():
         elif f is not None:
             fp = _address(f, n_steps, False)
         if q_out is not None:
-            qp, up, vp = (_address(a, n_steps, True) for a in (q_out, u_out, v_out))
+            qp = _address(q_out, n_steps, True, np.int64)
+            up, vp = (_address(a, n_steps, True) for a in (u_out, v_out))
         else:
             qp = up = vp = None
         vmax = d()
-        at = fn(lam1, lam2, gamma, kind, tau, fp, beta, key, n_key, n_steps,
-                ubound, vbound, qp, up, vp, ctypes.byref(vmax))
+        at = fn(lam1, lam2, gamma, tau, fp, beta, key, n_key, n_steps, ubound,
+                vbound, qp, up, vp, ctypes.byref(vmax))
         return at, vmax.value
 
     fmt = lib.sdlab_format_rows
@@ -345,29 +344,29 @@ def map_ordered(fn, items, workers):
         return list(pool.map(fn, items))
 
 
-def run_fill(lam1, lam2, gamma, kind, tau, f, q_out, u_out, v_out, bound):
+def run_fill(lam1, lam2, gamma, tau, f, q_out, u_out, v_out):
     """Fold the recursion over f, recording every step into q/u/v_out.
 
     Returns -1 on completion, or the 0-based step at which |u| or |v|
-    left [0, bound].
+    left [0, HARD_BOUND].
     """
-    return _loop()(lam1, lam2, gamma, kind, tau, f, 0.0, f.shape[0],
-                   bound, bound, q_out, u_out, v_out)[0]
+    return _loop()(lam1, lam2, gamma, tau, f, 0.0, f.shape[0],
+                   HARD_BOUND, HARD_BOUND, q_out, u_out, v_out)[0]
 
 
-def probe_const(lam1, lam2, gamma, kind, tau, beta, n_steps, bound):
+def probe_const(lam1, lam2, gamma, tau, beta, n_steps, bound):
     """Run n_steps with constant input f = beta, storing nothing.
 
     Returns (diverged_at, vmax) with |v| checked against bound and |u|
     against HARD_BOUND.
     """
-    return _loop()(lam1, lam2, gamma, kind, tau, None, beta, n_steps,
+    return _loop()(lam1, lam2, gamma, tau, None, beta, n_steps,
                    HARD_BOUND, bound, None, None, None)
 
 
-def probe_input(lam1, lam2, gamma, kind, tau, f, bound):
+def probe_input(lam1, lam2, gamma, tau, f, bound):
     """Same as probe_const but driven by f, an array or a KeyedUniform."""
-    return _loop()(lam1, lam2, gamma, kind, tau, f, 0.0, len(f),
+    return _loop()(lam1, lam2, gamma, tau, f, 0.0, len(f),
                    HARD_BOUND, bound, None, None, None)
 
 

@@ -4,11 +4,11 @@
 
    sdlab_recur is a line-for-line port: the same operations in the same
    order, so with -ffp-contract=off (no fused multiply-add) every state is
-   bit-identical to the Python reference.  The input has three modes:
-   key != NULL is the keyed uniform stream below, else f != NULL is the
-   array f, else the constant beta.  q_out == NULL means "do not record".
-   The caller guarantees that f and the three output arrays hold at least
-   n_steps doubles.
+   bit-identical to the Python reference.  The quantizer is q = 0 on
+   -tau < s < tau, else 1 if s >= 0, else -1, so tau = 0 gives two levels.
+   The input is the keyed stream below if key != NULL, else the array f if
+   f != NULL, else beta.  Unless q_out is NULL, steps go into the long long
+   q_out and the doubles u_out, v_out; f and these hold n_steps values.
 
    Returns the 0-based step at which |u| > ubound or |v| > vbound (a NaN
    state fails the same test), or -1 if all n_steps stayed bounded, and
@@ -106,12 +106,12 @@ enum { INPUT_CONST, INPUT_ARRAY, INPUT_KEYED };
    without testing the mode on every step; gcc then schedules the constant
    mode's loop about twice as fast as one loop that tests the mode. */
 static inline __attribute__((always_inline)) long long
-recur(int mode, double lam1, double lam2, double gamma, int kind, double tau,
+recur(int mode, double lam1, double lam2, double gamma, double tau,
       const double *f, double beta, const uint32_t *key, long long n_key,
-      long long n_steps, double ubound, double vbound, double *q_out,
+      long long n_steps, double ubound, double vbound, long long *q_out,
       double *u_out, double *v_out, double *vmax_out)
 {
-    int trilevel = kind == 1;
+    int trilevel = tau > 0.0;   /* loop-invariant: no band test at tau 0 */
     double u = 0.0, v = 0.0, vmax = 0.0;
     double low = -beta, range = beta - low;
     u128 state = 0, inc = 0;
@@ -133,7 +133,7 @@ recur(int mode, double lam1, double lam2, double gamma, int kind, double tau,
         v = w + lam2 * v;
         u = w;
         if (q_out != NULL) {
-            q_out[i] = q;
+            q_out[i] = (long long)q;
             u_out[i] = u;
             v_out[i] = v;
         }
@@ -149,16 +149,15 @@ recur(int mode, double lam1, double lam2, double gamma, int kind, double tau,
     return -1;
 }
 
-long long sdlab_recur(double lam1, double lam2, double gamma, int kind,
-                      double tau, const double *f, double beta,
-                      const uint32_t *key, long long n_key,
-                      long long n_steps, double ubound, double vbound,
-                      double *q_out, double *u_out, double *v_out,
-                      double *vmax_out)
+long long sdlab_recur(double lam1, double lam2, double gamma, double tau,
+                      const double *f, double beta, const uint32_t *key,
+                      long long n_key, long long n_steps, double ubound,
+                      double vbound, long long *q_out, double *u_out,
+                      double *v_out, double *vmax_out)
 {
-#define RECUR(mode) recur(mode, lam1, lam2, gamma, kind, tau, f, beta, key, \
-                          n_key, n_steps, ubound, vbound, q_out, u_out,   \
-                          v_out, vmax_out)
+#define RECUR(mode) recur(mode, lam1, lam2, gamma, tau, f, beta, key, n_key, \
+                          n_steps, ubound, vbound, q_out, u_out, v_out,     \
+                          vmax_out)
     if (key != NULL)
         return RECUR(INPUT_KEYED);
     if (f != NULL)

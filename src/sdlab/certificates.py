@@ -143,19 +143,13 @@ def _validate_alpha_lambda(alpha, lam):
             _real(lam, lambda x: x >= 1.0, "lambda must be >= 1"))
 
 
-def _canonical(alpha: float):
-    """The smallest region R(alpha, 2dH/dL) and the fixed gamma = dL/dH.
-
-    The region's v_extent, C + dL/8, is the certified bound on |v|.
-    """
-    dL, dH = 1.0 - alpha, 1.0 + alpha
-    return RegionSpec(alpha, 2.0 * dH / dL), dL / dH
-
-
 def _canonical_certificate(alpha: float, lam: float, epsilon: float, beta: float,
                            variant: str) -> StabilityCertificate:
-    """Certificate on the canonical region C = 2dH/dL with gamma = dL/dH."""
-    spec, gamma = _canonical(alpha)
+    """Certificate on the smallest region R(alpha, C = 2dH/dL) with the
+    fixed gamma = dL/dH; the region's v_extent, C + dL/8, is the certified
+    bound on |v|."""
+    dL, dH = 1.0 - alpha, 1.0 + alpha
+    spec, gamma = RegionSpec(alpha, 2.0 * dH / dL), dL / dH
     return StabilityCertificate(
         alpha=alpha, lam=lam, epsilon=epsilon, C=spec.C,
         gamma=gamma, gamma_lo=gamma, gamma_hi=gamma,

@@ -197,19 +197,18 @@ def cmd_simulate(args) -> int:
         raise InvalidInputError(f"beta must lie in [0, 1), got {args.beta!r}")
     if args.steps < 1:
         raise InvalidInputError("steps must be positive")
+    seed = _resolve_seed(args.seed)  # validated even where unused
     if args.input == "constant":
         source = args.beta
     else:
-        rng = np.random.default_rng(_resolve_seed(args.seed))
-        source = rng.uniform(-args.beta, args.beta,
-                             _check_array_len(args.steps, "steps"))
+        source = np.random.default_rng(seed).uniform(
+            -args.beta, args.beta, _check_array_len(args.steps, "steps"))
     try:
         traj = run(params, source, args.steps)
-    except DivergenceError as e:
+    except DivergenceError as e:  # main reports it and exits 4
         if e.trajectory is not None:
             write_trajectory_csv(_out(args), e.trajectory)
-        print(f"divergence at step {e.step}: {e}", file=sys.stderr)
-        return 4
+        raise
     write_trajectory_csv(_out(args), traj)
     return 0
 

@@ -59,8 +59,9 @@ class QuantizerKind:
             raise InvalidInputError("trilevel deadband must be finite and >= 0")
 
     @property
-    def kind_code(self) -> int:
-        return _kernels.KIND_TRILEVEL if self.tag == "trilevel" else _kernels.KIND_SIGN
+    def tau(self) -> float:
+        """The kernel's dead band: deadband for trilevel, 0.0 for sign."""
+        return self.deadband if self.tag == "trilevel" else 0.0
 
 
 @dataclass(frozen=True)
@@ -154,23 +155,17 @@ def run(params: SchemeParams, input, n_steps: int) -> Trajectory:
     _check_array_len(n_steps, "steps")
     try:
         f = _as_input_array(input, n_steps)
-        q = np.empty(n_steps)
+        q = np.empty(n_steps, dtype=np.int64)
         u = np.empty(n_steps)
         v = np.empty(n_steps)
     except MemoryError:
         raise ResourceError(f"cannot allocate the history of {n_steps} steps") from None
     if f.size and not np.all(np.isfinite(f)):
         raise InvalidInputError("input values must be finite")
-    kq = params.quantizer
-    bad = _kernels.run_fill(
-        params.lambda1, params.lambda2, params.gamma,
-        kq.kind_code, kq.deadband, f, q, u, v, _kernels.HARD_BOUND,
-    )
+    bad = _kernels.run_fill(params.lambda1, params.lambda2, params.gamma,
+                            params.quantizer.tau, f, q, u, v)
     if bad >= 0:
-        part = Trajectory(
-            params=params, f=f[: bad + 1].copy(), q=q[: bad + 1].astype(np.int64),
-            u=u[: bad + 1].copy(), v=v[: bad + 1].copy(),
-        )
+        part = Trajectory(params, *(a[: bad + 1].copy() for a in (f, q, u, v)))
         iu, iv = (u[bad], v[bad])
         if not (math.isfinite(iu) and math.isfinite(iv)):
             iu, iv = (u[bad - 1], v[bad - 1]) if bad > 0 else (0.0, 0.0)
@@ -178,7 +173,7 @@ def run(params: SchemeParams, input, n_steps: int) -> Trajectory:
             f"state diverged at step {bad + 1}",
             step=bad + 1, u=iu, v=iv, trajectory=part,
         )
-    return Trajectory(params=params, f=f, q=q.astype(np.int64), u=u, v=v)
+    return Trajectory(params=params, f=f, q=q, u=u, v=v)
 
 
 def residual_identity(traj: Trajectory) -> float:

@@ -88,7 +88,7 @@ def _probe(lam, gamma, beta, cfg, row_index, probe_index):
         raise InvalidInputError(f"beta must lie in [0, 1), got {beta!r}")
     if not (lam >= 1.0 and gamma > 0.0):  # NaN too
         raise InvalidInputError("need lam >= 1 and gamma > 0")
-    scheme = (lam, 1.0, gamma, _kernels.KIND_SIGN, 0.5)
+    scheme = (lam, 1.0, gamma, 0.0)  # tau 0: the sign quantizer
     if cfg.input_mode == "constant":
         return _kernels.probe_const(*scheme, beta, cfg.max_iters,
                                     cfg.divergence_bound)

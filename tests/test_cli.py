@@ -90,6 +90,21 @@ def test_negative_seed_is_invalid_input(monkeypatch, capsys):
     assert err.startswith("invalid input:") and "SD_LAB_SEED" in err
 
 
+def test_constant_input_simulate_still_validates_the_seed(monkeypatch, capsys):
+    # the constant input draws nothing, but a bad seed is refused as in
+    # every other subcommand
+    base = ["simulate", "--beta", "0.3", "--steps", "3"]
+    assert main(base + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("invalid input:")
+    monkeypatch.setenv("SD_LAB_SEED", "bogus")
+    assert main(base) == 1
+    assert capsys.readouterr().err.startswith("invalid input:")
+    assert main(base + ["--seed", "3"]) == 0  # accepted, and unused
+    monkeypatch.delenv("SD_LAB_SEED")
+    out = capsys.readouterr().out
+    assert main(base) == 0 and capsys.readouterr().out == out
+
+
 def test_certificate_json_golden(capsys):
     rc = main(["certificate", "--alpha", "0.5", "--lambda", "1.0"])
     cap = capsys.readouterr()

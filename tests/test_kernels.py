@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -33,14 +34,13 @@ needs_gcc = pytest.mark.skipif(not HAVE_GCC, reason="no C compiler on PATH")
 
 N_MAX = 400
 
-# lam1, lam2, gamma, kind, tau; gains up to 1.3 with |beta| up to 1.2
-# make many runs diverge within N_MAX steps
+# lam1, lam2, gamma, tau (0 is the sign quantizer); gains up to 1.3 with
+# |beta| up to 1.2 make many runs diverge within N_MAX steps
 schemes = st.tuples(
     st.floats(1.0, 1.3),
     st.floats(1.0, 1.3),
     st.floats(0.05, 2.0),
-    st.sampled_from([_kernels.KIND_SIGN, _kernels.KIND_TRILEVEL]),
-    st.floats(0.05, 0.9),
+    st.one_of(st.just(0.0), st.floats(0.05, 0.9)),
 )
 betas = st.floats(-1.2, 1.2)
 bounds = st.floats(10.5, 1e4)
@@ -62,8 +62,8 @@ def test_probe_matches_the_recorded_run(scheme, beta, n, bound, seed):
         f = np.full(n, beta)
     else:
         f = np.random.default_rng(seed).uniform(-abs(beta), abs(beta), n)
-    q, u, v = np.empty(n), np.empty(n), np.empty(n)
-    bad = _kernels.run_fill(*scheme, f, q, u, v, _kernels.HARD_BOUND)
+    q, u, v = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    bad = _kernels.run_fill(*scheme, f, q, u, v)
     recorded = np.abs(v[: bad + 1 if bad >= 0 else n])
 
     diverged_at, vmax = _kernels.probe_input(*scheme, f, bound)
@@ -107,12 +107,14 @@ def test_keyed_stream_refuses_what_numpy_refuses():
 
 
 def test_run_fill_stops_at_its_own_bound():
-    f = np.full(50, 0.99)
-    q, u, v = np.empty(50), np.empty(50), np.empty(50)
-    bad = _kernels.run_fill(1.3, 1.3, 1.0, _kernels.KIND_SIGN, 0.5, f, q, u, v, 20.0)
-    assert 0 <= bad < 50
-    assert not (abs(u[bad]) <= 20.0 and abs(v[bad]) <= 20.0)
-    assert np.all(np.abs(u[:bad]) <= 20.0) and np.all(np.abs(v[:bad]) <= 20.0)
+    # gains 1.3 grow the state past HARD_BOUND (1e12) in about 100 steps
+    bound, n = _kernels.HARD_BOUND, 400
+    f = np.full(n, 0.99)
+    q, u, v = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    bad = _kernels.run_fill(1.3, 1.3, 1.0, 0.0, f, q, u, v)
+    assert 0 <= bad < n
+    assert not (abs(u[bad]) <= bound and abs(v[bad]) <= bound)
+    assert np.all(np.abs(u[:bad]) <= bound) and np.all(np.abs(v[:bad]) <= bound)
 
 
 @needs_gcc
@@ -161,7 +163,8 @@ def test_c_loop_matches_the_python_reference(c_recur, scheme, beta, n, ubound,
             f[k] = bad
     outs = {}
     for name, loop in (("py", _kernels._recur), ("c", c_recur)):
-        qv = [np.full(n, 7.0) for _ in range(3)] if record else [None] * 3
+        qv = ([np.full(n, 7, dtype=np.int64), np.full(n, 7.0), np.full(n, 7.0)]
+              if record else [None] * 3)
         with np.errstate(invalid="ignore"):
             result = loop(*scheme, f, beta, n, ubound, vbound, *qv)
         outs[name] = result, [a.tobytes() for a in qv if a is not None]
@@ -178,7 +181,7 @@ def test_c_loop_stops_on_a_non_finite_state(c_recur):
     none = [None] * 3
     for loop in (_kernels._recur, c_recur):
         with np.errstate(invalid="ignore"):
-            assert loop(1.0, 1.0, 1.0, _kernels.KIND_SIGN, 0.5, f, 0.0, 4,
+            assert loop(1.0, 1.0, 1.0, 0.0, f, 0.0, 4,
                         np.inf, np.inf, *none) == (1, np.inf)
 
 
@@ -187,16 +190,15 @@ def test_c_loop_keeps_the_dead_band_open(c_recur, beta, q1):
     # with gamma 1, step 1 sees s = 2*beta exactly, i.e. s = -tau or +tau,
     # which lies outside the open dead band (-tau, tau)
     for loop in (_kernels._recur, c_recur):
-        q, u, v = np.empty(2), np.empty(2), np.empty(2)
-        loop(1.0, 1.0, 1.0, _kernels.KIND_TRILEVEL, 0.5, None, beta,
-             2, 1e3, 1e3, q, u, v)
-        assert q.tolist() == [0.0, q1]
+        q, u, v = np.empty(2, dtype=np.int64), np.empty(2), np.empty(2)
+        loop(1.0, 1.0, 1.0, 0.5, None, beta, 2, 1e3, 1e3, q, u, v)
+        assert q.tolist() == [0, q1]
 
 
 def test_c_loop_refuses_arrays_it_could_overrun(c_recur):
-    scheme = (1.01, 1.0, 0.8, _kernels.KIND_SIGN, 0.5)
+    scheme = (1.01, 1.0, 0.8, 0.0)
     n = 10
-    out = [np.empty(n) for _ in range(3)]
+    out = [np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)]
 
     def call(f, q, u, v, n_steps=n):
         return c_recur(*scheme, f, 0.0, n_steps, 1e3, 1e3, q, u, v)
@@ -209,12 +211,15 @@ def test_c_loop_refuses_arrays_it_could_overrun(c_recur):
         call(np.zeros(n, dtype=np.float32), *[None] * 3)
     with pytest.raises(TypeError):
         call(np.zeros(2 * n)[::2], *[None] * 3)
+    with pytest.raises(TypeError):  # q is recorded as int64
+        call(np.zeros(n), np.empty(n), out[1], out[2])
     read_only = np.empty(n)
     read_only.flags.writeable = False
     with pytest.raises(ValueError):
         call(np.zeros(n), out[0], read_only, out[2])
     assert call(np.zeros(n), *out) == _kernels._recur(
-        *scheme, np.zeros(n), 0.0, n, 1e3, 1e3, *[np.empty(n) for _ in range(3)])
+        *scheme, np.zeros(n), 0.0, n, 1e3, 1e3,
+        np.empty(n, dtype=np.int64), np.empty(n), np.empty(n))
 
 
 # doubles whose %.17g text takes every form: subnormals, signed zeros and
@@ -384,12 +389,12 @@ def test_tables_do_not_depend_on_backend_or_workers(monkeypatch):
 
 
 def test_failed_build_falls_back_to_python(monkeypatch):
-    scheme = (1.05, 1.0, 0.7, _kernels.KIND_TRILEVEL, 0.4)
+    scheme = (1.05, 1.0, 0.7, 0.4)
     f = np.random.default_rng(3).uniform(-0.6, 0.6, 300)
 
     def calls():
-        q, u, v = np.empty(300), np.empty(300), np.empty(300)
-        bad = _kernels.run_fill(*scheme, f, q, u, v, 50.0)
+        q, u, v = np.empty(300, dtype=np.int64), np.empty(300), np.empty(300)
+        bad = _kernels.run_fill(*scheme, f, q, u, v)
         return (bad, q.tobytes(), u.tobytes(), v.tobytes(),
                 _kernels.probe_const(*scheme, 0.6, 300, 50.0),
                 _kernels.probe_input(*scheme, f, 50.0))
@@ -459,7 +464,7 @@ def test_concurrent_first_use_builds_the_library_once(monkeypatch, tmp_path):
         return real_run(cmd, *args, **kwargs)
 
     monkeypatch.setattr(subprocess, "run", counting_run)
-    scheme = (1.02, 1.0, 0.9, _kernels.KIND_SIGN, 0.5)
+    scheme = (1.02, 1.0, 0.9, 0.0)
     expected = _kernels._recur(*scheme, None, 0.4, 2000,
                                _kernels.HARD_BOUND, 1e3, *[None] * 3)
     results = []
@@ -508,6 +513,80 @@ def test_a_new_build_removes_the_older_libraries(monkeypatch, tmp_path):
     assert left == [os.path.basename(paths[1])]
 
 
+@needs_gcc
+def test_an_unwritable_package_builds_into_a_private_per_user_directory(
+        monkeypatch, tmp_path):
+    # the package's __pycache__ is not writable, so both versions of the
+    # source build into gettempdir()/sdlab-<uid>, made private; other
+    # installs share that directory, so the older library stays
+    with open(_kernels._SRC) as fh:
+        source = fh.read()
+    src = tmp_path / "pkg" / "_recur.c"
+    src.parent.mkdir()
+    (tmp_path / "tmp").mkdir()
+    pkg_cache = str(tmp_path / "pkg" / "__pycache__")
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kw:
+                        path != pkg_cache and real_access(path, mode, **kw))
+    monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path / "tmp"))
+    monkeypatch.setattr(_kernels, "_SRC", str(src))
+    home = tmp_path / "tmp" / f"sdlab-{os.getuid()}"
+    paths = []
+    for version in ("", "\n/* a later version */\n"):
+        src.write_text(source + version)
+        paths.append(_kernels._library_path())
+    assert paths[0] != paths[1]
+    assert {os.path.dirname(p) for p in paths} == {str(home)}
+    assert home.stat().st_mode & 0o777 == 0o700
+    assert sorted(p.name for p in home.glob("_recur-*.so")) == sorted(
+        os.path.basename(p) for p in paths)
+    assert os.listdir(pkg_cache) == []
+
+    # a per-user directory owned by someone else is refused before any
+    # build, and the Python loops run
+    uid = os.getuid() + 1
+    monkeypatch.setattr(os, "getuid", lambda: uid)
+    src.write_text(source + "\n/* not built yet */\n")
+    with pytest.raises(OSError, match="belongs to another user"):
+        _kernels._library_path()
+    assert list((tmp_path / "tmp" / f"sdlab-{uid}").iterdir()) == []
+    monkeypatch.setattr(_kernels, "_chosen", None)
+    assert _kernels._choose() is _kernels._PYTHON
+
+
+@needs_gcc
+def test_the_c_source_compiles_without_warnings(tmp_path):
+    # -Werror turns a slip such as a double * passed as the long long *
+    # q_out into a failed build instead of silently wrong q values
+    proc = subprocess.run([*_kernels._CC, *_kernels._CFLAGS, "-Wall", "-Wextra",
+                           "-Werror", "-o", str(tmp_path / "lib.so"),
+                           _kernels._SRC, "-lm"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_gcc
+def test_simulate_memory_grows_by_one_history_per_step():
+    # the history is f, q, u, v at 8 bytes each, 32 B/step; one more
+    # per-step array (a copy of q, say) would lift the slope to 40
+    pytest.importorskip("resource")
+    code = ("import os, resource, sys\n"
+            "from sdlab.cli import main\n"
+            "assert main(['simulate', '--beta', '0.3', '--input', 'random',\n"
+            "             '--steps', sys.argv[1], '--out', os.devnull]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes or KiB
+    peak = {}
+    for n in (500_000, 2_000_000):
+        proc = subprocess.run([sys.executable, "-c", code, str(n)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        peak[n] = int(proc.stdout) * unit
+    slope = (peak[2_000_000] - peak[500_000]) / 1_500_000
+    assert slope < 34, f"{slope:.1f} B/step"
+
+
 def test_cold_import_neither_loads_nor_builds_the_loop():
     # numpy imports ctypes itself, so the checks are that no loop is
     # chosen, no compiler process module is loaded and no library is
@@ -548,6 +627,5 @@ def test_probe_input_vmax_is_a_python_float(backend, monkeypatch):
     monkeypatch.setattr(_kernels, "_chosen", chosen)
     f = np.random.default_rng(0).uniform(-0.5, 0.5, 100)
     # sweeps pass gains straight from a numpy grid
-    _, vmax = _kernels.probe_input(np.float64(1.01), 1.0, 0.7,
-                                   _kernels.KIND_SIGN, 0.5, f, 50.0)
+    _, vmax = _kernels.probe_input(np.float64(1.01), 1.0, 0.7, 0.0, f, 50.0)
     assert type(vmax) is float

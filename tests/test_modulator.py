@@ -40,11 +40,13 @@ def test_step_agrees_with_run_prefix():
     params = SchemeParams(lambda1=1.03, lambda2=1.01, gamma=0.7)
     f = np.linspace(-0.4, 0.4, 9)
     tr = run(params, f, f.size)
-    q, u, v = np.empty(f.size), np.empty(f.size), np.empty(f.size)
+    q = np.empty(f.size, dtype=np.int64)
+    u, v = np.empty(f.size), np.empty(f.size)
     at, _ = _kernels._recur(params.lambda1, params.lambda2, params.gamma,
-                            _kernels.KIND_SIGN, 0.0, f, 0.0, f.size,
+                            0.0, f, 0.0, f.size,
                             _kernels.HARD_BOUND, _kernels.HARD_BOUND, q, u, v)
     assert at == -1
+    assert tr.q.dtype == np.int64
     assert tr.q.tolist() == q.tolist()
     assert tr.u.tolist() == u.tolist()
     assert tr.v.tolist() == v.tolist()
@@ -96,10 +98,13 @@ def test_sign_symmetry_of_one_step(u, v, delta, gamma, lam):
 def test_quantizer_sign_convention_at_zero():
     # f = (0.75, -0.75) leads to u = 0 exactly and v = -0.25, so the third
     # quantizer input is gamma * v: 0 at step 1, then exactly -1e-300
-    tr = run(SchemeParams(gamma=4e-300), [0.75, -0.75, 0.0], 3)
-    assert tr.q.tolist() == [1, -1, -1]
-    assert (tr.u[1], tr.v[1]) == (0.0, -0.25)
-    assert run(SchemeParams(), 0.0, 1).q.tolist() == [1]
+    # a trilevel quantizer with no dead band is the sign quantizer
+    for kind in (QuantizerKind(), QuantizerKind("trilevel", 0.0)):
+        tr = run(SchemeParams(gamma=4e-300, quantizer=kind), [0.75, -0.75, 0.0], 3)
+        assert tr.q.tolist() == [1, -1, -1]
+        assert (tr.u[1], tr.v[1]) == (0.0, -0.25)
+        assert run(SchemeParams(quantizer=kind), 0.0, 1).q.tolist() == [1]
+        assert kind.tau == 0.0
 
 
 def test_trilevel_deadband_and_tie_resolution():
@@ -173,6 +178,7 @@ def test_divergence_reports_step_and_partial_history():
     assert err.step < 100
     assert err.trajectory is not None
     assert err.trajectory.n_steps == err.step
+    assert err.trajectory.q.dtype == np.int64
     assert math.isfinite(err.u) and math.isfinite(err.v)
 
 
