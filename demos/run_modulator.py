@@ -9,7 +9,6 @@ import numpy as np
 
 from sdlab import (
     DivergenceError,
-    QuantizerKind,
     SchemeParams,
     residual_identity,
     run,
@@ -38,8 +37,7 @@ print("gains (1.04, 1.02): sup|v| = %.3f, residual %.2e"
 
 print()
 print("== trilevel quantizer ==")
-kind = QuantizerKind(tag="trilevel", deadband=0.5)
-tr = run(SchemeParams(quantizer=kind), 0.02, 40)
+tr = run(SchemeParams(deadband=0.5), 0.02, 40)
 print("small constant input emits levels:", sorted(set(tr.q.tolist())))
 
 print()

@@ -143,26 +143,12 @@ def _validate_alpha_lambda(alpha, lam):
             _real(lam, lambda x: x >= 1.0, "lambda must be >= 1"))
 
 
-def _canonical_certificate(alpha: float, lam: float, epsilon: float, beta: float,
-                           variant: str) -> StabilityCertificate:
-    """Certificate on the smallest region R(alpha, C = 2dH/dL) with the
-    fixed gamma = dL/dH; the region's v_extent, C + dL/8, is the certified
-    bound on |v|."""
-    dL, dH = 1.0 - alpha, 1.0 + alpha
-    spec, gamma = RegionSpec(alpha, 2.0 * dH / dL), dL / dH
-    return StabilityCertificate(
-        alpha=alpha, lam=lam, epsilon=epsilon, C=spec.C,
-        gamma=gamma, gamma_lo=gamma, gamma_hi=gamma,
-        beta=beta, v_max_bound=spec.v_extent,
-        u0=corner_u0(spec), u1=spec.delta_H, variant=variant,
-    )
-
-
 def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) -> StabilityCertificate:
     """Certificate with the canonical fixed multiplier and smallest region.
 
-    Fixes gamma = (1-alpha)/(1+alpha), C = 2(1+alpha)/(1-alpha), and
-    beta = beta_bound(alpha, lam, variant).  The state bound is
+    This is unchecked_certificate(alpha, lam, variant=variant) behind the
+    gate beta_bound > 0: gamma = (1-alpha)/(1+alpha), C = 2(1+alpha)/(1-alpha),
+    beta = beta_bound(alpha, lam, variant), and the state bound
     2(1+alpha)/(1-alpha) + (1-alpha)/8.
 
     Raises
@@ -173,18 +159,15 @@ def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) ->
         lambda <= 1 + alpha*(1-alpha)/(coef*(1+alpha)).
     """
     alpha, lam = _validate_alpha_lambda(alpha, lam)
-    coef = _coef(variant)
-    dL, dH = 1.0 - alpha, 1.0 + alpha
     beta = beta_bound(alpha, lam, variant)
     if not beta > 0.0:  # NaN too, when epsilon overflows
-        cutoff = 1.0 + alpha * dL / (coef * dH)
+        cutoff = 1.0 + alpha * (1.0 - alpha) / (_coef(variant) * (1.0 + alpha))
         raise InfeasibleError(
             "lambda2",
             f"beta = {beta!r} <= 0 at alpha={alpha!r}, lambda={lam!r}: "
             f"positivity requires lambda <= {cutoff!r}",
         )
-    return _canonical_certificate(alpha, lam, _epsilon(alpha, lam, variant),
-                                  beta, variant)
+    return unchecked_certificate(alpha, lam, variant=variant)
 
 
 def thm2_certificate(
@@ -324,14 +307,13 @@ def unchecked_certificate(
     epsilon: float | None = None,
     variant: str = VARIANT_REMARK,
 ) -> StabilityCertificate:
-    """Assemble certificate fields without enforcing the feasibility chain.
+    """The canonical certificate, without the feasibility chain.
 
-    Uses the canonical region (C = 2dH/dL) and multiplier, and clamps a
-    negative input bound to 0.  Intended for falsification experiments
-    where an inadmissible lambda is applied to a valid region on purpose;
-    never treat the result as a guarantee.  The default epsilon uses the
-    variant's coefficient, so beta matches thm1_certificate wherever that
-    is feasible.
+    The region is R(alpha, C = 2dH/dL), gamma is dL/dH, a negative beta
+    is clamped to 0, and the state bound is the region's v_extent, C + dL/8.
+    Meant for falsification experiments that apply an inadmissible lambda
+    to a valid region on purpose; never a guarantee.  thm1_certificate is
+    this function, at the variant's default epsilon, behind a beta > 0 gate.
     """
     alpha, lam = _validate_alpha_lambda(alpha, lam)
     if epsilon is None:
@@ -340,5 +322,12 @@ def unchecked_certificate(
                         "pass a finite epsilon (--epsilon)")
     else:
         epsilon = _real(epsilon, lambda x: x >= 0.0, "epsilon must be finite and >= 0")
-    beta = max((alpha - epsilon) / (1.0 + epsilon), 0.0)
-    return _canonical_certificate(alpha, lam, epsilon, beta, variant)
+    dL, dH = 1.0 - alpha, 1.0 + alpha
+    spec, gamma = RegionSpec(alpha, 2.0 * dH / dL), dL / dH
+    return StabilityCertificate(
+        alpha=alpha, lam=lam, epsilon=epsilon, C=spec.C,
+        gamma=gamma, gamma_lo=gamma, gamma_hi=gamma,
+        beta=max((alpha - epsilon) / (1.0 + epsilon), 0.0),
+        v_max_bound=spec.v_extent, u0=corner_u0(spec), u1=spec.delta_H,
+        variant=variant,
+    )

@@ -8,7 +8,8 @@ outputs stay pipe-safe.
 
 Exit codes: 0 success, 1 usage or invalid arguments, 2 a verify run
 found invariance violations, 3 infeasible or unsatisfiable parameters
-(also a request too large for memory), 4 state divergence.
+(also a request too large for memory), 4 state divergence, 141 the
+reader closed stdout early (128 + SIGPIPE).
 
 The default seed is fixed for reproducibility; the SD_LAB_SEED
 environment variable overrides it and an explicit --seed flag wins
@@ -21,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .errors import (
 )
 from .filters import design_filter
 from .invariance import verify_invariance
-from .modulator import QuantizerKind, SchemeParams, run
+from .modulator import SchemeParams, run
 from .pipeline import error_curve, gen_signal, order_fit
 from .region import RegionSpec
 from .serialize import (
@@ -191,8 +193,8 @@ def cmd_simulate(args) -> int:
     if args.deadband is not None and not args.trilevel:
         raise InvalidInputError("--deadband applies only with --trilevel")
     band = 0.5 if args.deadband is None else args.deadband
-    kind = QuantizerKind("trilevel", band) if args.trilevel else QuantizerKind()
-    params = SchemeParams(args.lambda1, args.lambda2, args.gamma, kind)
+    params = SchemeParams(args.lambda1, args.lambda2, args.gamma,
+                          band if args.trilevel else 0.0)
     if not (0.0 <= args.beta < 1.0):
         raise InvalidInputError(f"beta must lie in [0, 1), got {args.beta!r}")
     if args.steps < 1:
@@ -325,7 +327,14 @@ def main(argv=None) -> int:
         code = e.code
         return int(code) if isinstance(code, int) else 0
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():  # the filters stay as they are
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return args.handler(args)
+    except BrokenPipeError:
+        # the reader is gone: keep the interpreter's final flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InvalidInputError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 1

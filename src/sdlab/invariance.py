@@ -41,7 +41,7 @@ from .certificates import StabilityCertificate
 from .errors import InvalidInputError, _check_array_len
 from .region import RegionSpec, b1_eval, b2_eval, step_region
 
-__all__ = ["InvarianceReport", "check_reach", "verify_invariance"]
+__all__ = ["InvarianceReport", "verify_invariance"]
 
 N_BLOCKS = 64
 _DELTA_STREAM = 1_000_003  # sub-seed for the shared delta draws
@@ -87,14 +87,6 @@ class InvarianceReport:
             "tol": self.tol,
             "violations": head,
         }
-
-
-def _category_bounds(n_points: int):
-    """Global index boundaries of the four sampling categories."""
-    n1 = (4 * n_points) // 10
-    n2 = (4 * n_points) // 10
-    n3 = n_points // 10
-    return n1, n1 + n2, n1 + n2 + n3
 
 
 def _sample_block(spec: RegionSpec, u1: float, gamma: float, rng, lo: int, hi: int, cuts):
@@ -182,16 +174,6 @@ def _violations(blocks, deltas, gamma, lam):
     return rows.view(np.recarray)
 
 
-def check_reach(cert: StabilityCertificate) -> None:
-    """Refuse, with an InvalidInputError, a gain whose step can overflow."""
-    spec = cert.region
-    # |u| <= u0, |v| <= v_extent, delta <= 1 + beta: a bound on every excess
-    reach = cert.lam * spec.u0 + 1.0 + cert.beta
-    if not math.isfinite(reach + spec.v_extent + 0.5 * reach + spec.C
-                         + reach * reach / (2.0 * spec.delta_L)):
-        raise InvalidInputError(f"lambda={cert.lam!r} too large: a step may overflow")
-
-
 def verify_invariance(
     cert: StabilityCertificate,
     n_points: int = 2000,
@@ -230,16 +212,21 @@ def verify_invariance(
     _check_array_len(n_deltas, "deltas")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidInputError("tol must be finite and >= 0")
-    check_reach(cert)
     spec = cert.region
+    # |u| <= u0, |v| <= v_extent, delta <= 1 + beta: a bound on every excess
+    reach = cert.lam * spec.u0 + 1.0 + cert.beta
+    if not math.isfinite(reach + spec.v_extent + 0.5 * reach + spec.C
+                         + reach * reach / (2.0 * spec.delta_L)):
+        raise InvalidInputError(f"lambda={cert.lam!r} too large: a step may overflow")
     deltas = np.empty(n_deltas)
-    deltas[0] = 1.0 - cert.beta
-    deltas[1] = 1.0 + cert.beta
+    deltas[:2] = 1.0 - cert.beta, 1.0 + cert.beta
     if n_deltas > 2:
         rng_d = np.random.default_rng([seed, _DELTA_STREAM])
         deltas[2:] = rng_d.uniform(1.0 - cert.beta, 1.0 + cert.beta, size=n_deltas - 2)
 
-    cuts = _category_bounds(n_points)
+    # global index boundaries of the sampling categories: 40/40/10/10 %
+    n1 = (4 * n_points) // 10
+    cuts = (n1, 2 * n1, 2 * n1 + n_points // 10)
 
     def check(block):
         return _check_block(spec, cert.u1, cert.gamma, cert.lam, deltas, seed,

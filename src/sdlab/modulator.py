@@ -23,7 +23,7 @@ Both hold to rounding for every trajectory this module produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (DivergenceError, InsufficientDataError, InvalidInputError,
                      ResourceError, _check_array_len)
 
 __all__ = [
-    "QuantizerKind",
     "SchemeParams",
     "Trajectory",
     "run",
@@ -41,51 +40,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QuantizerKind:
-    """Quantizer selector: "sign" (two levels) or "trilevel" (three levels).
-
-    The sign quantizer maps x >= 0 to +1 and x < 0 to -1.  The trilevel
-    quantizer returns 0 for |x| < deadband and otherwise behaves like the
-    sign quantizer, so ties at +-deadband resolve away from 0.
-    """
-
-    tag: str = "sign"
-    deadband: float = 0.5
-
-    def __post_init__(self):
-        if self.tag not in ("sign", "trilevel"):
-            raise InvalidInputError(f"unknown quantizer tag {self.tag!r}")
-        if self.tag == "trilevel" and not (math.isfinite(self.deadband) and self.deadband >= 0.0):
-            raise InvalidInputError("trilevel deadband must be finite and >= 0")
-
-    @property
-    def tau(self) -> float:
-        """The kernel's dead band: deadband for trilevel, 0.0 for sign."""
-        return self.deadband if self.tag == "trilevel" else 0.0
-
-
-@dataclass(frozen=True)
 class SchemeParams:
-    """Gains and feedback multiplier of the double-loop recursion.
+    """Gains, feedback multiplier and quantizer of the double-loop recursion.
 
     lambda1 and lambda2 must be >= 1 (the one-parameter family is the
-    restriction lambda2 = 1); gamma must be positive.
+    restriction lambda2 = 1); gamma must be positive.  The quantizer is
+    its dead band: it maps |x| < deadband to 0 and otherwise x >= 0 to +1
+    and x < 0 to -1, so deadband = 0 is the two-level sign quantizer and
+    a positive band the trilevel one, with ties at +-deadband resolved
+    away from 0.
     """
 
     lambda1: float = 1.0
     lambda2: float = 1.0
     gamma: float = 1.0
-    quantizer: QuantizerKind = field(default_factory=QuantizerKind)
+    deadband: float = 0.0
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "gamma"):
-            x = getattr(self, name)
-            if not math.isfinite(x):
+        for name in ("lambda1", "lambda2", "gamma", "deadband"):
+            if not math.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite")
         if self.lambda1 < 1.0 or self.lambda2 < 1.0:
             raise InvalidInputError("lambda1 and lambda2 must be >= 1")
         if self.gamma <= 0.0:
             raise InvalidInputError("gamma must be > 0")
+        if self.deadband < 0.0:
+            raise InvalidInputError("deadband must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -163,7 +143,7 @@ def run(params: SchemeParams, input, n_steps: int) -> Trajectory:
     if f.size and not np.all(np.isfinite(f)):
         raise InvalidInputError("input values must be finite")
     bad = _kernels.run_fill(params.lambda1, params.lambda2, params.gamma,
-                            params.quantizer.tau, f, q, u, v)
+                            params.deadband, f, q, u, v)
     if bad >= 0:
         part = Trajectory(params, *(a[: bad + 1].copy() for a in (f, q, u, v)))
         iu, iv = (u[bad], v[bad])

@@ -171,25 +171,17 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
     return grid, out
 
 
-def _run_reconstruction(values, signal, plan, filt):
-    grid, rec = _reconstruct_polyphase(values, plan, filt)
-    return float(np.max(np.abs(signal.eval(grid) - rec)))
-
-
 def sup_error(signal, params: SchemeParams, T: float, filt: FilterSpec) -> float:
     """Max reconstruction error of the quantized scheme on the central-half
     grid.  Divergence of the modulator propagates."""
-    err, _ = _sup_error_detail(signal, params, T, filt)
-    return err
+    return _sup_error_detail(signal, params, T, filt)[0]
 
 
 def _sup_error_detail(signal, params, T, filt):
     plan = sampling_plan(T, filt)
-    samples = signal.eval(plan.times())
-    traj = run(params, samples, plan.n_samples)
-    vmax = float(np.max(np.abs(traj.v)))
-    err = _run_reconstruction(traj.q.astype(np.float64), signal, plan, filt)
-    return err, vmax
+    traj = run(params, signal.eval(plan.times()), plan.n_samples)
+    return (reconstruction_error_of(traj.q, signal, T, filt),
+            float(np.max(np.abs(traj.v))))
 
 
 def perfect_sample_error(signal, T: float, filt: FilterSpec) -> float:
@@ -198,9 +190,8 @@ def perfect_sample_error(signal, T: float, filt: FilterSpec) -> float:
     This is the floor set by spectral truncation and kernel interpolation;
     quantization-error measurements are meaningful only well above it.
     """
-    plan = sampling_plan(T, filt)
-    samples = signal.eval(plan.times())
-    return _run_reconstruction(samples, signal, plan, filt)
+    samples = signal.eval(sampling_plan(T, filt).times())
+    return reconstruction_error_of(samples, signal, T, filt)
 
 
 def first_order_quantize(samples) -> np.ndarray:
@@ -218,14 +209,16 @@ def first_order_quantize(samples) -> np.ndarray:
 
 
 def reconstruction_error_of(q, signal, T: float, filt: FilterSpec) -> float:
-    """Sup error of a caller-supplied sample stream q against the signal."""
+    """Sup error of a sample stream q against the signal: the one place a
+    reconstruction is run and measured."""
     plan = sampling_plan(T, filt)
     q = np.asarray(q, dtype=np.float64)
     if q.size != plan.n_samples:
         raise InvalidInputError(
             f"expected {plan.n_samples} samples for T={T!r}, got {q.size}"
         )
-    return _run_reconstruction(q, signal, plan, filt)
+    grid, rec = _reconstruct_polyphase(q, plan, filt)
+    return float(np.max(np.abs(signal.eval(grid) - rec)))
 
 
 def error_curve(signal, params, T_list, filt: FilterSpec):

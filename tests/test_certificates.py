@@ -25,6 +25,8 @@ from sdlab.region import RegionSpec, yilmaz_gamma_range
 CUTOFF_REMARK = 1.0 + (3.0 - 2.0 * math.sqrt(2.0)) / 2.0
 CUTOFF_EQ5 = 1.0 + (3.0 - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0))
 
+_COEF = {VARIANT_REMARK: 2.0, VARIANT_EQ5: 2.0 * math.sqrt(2.0)}
+
 ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
@@ -287,6 +289,26 @@ def test_epsilon_reproduces_beta_bit_for_bit(variant):
                 assert eps == 2.0 * (1.0 + alpha) * (lam - 1.0) / (1.0 - alpha)
             checked += 1
     assert checked > 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       lam=st.one_of(st.floats(1.0, 1.2), st.floats(1e307, 1.7e308)),
+       variant=st.sampled_from([VARIANT_REMARK, VARIANT_EQ5]))
+@example(alpha=0.5, lam=1.0, variant=VARIANT_EQ5)
+@example(alpha=0.5, lam=1e308, variant=VARIANT_REMARK)
+def test_thm1_is_the_unchecked_certificate_behind_the_beta_gate(alpha, lam, variant):
+    cutoff = 1.0 + alpha * (1.0 - alpha) / (_COEF[variant] * (1.0 + alpha))
+    try:
+        cert = thm1_certificate(alpha, lam, variant)
+    except InfeasibleError as e:
+        # past the cutoff, and where epsilon overflows to inf
+        assert e.bound == "lambda2"
+        assert lam > cutoff * (1.0 - 1e-12)
+        return
+    assert lam < cutoff * (1.0 + 1e-12) and lam < 1e307
+    # repr tells every field apart bit for bit (0.0 from -0.0 too)
+    assert repr(cert) == repr(unchecked_certificate(alpha, lam, variant=variant))
 
 
 def test_input_validation():

@@ -1,11 +1,16 @@
 """Command-line surface: exit codes, output routing, seed precedence."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 from sdlab.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def test_simulate_golden_first_row(capsys):
@@ -38,6 +43,38 @@ def test_simulate_trilevel_small_input_emits_zero_levels(capsys):
     assert rc == 0
     levels = {ln.split(",")[2] for ln in out.splitlines()[1:]}
     assert "0" in levels
+
+
+def test_simulate_trilevel_with_no_dead_band_is_the_sign_quantizer(capsys):
+    base = ["simulate", "--beta", "0.3", "--input", "random", "--steps", "500"]
+    assert main(base) == 0
+    sign = capsys.readouterr().out
+    assert main(base + ["--trilevel", "--deadband", "0"]) == 0
+    assert capsys.readouterr().out == sign
+
+
+def test_a_reader_closing_stdout_early_ends_the_run_quietly():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sdlab.cli", "simulate", "--beta", "0.3",
+         "--steps", "300000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"n,f,q,u,v\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("command", ["certificate", "verify"])
+def test_a_warning_prints_as_one_line(command, capsys):
+    rc = main([command, "--alpha", "0.5", "--lambda", "1.0", "--epsilon", "0.5",
+               *(["--points", "100"] if command == "verify" else [])])
+    err = capsys.readouterr().err
+    assert rc == 0
+    want = "warning: beta is 0: the certificate admits only the zero input\n"
+    assert err.startswith(want)
+    assert err.count("\n") == (1 if command == "certificate" else 2)
 
 
 def test_simulate_divergence_exit_code_and_partial_table(capsys):

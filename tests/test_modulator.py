@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sdlab import _kernels
 from sdlab.errors import DivergenceError, InsufficientDataError, InvalidInputError, ResourceError
-from sdlab.modulator import QuantizerKind, SchemeParams, residual_identity, run
+from sdlab.modulator import SchemeParams, residual_identity, run
 from sdlab.region import step_region
 
 gains = st.floats(min_value=1.0, max_value=1.2)
@@ -98,20 +98,18 @@ def test_sign_symmetry_of_one_step(u, v, delta, gamma, lam):
 def test_quantizer_sign_convention_at_zero():
     # f = (0.75, -0.75) leads to u = 0 exactly and v = -0.25, so the third
     # quantizer input is gamma * v: 0 at step 1, then exactly -1e-300
-    # a trilevel quantizer with no dead band is the sign quantizer
-    for kind in (QuantizerKind(), QuantizerKind("trilevel", 0.0)):
-        tr = run(SchemeParams(gamma=4e-300, quantizer=kind), [0.75, -0.75, 0.0], 3)
-        assert tr.q.tolist() == [1, -1, -1]
-        assert (tr.u[1], tr.v[1]) == (0.0, -0.25)
-        assert run(SchemeParams(quantizer=kind), 0.0, 1).q.tolist() == [1]
-        assert kind.tau == 0.0
+    # the default dead band 0 is the sign quantizer
+    assert SchemeParams().deadband == 0.0
+    tr = run(SchemeParams(gamma=4e-300), [0.75, -0.75, 0.0], 3)
+    assert tr.q.tolist() == [1, -1, -1]
+    assert (tr.u[1], tr.v[1]) == (0.0, -0.25)
+    assert run(SchemeParams(), 0.0, 1).q.tolist() == [1]
 
 
 def test_trilevel_deadband_and_tie_resolution():
     # the first input 0 is in the dead band, so u = v = f1 and, with
     # gamma = 1, the second quantizer input is 2 * f1, exact at +-0.5
-    kind = QuantizerKind(tag="trilevel", deadband=0.5)
-    params = SchemeParams(gamma=1.0, quantizer=kind)
+    params = SchemeParams(gamma=1.0, deadband=0.5)
     for f1, want in ((0.245, 0), (-0.245, 0), (0.25, 1), (-0.25, -1)):
         tr = run(params, [f1, 0.0], 2)
         assert tr.q[0] == 0
@@ -120,19 +118,17 @@ def test_trilevel_deadband_and_tie_resolution():
 
 
 def test_trilevel_run_emits_zeros_for_small_input():
-    kind = QuantizerKind(tag="trilevel", deadband=0.5)
-    tr = run(SchemeParams(quantizer=kind), 0.01, 50)
+    tr = run(SchemeParams(deadband=0.5), 0.01, 50)
     assert set(np.unique(tr.q)) <= {-1, 0, 1}
     assert np.any(tr.q == 0)
 
 
-def test_quantizer_rejects_non_finite_and_bad_tags():
+def test_quantizer_rejects_non_finite_input_and_bad_deadbands():
     with pytest.raises(InvalidInputError):
         run(SchemeParams(), [math.nan], 1)
-    with pytest.raises(InvalidInputError):
-        QuantizerKind(tag="four-level")
-    with pytest.raises(InvalidInputError):
-        QuantizerKind(tag="trilevel", deadband=-0.1)
+    for bad in (-0.1, -math.inf, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="deadband"):
+            SchemeParams(deadband=bad)
 
 
 def test_history_too_large_to_allocate_is_a_resource_error():

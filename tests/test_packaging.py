@@ -1,10 +1,11 @@
-"""Declared runtime dependencies are exactly what the package imports."""
+"""Declared metadata and runtime dependencies match the package."""
 
 import ast
 import importlib
 import pathlib
 import re
 import sys
+import warnings
 
 import pytest
 
@@ -13,9 +14,13 @@ tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _declared():
+def _project():
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        deps = tomllib.load(fh)["project"]["dependencies"]
+        return tomllib.load(fh)
+
+
+def _declared():
+    deps = _project()["project"]["dependencies"]
     return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
 
 
@@ -29,6 +34,25 @@ def _imported():
                 names.add(node.module.split(".")[0])
     return {n for n in names
             if n not in sys.stdlib_module_names and n != "sdlab"}
+
+
+def test_the_distribution_is_sdlab_with_the_package_version():
+    import sdlab
+
+    doc = _project()
+    assert doc["project"]["name"] == "sdlab"
+    assert "version" not in doc["project"]
+    assert doc["project"]["dynamic"] == ["version"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "sdlab.__version__"}
+    try:
+        from setuptools.config.pyprojecttoml import read_configuration
+    except ImportError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is "beta"
+        resolved = read_configuration(ROOT / "pyproject.toml")
+    assert resolved["project"]["version"] == sdlab.__version__
 
 
 def test_declared_dependencies_are_the_third_party_imports():

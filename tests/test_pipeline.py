@@ -200,6 +200,16 @@ def test_reconstruct_input_contracts(filt_fast):
         reconstruction_error_of(np.ones(3), gen_signal(1, 2, 0.5), 16.0, filt_fast)
 
 
+def test_both_error_paths_are_reconstruction_error_of(filt_fast):
+    sig, T, params = gen_signal(3, 4, 0.5), 16.0, SchemeParams(1.01, 1.0, 0.5)
+    plan = sampling_plan(T, filt_fast)
+    samples = sig.eval(plan.times())
+    q = run(params, samples, plan.n_samples).q
+    assert sup_error(sig, params, T, filt_fast) == reconstruction_error_of(q, sig, T, filt_fast)
+    assert (perfect_sample_error(sig, T, filt_fast)
+            == reconstruction_error_of(samples, sig, T, filt_fast))
+
+
 def test_double_loop_error_shrinks_fast_with_rate(filt_default):
     sig = gen_signal(seed=4, n_components=6, beta=0.5)
     e32 = sup_error(sig, SchemeParams(), 32.0, filt_default)
