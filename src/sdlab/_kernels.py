@@ -9,8 +9,9 @@ A second loop, _format_rows, renders trajectory rows as CSV text for
 serialize.write_trajectory_csv through format_lanes, which on the C loop
 allocates a buffer per lane on the calling thread and formats the lanes
 through map_ordered.  A third, _excess, measures one region step's
-escapes for invariance through excess.  The lanes, the sweeps' rows and
-verify_invariance's blocks fan out to threads through one map_ordered.
+escapes for invariance through excess.  The lanes, the sweeps' rows,
+verify_invariance's blocks, and the reconstruction's phases and row blocks
+(map_blocks) fan out to threads through one map_ordered.
 
 The entry points run the loops on the backend chosen the first time one
 of them runs (never at import) and reported as BACKEND:
@@ -43,7 +44,6 @@ import os
 import sys
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -332,7 +332,12 @@ def __getattr__(name):
 def map_ordered(fn, items, workers):
     """[fn(x) for x in items], in item order, on up to workers threads
     (None: one per core), serially when one would do; InvalidInputError
-    unless workers is None or an int >= 1."""
+    unless workers is None or an int >= 1.
+
+    The calling thread takes items too, from the one queue its workers - 1
+    helpers take from.  After a failure no new item starts, and the
+    exception of the first failing item in item order is raised.
+    """
     if workers is None:
         workers = os.cpu_count() or 1
     elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
@@ -340,8 +345,40 @@ def map_ordered(fn, items, workers):
     items = list(items)
     if workers == 1 or len(items) <= 1:
         return list(map(fn, items))
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, items))
+    todo = collections.deque(enumerate(items))
+    out, failed = [None] * len(items), {}
+
+    def drain():
+        while todo and not failed:
+            try:
+                i, x = todo.popleft()
+            except IndexError:  # another thread took the last item
+                return
+            try:
+                out[i] = fn(x)
+            except BaseException as e:  # re-raised on the calling thread
+                failed[i] = e
+
+    helpers = [threading.Thread(target=drain)
+               for _ in range(min(workers, len(items)) - 1)]
+    for h in helpers:
+        h.start()
+    try:
+        drain()
+    finally:
+        todo.clear()  # after an interrupt the helpers start no new item
+        for h in helpers:
+            h.join()
+    if failed:
+        raise failed[min(failed)]
+    return out
+
+
+def map_blocks(fn, n, rows):
+    """fn(slice) over the blocks [a, a + rows) that cover range(n), through
+    map_ordered on one thread per core; rows is a multiple of 64, so block
+    starts stay 64-row aligned for numpy's vector loops."""
+    return map_ordered(fn, [slice(a, a + rows) for a in range(0, n, rows)], None)
 
 
 def run_fill(lam1, lam2, gamma, tau, f, q_out, u_out, v_out):

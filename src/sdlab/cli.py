@@ -6,10 +6,11 @@ check, JSON report), reconstruct (error-curve CSV) and sweep (figure
 tables).  Data goes to stdout or --out; diagnostics go to stderr so
 outputs stay pipe-safe.
 
-Exit codes: 0 success, 1 usage or invalid arguments, 2 a verify run
-found invariance violations, 3 infeasible or unsatisfiable parameters
-(also a request too large for memory), 4 state divergence, 141 the
-reader closed stdout early (128 + SIGPIPE).
+Exit codes: 0 success, 1 usage or invalid arguments (also an output
+file that cannot be opened or written), 2 a verify run found invariance
+violations, 3 infeasible or unsatisfiable parameters (also a request too
+large for memory), 4 state divergence, 141 the reader closed stdout early
+(128 + SIGPIPE).
 
 The default seed is fixed for reproducibility; the SD_LAB_SEED
 environment variable overrides it and an explicit --seed flag wins
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
         # the reader is gone: keep the interpreter's final flush quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as e:  # after BrokenPipeError, one of its subclasses
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except InvalidInputError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 1

@@ -27,14 +27,16 @@ here; the omega spacing ~1/4096 keeps the aliased images of the sampled
 cosines far outside every tabulated |t| <= 256.
 
 The transforms run in two passes over chunks of 1024 t rows, each chunk's
-phase matrix 2*pi*t*omega built in place in one reused buffer.  The
-cosine pass covers every row of the tabulation cap and gives g (which
-decides the truncation point) and g'' together, since both weigh the same
-cosines.  The sine pass gives g' and runs only over the chunks that cover
-the kept rows; when no cap meets the tolerance it never runs.  The chunk
-layout is fixed: each matrix-vector product keeps the shape it has always
-had (1024 rows, or the remainder, by the full omega grid), so BLAS sums
-in the same order and the tables keep their bits.
+phase matrix 2*pi*t*omega and its cosines or sines built in place in one
+reused buffer, in 64-row blocks through _kernels.map_ordered; the calls
+are elementwise, so the blocks do not change a bit.  The cosine pass
+covers every row of the tabulation cap and gives g (which decides the
+truncation point) and g'' together, since both weigh the same cosines.
+The sine pass gives g' and runs only over the chunks that cover the kept
+rows; when no cap meets the tolerance it never runs.  The chunk layout is
+fixed: each matrix-vector product keeps the shape it has always had (1024
+rows, or the remainder, by the full omega grid), so BLAS sums in the same
+order and the tables keep their bits.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import InvalidInputError, ResourceError, _check_array_len
 
 __all__ = ["FilterSpec", "design_filter", "taper_profiles"]
@@ -53,6 +56,7 @@ _DT = 1.0 / 64.0            # tabulation spacing of the kernel samples
 _W_MIN = 2.0                # never truncate inside the main lobe
 _OMEGA_DENSITY = 4096       # quadrature points per unit of omega
 _CHUNK = 1024               # t rows per phase matrix; fixed, see the note
+_TRIG_ROWS = 64             # rows per threaded block of a chunk's trig
 
 
 def _smoothstep(x):
@@ -139,9 +143,14 @@ def _trig_chunks(t, om, trig):
     for a in range(0, t.size, _CHUNK):
         rows = t[a:a + _CHUNK, None]
         ph = buf[:rows.shape[0]]
-        np.multiply(rows, om, out=ph)
-        ph *= 2.0 * math.pi
-        trig(ph, out=ph)
+
+        def block(b):  # runs before the next chunk rebinds rows and ph
+            view = ph[b]
+            np.multiply(rows[b], om, out=view)
+            view *= 2.0 * math.pi
+            trig(view, out=view)
+
+        _kernels.map_blocks(block, ph.shape[0], _TRIG_ROWS)
         yield slice(a, a + rows.shape[0]), ph
 
 

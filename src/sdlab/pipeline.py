@@ -17,6 +17,13 @@ per phase of the 16 evaluation points per sampling interval, taken in
 computed that is thrown away.  Rates below about 3 leave fewer samples
 in the margin than the kernel reaches; those phases use a full
 convolution, with the same outputs as before.
+
+Threads: the 16 phases run through _kernels.map_ordered, each writing
+its own strided slice of the output, and BandlimitedSignal.eval runs in
+64-row-aligned blocks of one buffer the calling thread allocates.  Each
+reconstruction dot longer than 10,000 taps is split in two halves that
+OpenBLAS sums on one thread each (_valid_convolve), so the bytes do not
+depend on OPENBLAS_NUM_THREADS up to 20,000 taps.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import InsufficientDataError, InvalidInputError, _check_array_len
 from .filters import FilterSpec
 from .modulator import SchemeParams, run
@@ -49,6 +57,9 @@ __all__ = [
 _NORM_SPAN = 272.0
 _NORM_STEP = 1.0 / 2048.0
 _EVAL_PER_INTERVAL = 16
+_EVAL_ROWS = 4096   # time points per block of BandlimitedSignal.eval
+# OpenBLAS sums a ddot of up to this many terms on one thread
+_DOT_SPLIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -65,10 +76,19 @@ class BandlimitedSignal:
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         if self.freqs.size == 0:
-            out = np.zeros(t.shape)
-        else:
-            ph = 2.0 * math.pi * t[:, None] * self.freqs[None, :] + self.phases
-            out = np.cos(ph) @ self.amps
+            return 0.0 if scalar else np.zeros(t.shape)
+        ph = np.empty((t.size, self.freqs.size))
+        out = np.empty(t.size)
+
+        def block(rows):  # in place: a worker allocates no array data
+            view = ph[rows]
+            np.multiply(t[rows, None], 2.0 * math.pi, out=view)
+            view *= self.freqs
+            view += self.phases
+            np.cos(view, out=view)
+            np.dot(view, self.amps, out=out[rows])
+
+        _kernels.map_blocks(block, t.size, _EVAL_ROWS)
         return float(out[0]) if scalar else out
 
 
@@ -156,19 +176,41 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
     out = np.empty(c.size)
     J = math.ceil(filt.W * T) + 1
     k = np.arange(2 * J + 1)
-    for p in range(_EVAL_PER_INTERVAL):
+
+    def phase(p):  # writes only its own strided slice of out
         sel = slice((p - c_lo) % _EVAL_PER_INTERVAL, None, _EVAL_PER_INTERVAL)
         m = c[sel] // _EVAL_PER_INTERVAL
         if m.size == 0:
-            continue
+            return
         taps = filt.g(((k - J) * _EVAL_PER_INTERVAL + p) / (_EVAL_PER_INTERVAL * T))
         lo, hi = int(m[0]), int(m[-1])
         if lo - 1 - J >= 0 and hi + J <= N:
-            out[sel] = np.convolve(values[lo - 1 - J:hi + J], taps, mode="valid") / T
+            out[sel] = _valid_convolve(values[lo - 1 - J:hi + J], taps) / T
         else:
             conv = np.convolve(values, taps)
             out[sel] = conv[m - 1 + J] / T
+
+    _kernels.map_ordered(phase, range(_EVAL_PER_INTERVAL), None)
     return grid, out
+
+
+def _valid_convolve(window, taps):
+    """np.convolve(window, taps, "valid") in bits that do not depend on
+    OPENBLAS_NUM_THREADS, up to 2 * _DOT_SPLIT taps.
+
+    OpenBLAS's ddot threads a dot longer than _DOT_SPLIT; on two threads
+    it returns (0.0 + first) + second over the first ceil(n/2) terms and
+    the rest.  This forms that sum from two correlations whose dots each
+    stay on one thread.  Longer dots (T above about 370 with the default
+    filter) keep the one convolve, since their halves would thread again.
+    """
+    n = taps.size
+    if not _DOT_SPLIT < n <= 2 * _DOT_SPLIT:
+        return np.convolve(window, taps, mode="valid")
+    h = -(-n // 2)
+    rev = taps[::-1]
+    first = np.correlate(window[:window.size - n + h], rev[:h], mode="valid")
+    return (0.0 + first) + np.correlate(window[h:], rev[h:], mode="valid")
 
 
 def sup_error(signal, params: SchemeParams, T: float, filt: FilterSpec) -> float:

@@ -66,6 +66,24 @@ def test_a_reader_closing_stdout_early_ends_the_run_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize("argv, dest", [
+    (["certificate", "--alpha", "0.5", "--lambda", "1.0"], "missing-dir"),
+    (["simulate", "--beta", "0.3", "--steps", "10"], "/dev/full"),
+])
+def test_an_unwritable_output_file_exits_1_with_one_line(argv, dest, tmp_path):
+    if dest == "missing-dir":
+        dest = str(tmp_path / "missing" / "x.json")
+    elif not os.path.exists(dest):
+        pytest.skip(f"{dest} does not exist here")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdlab.cli", *argv, "--out", dest],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["certificate", "verify"])
 def test_a_warning_prints_as_one_line(command, capsys):
     rc = main([command, "--alpha", "0.5", "--lambda", "1.0", "--epsilon", "0.5",

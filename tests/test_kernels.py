@@ -440,6 +440,35 @@ def test_map_ordered_keeps_item_order(workers):
     assert _kernels.map_ordered(square, [], workers) == []
 
 
+def test_map_ordered_runs_items_on_the_calling_thread_too():
+    threads = []
+
+    def record(x):
+        threads.append(threading.get_ident())
+        time.sleep(0.002)
+        return x
+
+    assert _kernels.map_ordered(record, range(8), 2) == list(range(8))
+    assert threading.get_ident() in threads
+    assert len(set(threads)) == 2
+
+
+def test_map_ordered_raises_the_first_failure_in_item_order():
+    started = []
+
+    def fail_on_odd(x):
+        started.append(x)
+        time.sleep(0.01 * (x == 1))  # so item 3 fails first in time
+        if x % 2:
+            raise KeyError(x)
+        return x
+
+    with pytest.raises(KeyError) as exc:
+        _kernels.map_ordered(fail_on_odd, range(40), 2)
+    assert exc.value.args == (1,)
+    assert len(started) < 40  # no new item starts after a failure
+
+
 @pytest.mark.parametrize("workers", [0, -3, True, False, 2.0, "2"])
 def test_map_ordered_refuses_a_worker_count_that_is_not_a_positive_int(workers):
     calls = []

@@ -2,17 +2,24 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdlab import _kernels, pipeline
+from sdlab.cli import main
 from sdlab.errors import InsufficientDataError, InvalidInputError, ResourceError
 from sdlab.modulator import SchemeParams, run
+from sdlab.filters import design_filter
 from sdlab.pipeline import (
     _grid_indices,
     _reconstruct_polyphase,
+    _valid_convolve,
     error_curve,
     first_order_quantize,
     gen_signal,
@@ -178,6 +185,59 @@ def test_polyphase_is_bit_identical_to_full_mode_convolution(filt_default, T):
         want_grid, want = _polyphase_full_mode(q, plan, filt_default)
         assert grid.tobytes() == want_grid.tobytes()
         assert fast.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_taps", [6_895, 10_000, 10_001, 13_789, 20_000, 20_001])
+def test_long_dots_are_split_into_two_single_thread_halves(n_taps):
+    rng = np.random.default_rng(n_taps)
+    taps = rng.normal(size=n_taps)
+    window = rng.normal(size=n_taps + 6)
+    got = _valid_convolve(window, taps)
+    if n_taps <= 10_000 or n_taps > 20_000:
+        assert got.tobytes() == np.convolve(window, taps, mode="valid").tobytes()
+        return
+    # OpenBLAS's two-thread ddot: the first ceil(n/2) terms, then the rest
+    h = -(-n_taps // 2)
+    rev = np.ascontiguousarray(taps[::-1])
+    want = [(0.0 + np.dot(window[i:i + h], rev[:h]))
+            + np.dot(window[i + h:i + n_taps], rev[h:]) for i in range(7)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_reconstruct_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # T = 256 has 13,789 taps per dot, which OpenBLAS would thread
+    argv = ["reconstruct", "--beta", "0.5", "--seed", "1"]
+    dest = tmp_path / "in-process.csv"
+    assert main(argv + ["--out", str(dest)]) == 0
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "sdlab.cli", *argv],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == dest.read_bytes(), f"OPENBLAS_NUM_THREADS={threads}"
+
+
+def test_worker_count_does_not_change_curves_or_designs(filt_default, monkeypatch):
+    sig = gen_signal(seed=2, n_components=8, beta=0.5)
+    results = []
+    for cores in (1, 4):
+        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: cores)
+        f = design_filter(trunc_tol=1e-4)
+        tables = [getattr(f, name).tobytes()
+                  for name in ("t_tab", "g_tab", "g1_tab", "g2_tab")]
+        rows = error_curve(sig, SchemeParams(), [32.0, 256.0], filt_default)
+        results.append((repr(f), tables, rows))
+    assert results[0] == results[1]
+
+
+def test_signal_eval_blocks_cover_every_point(monkeypatch):
+    # blocks smaller than the input, and an input not a multiple of them
+    sig = gen_signal(seed=6, n_components=5, beta=0.5)
+    t = np.linspace(-3.0, 40.0, 1000)
+    whole = sig.eval(t)
+    monkeypatch.setattr(pipeline, "_EVAL_ROWS", 64)
+    assert sig.eval(t).tobytes() == whole.tobytes()
 
 
 def test_reconstruct_rejects_uncovered_times(filt_fast):
