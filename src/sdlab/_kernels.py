@@ -11,7 +11,9 @@ allocates a buffer per lane on the calling thread and formats the lanes
 through map_ordered.  A third, _excess, measures one region step's
 escapes for invariance through excess.  The lanes, the sweeps' rows,
 verify_invariance's blocks, and the reconstruction's phases and row blocks
-(map_blocks) fan out to threads through one map_ordered.
+(map_blocks, a buffer per worker) fan out to threads through one
+map_ordered, with OpenBLAS on one thread meanwhile (blas_threads), so no
+BLAS helper thread spins beside them.
 
 The entry points run the loops on the backend chosen the first time one
 of them runs (never at import) and reported as BACKEND:
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import operator
 import os
 import sys
@@ -335,8 +338,9 @@ def map_ordered(fn, items, workers):
     unless workers is None or an int >= 1.
 
     The calling thread takes items too, from the one queue its workers - 1
-    helpers take from.  After a failure no new item starts, and the
-    exception of the first failing item in item order is raised.
+    helpers take from, with OpenBLAS on one thread (blas_threads(1)) until
+    they are done.  After a failure no new item starts, and the exception
+    of the first failing item in item order is raised.
     """
     if workers is None:
         workers = os.cpu_count() or 1
@@ -361,24 +365,83 @@ def map_ordered(fn, items, workers):
 
     helpers = [threading.Thread(target=drain)
                for _ in range(min(workers, len(items)) - 1)]
-    for h in helpers:
-        h.start()
-    try:
-        drain()
-    finally:
-        todo.clear()  # after an interrupt the helpers start no new item
+    with blas_threads(1):
         for h in helpers:
-            h.join()
+            h.start()
+        try:
+            drain()
+        finally:
+            todo.clear()  # after an interrupt the helpers start no new item
+            for h in helpers:
+                h.join()
     if failed:
         raise failed[min(failed)]
     return out
 
 
-def map_blocks(fn, n, rows):
-    """fn(slice) over the blocks [a, a + rows) that cover range(n), through
-    map_ordered on one thread per core; rows is a multiple of 64, so block
-    starts stay 64-row aligned for numpy's vector loops."""
-    return map_ordered(fn, [slice(a, a + rows) for a in range(0, n, rows)], None)
+def map_blocks(fn, n, rows, width):
+    """fn(block, buf) over the row blocks [a, a + rows) that cover range(n),
+    through map_ordered on one thread per core.  buf is a (block rows,
+    width) view of one of min(cores, blocks) buffers the calling thread
+    allocates, lent to one call at a time.  rows is a multiple of 64, so
+    blocks start 64-row aligned for numpy's vector loops."""
+    blocks = [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
+    free = [np.empty((min(rows, n), width)) for _ in blocks[:os.cpu_count() or 1]]
+
+    def lend(block):  # list.pop and append are atomic: no lock needed
+        buf = free.pop()
+        try:
+            return fn(block, buf[:block.stop - block.start])
+        finally:
+            free.append(buf)
+
+    return map_ordered(lend, blocks, None)
+
+
+# ------------------------------------------------------------ BLAS threads
+
+_blas_lock = threading.Lock()
+_blas_depth = _blas_saved = 0  # open blocks; the count the first replaced
+
+
+@functools.cache  # looked up at the first threaded map, never at import
+def _find_blas_setter():
+    """openblas_set_num_threads_local of the OpenBLAS numpy calls, found
+    through numpy's extension module, or None.  Despite its name it sets
+    the process-wide thread count, and it returns the old one."""
+    import ctypes
+
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        fn = ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):  # another BLAS, or an older OpenBLAS
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+    return fn
+
+
+@contextlib.contextmanager
+def blas_threads(count):
+    """Run numpy's OpenBLAS on count threads inside the block, process-wide.
+
+    The first block to enter sets the count and the last to leave restores
+    it, so blocks overlapping on several threads (two maps at once) never
+    leave it changed; a block opened inside another keeps the outer count.
+    """
+    global _blas_depth, _blas_saved
+    setter = _find_blas_setter()
+    with _blas_lock:
+        if _blas_depth == 0 and setter is not None:
+            _blas_saved = setter(count)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0 and setter is not None:
+                setter(_blas_saved)
 
 
 def run_fill(lam1, lam2, gamma, tau, f, q_out, u_out, v_out):

@@ -26,17 +26,19 @@ at omega = T0 for the bump taper, so the rule converges superalgebraically
 here; the omega spacing ~1/4096 keeps the aliased images of the sampled
 cosines far outside every tabulated |t| <= 256.
 
-The transforms run in two passes over chunks of 1024 t rows, each chunk's
-phase matrix 2*pi*t*omega and its cosines or sines built in place in one
-reused buffer, in 64-row blocks through _kernels.map_ordered; the calls
-are elementwise, so the blocks do not change a bit.  The cosine pass
-covers every row of the tabulation cap and gives g (which decides the
-truncation point) and g'' together, since both weigh the same cosines.
-The sine pass gives g' and runs only over the chunks that cover the kept
-rows; when no cap meets the tolerance it never runs.  The chunk layout is
-fixed: each matrix-vector product keeps the shape it has always had (1024
-rows, or the remainder, by the full omega grid), so BLAS sums in the same
-order and the tables keep their bits.
+The transforms run in one fused pass each, in 64-row blocks through
+_kernels.map_blocks: a block builds its phase matrix 2*pi*t*omega in its
+worker's buffer, takes cosines or sines in place and writes every
+matrix-vector product into its own output rows.  The cosine pass covers
+the whole tabulation cap and gives g (which decides the truncation
+point) and g'' together; the sine pass gives g' over the blocks that
+cover the kept rows.  The blocks keep every bit: OpenBLAS's dgemv sums a
+row the same way whenever it sits in a group of 4 rows starting at a
+multiple of 4, whatever the matrix around it and the thread count.  Each
+cap's grid ends in a 1-row tail (4097 = 64 * 64 + 1).  OpenBLAS threads
+a 1-row product over more than 9,216 omega nodes (T0 > 2.25), and then
+its sum depends on the thread count, so the tail runs on the calling
+thread after the map, at the process's own count.
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ _W_STAGES = (64.0, 256.0)   # tabulation caps, tried in order
 _DT = 1.0 / 64.0            # tabulation spacing of the kernel samples
 _W_MIN = 2.0                # never truncate inside the main lobe
 _OMEGA_DENSITY = 4096       # quadrature points per unit of omega
-_CHUNK = 1024               # t rows per phase matrix; fixed, see the note
-_TRIG_ROWS = 64             # rows per threaded block of a chunk's trig
+_BLOCK = 64                 # t rows per transform block; see the note
 
 
 def _smoothstep(x):
@@ -137,42 +138,22 @@ def _quadrature(T0, phi):
     return om, gh * wts
 
 
-def _trig_chunks(t, om, trig):
-    """Yield (rows, trig(2*pi*t[rows]*om)) chunk by chunk in one buffer."""
-    buf = np.empty((min(_CHUNK, t.size), om.size))
-    for a in range(0, t.size, _CHUNK):
-        rows = t[a:a + _CHUNK, None]
-        ph = buf[:rows.shape[0]]
+def _transforms(t, om, trig, weights):
+    """[trig(2*pi*t*om) @ w for w in weights], by 64-row blocks."""
+    outs = [np.empty(t.size) for _ in weights]
 
-        def block(b):  # runs before the next chunk rebinds rows and ph
-            view = ph[b]
-            np.multiply(rows[b], om, out=view)
-            view *= 2.0 * math.pi
-            trig(view, out=view)
+    def block(rows, buf):
+        np.multiply(t[rows, None], om, out=buf)
+        buf *= 2.0 * math.pi
+        trig(buf, out=buf)
+        for out, w in zip(outs, weights):
+            np.dot(buf, w, out=out[rows])
 
-        _kernels.map_blocks(block, ph.shape[0], _TRIG_ROWS)
-        yield slice(a, a + rows.shape[0]), ph
-
-
-def _cos_transforms(t, om, w0):
-    """Tabulate g and g'' on the nonnegative grid t: one cosine per chunk."""
-    w2 = om * (om * w0)
-    g = np.empty(t.size)
-    g2 = np.empty(t.size)
-    for rows, c in _trig_chunks(t, om, np.cos):
-        g[rows] = 2.0 * (c @ w0)
-        g2[rows] = -2.0 * (2.0 * math.pi) ** 2 * (c @ w2)
-    return g, g2
-
-
-def _sin_transform(t, om, w0, n_keep):
-    """Tabulate g' on t[:n_keep], over the whole chunks that cover it."""
-    n_cover = min(t.size, -(-n_keep // _CHUNK) * _CHUNK)
-    w1 = om * w0
-    g1 = np.empty(n_cover)
-    for rows, s in _trig_chunks(t[:n_cover], om, np.sin):
-        g1[rows] = -4.0 * math.pi * (s @ w1)
-    return g1[:n_keep]
+    whole = t.size - t.size % _BLOCK
+    _kernels.map_blocks(block, whole, _BLOCK, om.size)
+    if whole < t.size:  # the tail, on the calling thread: see the note
+        block(slice(whole, None), np.empty((t.size - whole, om.size)))
+    return outs
 
 
 def _l1_by_sign_splits(t, vals, anti_of=None):
@@ -243,7 +224,8 @@ def design_filter(
     for w_cap in _W_STAGES:
         n_t = int(round(w_cap / _DT)) + 1
         t = np.arange(n_t) * _DT
-        g, g2 = _cos_transforms(t, om, w0)
+        g, g2 = _transforms(t, om, np.cos, (w0, om * (om * w0)))
+        g, g2 = 2.0 * g, -2.0 * (2.0 * math.pi) ** 2 * g2
 
         # reverse cumulative trapezoid of |g|: tail(i) = int_{t_i}^{cap} |g|
         a = np.abs(g)
@@ -258,8 +240,10 @@ def design_filter(
         best = min(best, float(np.min(total[i_min:])))
         if ok.size:
             i = i_min + int(ok[0])
-            g1 = _sin_transform(t, om, w0, i + 1)
-            t, g, g2 = t[: i + 1], g[: i + 1], g2[: i + 1]
+            n_cover = min(t.size, -(-(i + 1) // _BLOCK) * _BLOCK)
+            g1 = -4.0 * math.pi * _transforms(t[:n_cover], om, np.sin,
+                                              (om * w0,))[0]
+            t, g, g1, g2 = t[: i + 1], g[: i + 1], g1[: i + 1], g2[: i + 1]
             g_l1 = 2.0 * _l1_by_sign_splits(t, g)
             g1_l1 = 2.0 * _l1_by_sign_splits(t, g1, anti_of=g)
             g2_l1 = 2.0 * _l1_by_sign_splits(t, g2, anti_of=g1)

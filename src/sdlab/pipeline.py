@@ -20,10 +20,11 @@ convolution, with the same outputs as before.
 
 Threads: the 16 phases run through _kernels.map_ordered, each writing
 its own strided slice of the output, and BandlimitedSignal.eval runs in
-64-row-aligned blocks of one buffer the calling thread allocates.  Each
-reconstruction dot longer than 10,000 taps is split in two halves that
-OpenBLAS sums on one thread each (_valid_convolve), so the bytes do not
-depend on OPENBLAS_NUM_THREADS up to 20,000 taps.
+4096-row blocks through _kernels.map_blocks, each in a (4096, k) buffer
+its worker borrows.  OpenBLAS runs on one thread meanwhile.  Each
+reconstruction dot longer than 10,000 taps is split in the two halves
+that OpenBLAS sums on two threads, each summed on one (_valid_convolve),
+so the bytes do not depend on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -77,18 +78,16 @@ class BandlimitedSignal:
         t = np.atleast_1d(t)
         if self.freqs.size == 0:
             return 0.0 if scalar else np.zeros(t.shape)
-        ph = np.empty((t.size, self.freqs.size))
         out = np.empty(t.size)
 
-        def block(rows):  # in place: a worker allocates no array data
-            view = ph[rows]
-            np.multiply(t[rows, None], 2.0 * math.pi, out=view)
-            view *= self.freqs
-            view += self.phases
-            np.cos(view, out=view)
-            np.dot(view, self.amps, out=out[rows])
+        def block(rows, ph):  # in place in the worker's buffer
+            np.multiply(t[rows, None], 2.0 * math.pi, out=ph)
+            ph *= self.freqs
+            ph += self.phases
+            np.cos(ph, out=ph)
+            np.dot(ph, self.amps, out=out[rows])
 
-        _kernels.map_blocks(block, t.size, _EVAL_ROWS)
+        _kernels.map_blocks(block, t.size, _EVAL_ROWS, self.freqs.size)
         return float(out[0]) if scalar else out
 
 
@@ -195,22 +194,22 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
 
 
 def _valid_convolve(window, taps):
-    """np.convolve(window, taps, "valid") in bits that do not depend on
-    OPENBLAS_NUM_THREADS, up to 2 * _DOT_SPLIT taps.
+    """np.convolve(window, taps, "valid") in the bits OpenBLAS gives on
+    two threads, whatever OPENBLAS_NUM_THREADS says.
 
     OpenBLAS's ddot threads a dot longer than _DOT_SPLIT; on two threads
     it returns (0.0 + first) + second over the first ceil(n/2) terms and
-    the rest.  This forms that sum from two correlations whose dots each
-    stay on one thread.  Longer dots (T above about 370 with the default
-    filter) keep the one convolve, since their halves would thread again.
+    the rest.  This forms that sum from two correlations, each summed with
+    OpenBLAS on one thread.
     """
     n = taps.size
-    if not _DOT_SPLIT < n <= 2 * _DOT_SPLIT:
+    if n <= _DOT_SPLIT:
         return np.convolve(window, taps, mode="valid")
     h = -(-n // 2)
     rev = taps[::-1]
-    first = np.correlate(window[:window.size - n + h], rev[:h], mode="valid")
-    return (0.0 + first) + np.correlate(window[h:], rev[h:], mode="valid")
+    with _kernels.blas_threads(1):  # already so inside a threaded map
+        first = np.correlate(window[:window.size - n + h], rev[:h], mode="valid")
+        return (0.0 + first) + np.correlate(window[h:], rev[h:], mode="valid")
 
 
 def sup_error(signal, params: SchemeParams, T: float, filt: FilterSpec) -> float:

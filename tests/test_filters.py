@@ -110,7 +110,8 @@ def test_wider_transition_band_shrinks_the_support(filt_default):
 
 
 def _inverse_transforms_oracle(T0, phi, t):
-    """All three transforms over every row, cos and sin per chunk."""
+    """All three transforms over every row, cos and sin per 1024-row chunk:
+    the layout the design ran before its 64-row blocks."""
     n_om = int(round(T0 * 4096)) + 1
     om = np.linspace(0.0, T0, n_om)
     gh = np.where(om <= 1.0, 1.0, phi((om - 1.0) / (T0 - 1.0)))
@@ -162,6 +163,8 @@ def _design_oracle(T0=2.0, trunc_tol=1e-8, rolloff="bump", dt=1.0 / 64.0):
     {"T0": 1.5},                  # 3447 kept rows: four chunks of sine
     {"dt": 1.0 / 32.0},           # the spacing is a module constant
     {"rolloff": "raised-cosine-squared", "trunc_tol": 1e-3},
+    {"T0": 2.5, "trunc_tol": 1e-6},   # the 1-row tail is a threaded dot
+    {"T0": 1.5, "trunc_tol": 1e-10},  # the 256 cap: 5387 kept rows
 ])
 def test_design_is_bit_identical_to_three_transform_tables(kwargs, monkeypatch):
     if "dt" in kwargs:
@@ -184,14 +187,18 @@ def test_unreachable_tolerance_keeps_its_message():
     )
 
 
-def test_design_holds_one_phase_matrix_at_a_time():
-    # one 1024-row chunk of phases over the omega grid is 64 MiB; the
-    # design may hold it plus small tables, never a second or third copy
-    chunk_bytes = 1024 * 8193 * 8
-    tracemalloc.start()
-    try:
-        design_filter()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * chunk_bytes
+def test_design_holds_one_phase_matrix_at_a_time(monkeypatch):
+    # one 64-row block of phases over the omega grid is 4 MiB; the design
+    # may hold one per worker plus small tables, never a second copy nor
+    # a chunk of the whole grid (1024 rows were 64 MiB)
+    block_bytes = 64 * 8193 * 8
+    design_filter(trunc_tol=1e-4)  # imports and first-use set-up
+    for cores in (1, 4):
+        monkeypatch.setattr(filters._kernels.os, "cpu_count", lambda: cores)
+        tracemalloc.start()
+        try:
+            design_filter()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cores * block_bytes + 2**21, cores

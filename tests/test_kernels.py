@@ -477,6 +477,111 @@ def test_map_ordered_refuses_a_worker_count_that_is_not_a_positive_int(workers):
     assert calls == []
 
 
+@pytest.fixture
+def blas_count():
+    """numpy's OpenBLAS set to 2 threads for the test; returns a reader of
+    its count (set to 1 and back: the setter returns the old count).
+    Skips where no setter is found."""
+    setter = _kernels._find_blas_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
+
+    def read():
+        count = setter(1)
+        setter(count)
+        return count
+
+    saved = setter(2)
+    yield read
+    setter(saved)
+
+
+def test_blas_runs_on_one_thread_while_a_map_runs(blas_count):
+    assert blas_count() == 2
+    seen = []
+
+    def item(x):
+        seen.append(blas_count())
+        time.sleep(0.001)
+        return x
+
+    def fail(x):
+        seen.append(blas_count())
+        raise KeyError(x)
+
+    assert _kernels.map_ordered(item, range(6), 2) == list(range(6))
+    assert blas_count() == 2
+    with pytest.raises(KeyError):
+        _kernels.map_ordered(fail, range(4), 2)
+    assert blas_count() == 2
+    nested = _kernels.map_ordered(
+        lambda x: _kernels.map_ordered(item, range(3), 2), range(3), 2)
+    assert nested == [[0, 1, 2]] * 3
+    assert blas_count() == 2
+    assert seen and set(seen) == {1}
+    seen.clear()
+    _kernels.map_ordered(item, range(3), 1)  # a serial map leaves it be
+    assert seen == [2] * 3
+
+
+def test_overlapping_maps_restore_blas_only_when_the_last_ends(blas_count):
+    # map A starts, map B starts, A ends, then B reads the count and ends:
+    # restoring at A's end would let B's items run threaded BLAS, and
+    # restoring what B found at B's end would leave one thread for good
+    b_started, a_done = threading.Event(), threading.Event()
+    late = []
+
+    def run_a():
+        _kernels.map_ordered(lambda x: b_started.wait(10), range(2), 2)
+        a_done.set()
+
+    def item_b(x):
+        b_started.set()
+        if a_done.wait(10):
+            late.append(blas_count())
+
+    users = [threading.Thread(target=run_a),
+             threading.Thread(target=lambda: _kernels.map_ordered(item_b, range(2), 2))]
+    for u in users:
+        u.start()
+    for u in users:
+        u.join(30)
+        assert not u.is_alive()
+    assert late == [1, 1]
+    assert blas_count() == 2
+
+
+def test_block_maps_at_once_lend_each_buffer_to_one_block(blas_count, monkeypatch):
+    # 6 user threads each map 40 blocks on 4 workers, switching every
+    # microsecond: a buffer lent twice at once, or a lost update of the
+    # pin's depth, shows as a clobbered mark or a count left changed
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 4)
+    clashes, counts = [], set()
+
+    def block(rows, buf):
+        buf[:] = rows.start
+        counts.add(blas_count())
+        time.sleep(0)
+        if not (buf == rows.start).all():
+            clashes.append(rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        users = [threading.Thread(target=_kernels.map_blocks,
+                                  args=(block, 40 * 64 - 5, 64, 3))
+                 for _ in range(6)]
+        for u in users:
+            u.start()
+        for u in users:
+            u.join(60)
+            assert not u.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert clashes == [] and counts == {1}
+    assert blas_count() == 2
+
+
 @needs_gcc
 def test_concurrent_first_use_builds_the_library_once(monkeypatch, tmp_path):
     # a copy of the source in a fresh directory forces a real build; more

@@ -182,7 +182,10 @@ def test_polyphase_is_bit_identical_to_full_mode_convolution(filt_default, T):
     for q in (rng.choice([-1.0, 1.0], plan.n_samples),
               rng.normal(0.0, 0.5, plan.n_samples)):
         grid, fast = _reconstruct_polyphase(q, plan, filt_default)
-        want_grid, want = _polyphase_full_mode(q, plan, filt_default)
+        # the code sums long dots as OpenBLAS does on two threads; so must
+        # the oracle, whose 13,789-tap dots at T = 256 it would thread
+        with _kernels.blas_threads(2):
+            want_grid, want = _polyphase_full_mode(q, plan, filt_default)
         assert grid.tobytes() == want_grid.tobytes()
         assert fast.tobytes() == want.tobytes()
 
@@ -193,15 +196,21 @@ def test_long_dots_are_split_into_two_single_thread_halves(n_taps):
     taps = rng.normal(size=n_taps)
     window = rng.normal(size=n_taps + 6)
     got = _valid_convolve(window, taps)
-    if n_taps <= 10_000 or n_taps > 20_000:
+    if n_taps <= 10_000:
         assert got.tobytes() == np.convolve(window, taps, mode="valid").tobytes()
         return
-    # OpenBLAS's two-thread ddot: the first ceil(n/2) terms, then the rest
+    # OpenBLAS's two-thread ddot: the first ceil(n/2) terms, then the rest,
+    # each summed on one thread (above 20,000 taps a half would thread)
     h = -(-n_taps // 2)
     rev = np.ascontiguousarray(taps[::-1])
-    want = [(0.0 + np.dot(window[i:i + h], rev[:h]))
-            + np.dot(window[i + h:i + n_taps], rev[h:]) for i in range(7)]
+    with _kernels.blas_threads(1):
+        want = [(0.0 + np.dot(window[i:i + h], rev[:h]))
+                + np.dot(window[i + h:i + n_taps], rev[h:]) for i in range(7)]
     assert got.tobytes() == np.array(want).tobytes()
+    if _kernels._find_blas_setter() is not None:  # np.convolve on two threads
+        with _kernels.blas_threads(2):
+            two = np.convolve(window, taps, mode="valid")
+        assert got.tobytes() == two.tobytes()
 
 
 def test_reconstruct_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -238,6 +247,28 @@ def test_signal_eval_blocks_cover_every_point(monkeypatch):
     whole = sig.eval(t)
     monkeypatch.setattr(pipeline, "_EVAL_ROWS", 64)
     assert sig.eval(t).tobytes() == whole.tobytes()
+
+
+def test_reconstruct_memory_stays_bounded():
+    # the design's phase blocks and the signal's eval blocks are per
+    # worker (4 MiB each for the design), so with two workers a run's peak
+    # RSS sits close to the imported interpreter's, on any host
+    pytest.importorskip("resource")
+    code = ("import os, resource\n"
+            "import sdlab.cli, scipy.interpolate\n"
+            "os.cpu_count = lambda: 2\n"
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert sdlab.cli.main(['reconstruct', '--beta', '0.5', '--rates',\n"
+            "                       '32,64,128,256', '--seed', '1',\n"
+            "                       '--out', os.devnull]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes or KiB
+    grew = int(proc.stdout.split()[-1]) * unit / 2**20
+    assert grew <= 30.0, f"peak RSS {grew:.1f} MB above the imported interpreter"
 
 
 def test_reconstruct_rejects_uncovered_times(filt_fast):
