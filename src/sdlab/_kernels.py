@@ -12,8 +12,8 @@ through map_ordered.  A third, _excess, measures one region step's
 escapes for invariance through excess.  The lanes, the sweeps' rows,
 verify_invariance's blocks, and the reconstruction's phases and row blocks
 (map_blocks, a buffer per worker) fan out to threads through one
-map_ordered, with OpenBLAS on one thread meanwhile (blas_threads), so no
-BLAS helper thread spins beside them.
+map_ordered; the reconstruction's, the only ones calling BLAS, run with
+OpenBLAS on one thread (one_blas_thread), so no BLAS helper spins beside.
 
 The entry points run the loops on the backend chosen the first time one
 of them runs (never at import) and reported as BACKEND:
@@ -60,6 +60,9 @@ HAVE_NUMBA = False
 # run_fill's bound on |u| and |v|, the probes' on |u|: beyond it a state
 # counts as divergence
 HARD_BOUND = 1.0e12
+
+# map_blocks' most workers and buffers (16 design blocks: 1024 rows)
+_BLOCK_WORKERS = 16
 
 
 class KeyedUniform:
@@ -332,13 +335,13 @@ def __getattr__(name):
 
 # ------------------------------------------------------------ entry points
 
-def map_ordered(fn, items, workers):
+def map_ordered(fn, items, workers, *, pin_blas=False):
     """[fn(x) for x in items], in item order, on up to workers threads
     (None: one per core), serially when one would do; InvalidInputError
     unless workers is None or an int >= 1.
 
     The calling thread takes items too, from the one queue its workers - 1
-    helpers take from, with OpenBLAS on one thread (blas_threads(1)) until
+    helpers take from; with pin_blas, OpenBLAS runs on one thread until
     they are done.  After a failure no new item starts, and the exception
     of the first failing item in item order is raised.
     """
@@ -365,7 +368,7 @@ def map_ordered(fn, items, workers):
 
     helpers = [threading.Thread(target=drain)
                for _ in range(min(workers, len(items)) - 1)]
-    with blas_threads(1):
+    with one_blas_thread() if pin_blas else contextlib.nullcontext():
         for h in helpers:
             h.start()
         try:
@@ -381,12 +384,14 @@ def map_ordered(fn, items, workers):
 
 def map_blocks(fn, n, rows, width):
     """fn(block, buf) over the row blocks [a, a + rows) that cover range(n),
-    through map_ordered on one thread per core.  buf is a (block rows,
-    width) view of one of min(cores, blocks) buffers the calling thread
-    allocates, lent to one call at a time.  rows is a multiple of 64, so
-    blocks start 64-row aligned for numpy's vector loops."""
+    through map_ordered on one thread per core, at most _BLOCK_WORKERS,
+    with OpenBLAS on one thread.  buf is a (block rows, width) view of one
+    of min(workers, blocks) buffers the calling thread allocates, lent to
+    one call at a time.  rows is a multiple of 64, so blocks start 64-row
+    aligned for numpy's vector loops."""
     blocks = [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
-    free = [np.empty((min(rows, n), width)) for _ in blocks[:os.cpu_count() or 1]]
+    workers = min(os.cpu_count() or 1, _BLOCK_WORKERS)
+    free = [np.empty((min(rows, n), width)) for _ in blocks[:workers]]
 
     def lend(block):  # list.pop and append are atomic: no lock needed
         buf = free.pop()
@@ -395,7 +400,7 @@ def map_blocks(fn, n, rows, width):
         finally:
             free.append(buf)
 
-    return map_ordered(lend, blocks, None)
+    return map_ordered(lend, blocks, workers, pin_blas=True)
 
 
 # ------------------------------------------------------------ BLAS threads
@@ -422,18 +427,18 @@ def _find_blas_setter():
 
 
 @contextlib.contextmanager
-def blas_threads(count):
-    """Run numpy's OpenBLAS on count threads inside the block, process-wide.
+def one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block, process-wide.
 
     The first block to enter sets the count and the last to leave restores
     it, so blocks overlapping on several threads (two maps at once) never
-    leave it changed; a block opened inside another keeps the outer count.
+    leave it changed.
     """
     global _blas_depth, _blas_saved
     setter = _find_blas_setter()
     with _blas_lock:
         if _blas_depth == 0 and setter is not None:
-            _blas_saved = setter(count)
+            _blas_saved = setter(1)
         _blas_depth += 1
     try:
         yield

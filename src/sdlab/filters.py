@@ -28,7 +28,8 @@ cosines far outside every tabulated |t| <= 256.
 
 The transforms run in one fused pass each, in 64-row blocks through
 _kernels.map_blocks: a block builds its phase matrix 2*pi*t*omega in its
-worker's buffer, takes cosines or sines in place and writes every
+worker's buffer (at most 16 of them, as large as the 1024-row chunk the
+design once held), takes cosines or sines in place and writes every
 matrix-vector product into its own output rows.  The cosine pass covers
 the whole tabulation cap and gives g (which decides the truncation
 point) and g'' together; the sine pass gives g' over the blocks that

@@ -187,18 +187,25 @@ def test_unreachable_tolerance_keeps_its_message():
     )
 
 
+def _design_peak_bytes():
+    tracemalloc.start()
+    try:
+        design_filter()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_design_holds_one_phase_matrix_at_a_time(monkeypatch):
     # one 64-row block of phases over the omega grid is 4 MiB; the design
-    # may hold one per worker plus small tables, never a second copy nor
-    # a chunk of the whole grid (1024 rows were 64 MiB)
-    block_bytes = 64 * 8193 * 8
+    # may hold one per worker (at most 16) plus small tables, never a
+    # second copy; one 1024-row chunk of the whole grid is 64 MiB, and the
+    # design never holds two, on any host
+    block_bytes, chunk_bytes = 64 * 8193 * 8, 1024 * 8193 * 8
     design_filter(trunc_tol=1e-4)  # imports and first-use set-up
-    for cores in (1, 4):
+    assert _design_peak_bytes() <= 2 * chunk_bytes
+    for cores in (1, 4, 64):
         monkeypatch.setattr(filters._kernels.os, "cpu_count", lambda: cores)
-        tracemalloc.start()
-        try:
-            design_filter()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= cores * block_bytes + 2**21, cores
+        peak = _design_peak_bytes()
+        assert peak <= min(cores, 16) * block_bytes + 2**21, cores
+        assert peak <= 2 * chunk_bytes, cores

@@ -480,15 +480,18 @@ def test_map_ordered_refuses_a_worker_count_that_is_not_a_positive_int(workers):
 @pytest.fixture
 def blas_count():
     """numpy's OpenBLAS set to 2 threads for the test; returns a reader of
-    its count (set to 1 and back: the setter returns the old count).
-    Skips where no setter is found."""
+    its count (set to 1 and back: the setter returns the old count; a lock
+    keeps two readers from seeing each other's 1).  Skips where no setter
+    is found."""
     setter = _kernels._find_blas_setter()
     if setter is None:
         pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
+    lock = threading.Lock()
 
     def read():
-        count = setter(1)
-        setter(count)
+        with lock:
+            count = setter(1)
+            setter(count)
         return count
 
     saved = setter(2)
@@ -496,7 +499,7 @@ def blas_count():
     setter(saved)
 
 
-def test_blas_runs_on_one_thread_while_a_map_runs(blas_count):
+def test_blas_runs_on_one_thread_while_a_pinned_map_runs(blas_count):
     assert blas_count() == 2
     seen = []
 
@@ -509,19 +512,21 @@ def test_blas_runs_on_one_thread_while_a_map_runs(blas_count):
         seen.append(blas_count())
         raise KeyError(x)
 
-    assert _kernels.map_ordered(item, range(6), 2) == list(range(6))
+    assert _kernels.map_ordered(item, range(6), 2, pin_blas=True) == list(range(6))
     assert blas_count() == 2
     with pytest.raises(KeyError):
-        _kernels.map_ordered(fail, range(4), 2)
+        _kernels.map_ordered(fail, range(4), 2, pin_blas=True)
     assert blas_count() == 2
     nested = _kernels.map_ordered(
-        lambda x: _kernels.map_ordered(item, range(3), 2), range(3), 2)
+        lambda x: _kernels.map_ordered(item, range(3), 2, pin_blas=True),
+        range(3), 2, pin_blas=True)
     assert nested == [[0, 1, 2]] * 3
     assert blas_count() == 2
     assert seen and set(seen) == {1}
     seen.clear()
-    _kernels.map_ordered(item, range(3), 1)  # a serial map leaves it be
-    assert seen == [2] * 3
+    _kernels.map_ordered(item, range(3), 1, pin_blas=True)  # serial: left be
+    _kernels.map_ordered(item, range(3), 2)  # unpinned: left be
+    assert seen == [2] * 6
 
 
 def test_overlapping_maps_restore_blas_only_when_the_last_ends(blas_count):
@@ -532,7 +537,8 @@ def test_overlapping_maps_restore_blas_only_when_the_last_ends(blas_count):
     late = []
 
     def run_a():
-        _kernels.map_ordered(lambda x: b_started.wait(10), range(2), 2)
+        _kernels.map_ordered(lambda x: b_started.wait(10), range(2), 2,
+                             pin_blas=True)
         a_done.set()
 
     def item_b(x):
@@ -541,7 +547,8 @@ def test_overlapping_maps_restore_blas_only_when_the_last_ends(blas_count):
             late.append(blas_count())
 
     users = [threading.Thread(target=run_a),
-             threading.Thread(target=lambda: _kernels.map_ordered(item_b, range(2), 2))]
+             threading.Thread(target=lambda: _kernels.map_ordered(
+                 item_b, range(2), 2, pin_blas=True))]
     for u in users:
         u.start()
     for u in users:
@@ -580,6 +587,19 @@ def test_block_maps_at_once_lend_each_buffer_to_one_block(blas_count, monkeypatc
         sys.setswitchinterval(interval)
     assert clashes == [] and counts == {1}
     assert blas_count() == 2
+
+
+def test_block_maps_hold_at_most_16_buffers_on_many_cores(monkeypatch):
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 64)
+    bufs, threads = set(), set()
+
+    def block(rows, buf):
+        bufs.add(buf.base.ctypes.data)
+        threads.add(threading.get_ident())
+        time.sleep(0.001)
+
+    _kernels.map_blocks(block, 100 * 64, 64, 3)
+    assert 1 < len(bufs) <= 16 and 1 < len(threads) <= 16
 
 
 @needs_gcc

@@ -1,5 +1,6 @@
 """Sample -> quantize -> reconstruct plumbing and its accuracy invariants."""
 
+import contextlib
 import hashlib
 import math
 import os
@@ -172,6 +173,19 @@ def _polyphase_full_mode(values, plan, filt):
     return grid, out
 
 
+@contextlib.contextmanager
+def _blas_on_two_threads():
+    """numpy's OpenBLAS on two threads inside the block, where it exposes
+    a thread-count setter; otherwise at the count it has."""
+    setter = _kernels._find_blas_setter()
+    saved = setter(2) if setter is not None else None
+    try:
+        yield
+    finally:
+        if setter is not None:
+            setter(saved)
+
+
 @pytest.mark.parametrize("T", [1.1, 1.15, 1.5, 2.0, 2.5, 3.0, 7.3, 32.0, 256.0])
 def test_polyphase_is_bit_identical_to_full_mode_convolution(filt_default, T):
     # rates up to 2.5 leave some phases' windows outside the samples, so
@@ -184,7 +198,7 @@ def test_polyphase_is_bit_identical_to_full_mode_convolution(filt_default, T):
         grid, fast = _reconstruct_polyphase(q, plan, filt_default)
         # the code sums long dots as OpenBLAS does on two threads; so must
         # the oracle, whose 13,789-tap dots at T = 256 it would thread
-        with _kernels.blas_threads(2):
+        with _blas_on_two_threads():
             want_grid, want = _polyphase_full_mode(q, plan, filt_default)
         assert grid.tobytes() == want_grid.tobytes()
         assert fast.tobytes() == want.tobytes()
@@ -203,12 +217,12 @@ def test_long_dots_are_split_into_two_single_thread_halves(n_taps):
     # each summed on one thread (above 20,000 taps a half would thread)
     h = -(-n_taps // 2)
     rev = np.ascontiguousarray(taps[::-1])
-    with _kernels.blas_threads(1):
+    with _kernels.one_blas_thread():
         want = [(0.0 + np.dot(window[i:i + h], rev[:h]))
                 + np.dot(window[i + h:i + n_taps], rev[h:]) for i in range(7)]
     assert got.tobytes() == np.array(want).tobytes()
     if _kernels._find_blas_setter() is not None:  # np.convolve on two threads
-        with _kernels.blas_threads(2):
+        with _blas_on_two_threads():
             two = np.convolve(window, taps, mode="valid")
         assert got.tobytes() == two.tobytes()
 
