@@ -15,7 +15,6 @@ from sdlab import (
     run_fig1,
     run_fig2,
     run_fig4,
-    sweep_fieldnames,
     vmax_at_theoretical,
 )
 
@@ -50,9 +49,8 @@ for r in vmax_at_theoretical(cfg):
 
 print()
 print("== tables are byte-stable ==")
-a = csv_text(sweep_fieldnames("fig2"), run_fig2(cfg))
-b = csv_text(sweep_fieldnames("fig2"),
-             run_fig2(SweepConfig(lambda_grid=np.linspace(1.0, 1.05, 6),
+a = csv_text(run_fig2(cfg))
+b = csv_text(run_fig2(SweepConfig(lambda_grid=np.linspace(1.0, 1.05, 6),
                                   max_iters=10**5, workers=4)))
 print("serial rerun == 4-worker rerun:", a == b)
 buf = io.StringIO()

@@ -12,8 +12,8 @@ through map_ordered.  A third, _excess, measures one region step's
 escapes for invariance through excess.  The lanes, the sweeps' rows,
 verify_invariance's blocks, and the reconstruction's phases and row blocks
 (map_blocks, a buffer per worker) fan out to threads through one
-map_ordered; the reconstruction's, the only ones calling BLAS, run with
-OpenBLAS on one thread (one_blas_thread), so no BLAS helper spins beside.
+map_ordered.  A caller whose items call BLAS runs its map inside
+one_blas_thread, as map_blocks does, so no BLAS helper spins beside.
 
 The entry points run the loops on the backend chosen the first time one
 of them runs (never at import) and reported as BACKEND:
@@ -335,15 +335,14 @@ def __getattr__(name):
 
 # ------------------------------------------------------------ entry points
 
-def map_ordered(fn, items, workers, *, pin_blas=False):
+def map_ordered(fn, items, workers):
     """[fn(x) for x in items], in item order, on up to workers threads
     (None: one per core), serially when one would do; InvalidInputError
     unless workers is None or an int >= 1.
 
     The calling thread takes items too, from the one queue its workers - 1
-    helpers take from; with pin_blas, OpenBLAS runs on one thread until
-    they are done.  After a failure no new item starts, and the exception
-    of the first failing item in item order is raised.
+    helpers take from.  After a failure no new item starts, and the
+    exception of the first failing item in item order is raised.
     """
     if workers is None:
         workers = os.cpu_count() or 1
@@ -368,15 +367,14 @@ def map_ordered(fn, items, workers, *, pin_blas=False):
 
     helpers = [threading.Thread(target=drain)
                for _ in range(min(workers, len(items)) - 1)]
-    with one_blas_thread() if pin_blas else contextlib.nullcontext():
+    for h in helpers:
+        h.start()
+    try:
+        drain()
+    finally:
+        todo.clear()  # after an interrupt the helpers start no new item
         for h in helpers:
-            h.start()
-        try:
-            drain()
-        finally:
-            todo.clear()  # after an interrupt the helpers start no new item
-            for h in helpers:
-                h.join()
+            h.join()
     if failed:
         raise failed[min(failed)]
     return out
@@ -385,7 +383,7 @@ def map_ordered(fn, items, workers, *, pin_blas=False):
 def map_blocks(fn, n, rows, width):
     """fn(block, buf) over the row blocks [a, a + rows) that cover range(n),
     through map_ordered on one thread per core, at most _BLOCK_WORKERS,
-    with OpenBLAS on one thread.  buf is a (block rows, width) view of one
+    inside one_blas_thread.  buf is a (block rows, width) view of one
     of min(workers, blocks) buffers the calling thread allocates, lent to
     one call at a time.  rows is a multiple of 64, so blocks start 64-row
     aligned for numpy's vector loops."""
@@ -400,7 +398,8 @@ def map_blocks(fn, n, rows, width):
         finally:
             free.append(buf)
 
-    return map_ordered(lend, blocks, workers, pin_blas=True)
+    with one_blas_thread():
+        return map_ordered(lend, blocks, workers)
 
 
 # ------------------------------------------------------------ BLAS threads
@@ -409,7 +408,7 @@ _blas_lock = threading.Lock()
 _blas_depth = _blas_saved = 0  # open blocks; the count the first replaced
 
 
-@functools.cache  # looked up at the first threaded map, never at import
+@functools.cache  # looked up at the first pin, never at import
 def _find_blas_setter():
     """openblas_set_num_threads_local of the OpenBLAS numpy calls, found
     through numpy's extension module, or None.  Despite its name it sets

@@ -49,14 +49,7 @@ from .invariance import verify_invariance
 from .modulator import SchemeParams, run
 from .pipeline import error_curve, gen_signal, order_fit
 from .region import RegionSpec
-from .serialize import (
-    ERROR_CURVE_FIELDS,
-    sweep_fieldnames,
-    write_csv,
-    write_json,
-    write_region_csv,
-    write_trajectory_csv,
-)
+from .serialize import write_csv, write_json, write_region_csv, write_trajectory_csv
 from .sweeps import DEFAULT_SEED, SweepConfig, run_fig1, run_fig2, run_fig3, run_fig4
 
 __all__ = ["main"]
@@ -282,7 +275,7 @@ def cmd_reconstruct(args) -> int:
     else:
         params = SchemeParams(*(1.0 if g is None else g for g in gains), args.gamma)
     rows = error_curve(signal, params, rates, filt)
-    write_csv(_out(args), ERROR_CURVE_FIELDS, rows)
+    write_csv(_out(args), rows)
     try:
         slope = order_fit(rows)
         print(f"order fit: slope {slope:.4f} over {len(rows)} rates",
@@ -313,7 +306,7 @@ def cmd_sweep(args) -> int:
     )
     run_fig = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3,
                "fig4": run_fig4}[args.fig]
-    write_csv(_out(args), sweep_fieldnames(args.fig), run_fig(cfg))
+    write_csv(_out(args), run_fig(cfg))
     return 0
 
 

@@ -35,11 +35,7 @@ the whole tabulation cap and gives g (which decides the truncation
 point) and g'' together; the sine pass gives g' over the blocks that
 cover the kept rows.  The blocks keep every bit: OpenBLAS's dgemv sums a
 row the same way whenever it sits in a group of 4 rows starting at a
-multiple of 4, whatever the matrix around it and the thread count.  Each
-cap's grid ends in a 1-row tail (4097 = 64 * 64 + 1).  OpenBLAS threads
-a 1-row product over more than 9,216 omega nodes (T0 > 2.25), and then
-its sum depends on the thread count, so the tail runs on the calling
-thread after the map, at the process's own count.
+multiple of 4, whatever the matrix around it and the thread count.
 """
 
 from __future__ import annotations
@@ -150,10 +146,7 @@ def _transforms(t, om, trig, weights):
         for out, w in zip(outs, weights):
             np.dot(buf, w, out=out[rows])
 
-    whole = t.size - t.size % _BLOCK
-    _kernels.map_blocks(block, whole, _BLOCK, om.size)
-    if whole < t.size:  # the tail, on the calling thread: see the note
-        block(slice(whole, None), np.empty((t.size - whole, om.size)))
+    _kernels.map_blocks(block, t.size, _BLOCK, om.size)
     return outs
 
 

@@ -21,11 +21,12 @@ convolution, with the same outputs as before.
 Threads: the 16 phases run through _kernels.map_ordered, each writing
 its own strided slice of the output, and BandlimitedSignal.eval runs in
 4096-row blocks through _kernels.map_blocks, each in a (4096, k) buffer
-its worker borrows.  OpenBLAS runs on one thread during both maps.  Each
-reconstruction dot longer than 10,000 taps is split in the two halves
-that OpenBLAS sums on two threads, each summed on one (_valid_convolve),
-so the bytes do not depend on OPENBLAS_NUM_THREADS where OpenBLAS has a
-thread-count setter (without one, halves above 10,000 terms thread: T > 370).
+its worker borrows.  OpenBLAS runs on one thread during both maps (the
+phase map pins it here, map_blocks itself).  Each reconstruction dot
+longer than 10,000 taps is split in the two halves that OpenBLAS sums on
+two threads, each summed on one (_valid_convolve), so the bytes do not
+depend on OPENBLAS_NUM_THREADS where OpenBLAS has a thread-count setter
+(without one, halves above 10,000 terms thread: T > 370).
 """
 
 from __future__ import annotations
@@ -190,7 +191,8 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
             conv = np.convolve(values, taps)
             out[sel] = conv[m - 1 + J] / T
 
-    _kernels.map_ordered(phase, range(_EVAL_PER_INTERVAL), None, pin_blas=True)
+    with _kernels.one_blas_thread():
+        _kernels.map_ordered(phase, range(_EVAL_PER_INTERVAL), None)
     return grid, out
 
 
@@ -208,7 +210,7 @@ def _valid_convolve(window, taps):
         return np.convolve(window, taps, mode="valid")
     h = -(-n // 2)
     rev = taps[::-1]
-    with _kernels.one_blas_thread():  # already so inside a threaded map
+    with _kernels.one_blas_thread():  # already so inside the phase map
         first = np.correlate(window[:window.size - n + h], rev[:h], mode="valid")
         return (0.0 + first) + np.correlate(window[h:], rev[h:], mode="valid")
 

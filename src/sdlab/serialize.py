@@ -37,33 +37,10 @@ __all__ = [
     "write_json",
     "write_trajectory_csv",
     "write_region_csv",
-    "sweep_fieldnames",
     "TRAJECTORY_FIELDS",
-    "REGION_FIELDS",
-    "ERROR_CURVE_FIELDS",
 ]
 
 TRAJECTORY_FIELDS = ("n", "f", "q", "u", "v")
-REGION_FIELDS = ("u", "B1", "B2")
-ERROR_CURVE_FIELDS = ("T", "sup_error", "bound")
-_THRESHOLD_FIELDS = ("lambda", "beta_theoretical", "beta_observed",
-                     "gamma_mode", "alpha_used")
-_SWEEP_FIELDS = {
-    "fig1": ("lambda", "beta_max", "alpha_star"),
-    "fig2": _THRESHOLD_FIELDS,
-    "fig3": _THRESHOLD_FIELDS,
-    "fig4": ("lambda", "vmax_theoretical", "vmax_empirical_thm1gamma",
-             "vmax_empirical_gamma1"),
-}
-
-
-def sweep_fieldnames(fig: str):
-    try:
-        return _SWEEP_FIELDS[fig]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown figure {fig!r}; choose from {sorted(_SWEEP_FIELDS)}"
-        ) from None
 
 
 def fmt_float(x: float) -> str:
@@ -86,15 +63,16 @@ def _cell(value) -> str:
     return fmt_float(x)
 
 
-def csv_text(fieldnames, rows) -> str:
-    """Render dict rows to CSV with a header line and \\n line endings."""
-    out = StringIO()
-    out.write(",".join(fieldnames))
-    out.write("\n")
-    for row in rows:
-        out.write(",".join(_cell(row[k]) for k in fieldnames))
-        out.write("\n")
-    return out.getvalue()
+def csv_text(rows) -> str:
+    """Render dict rows to CSV with \\n line endings, under a header of
+    the first row's keys; every row is read by those keys, so a row that
+    lacks one raises KeyError.  No rows give no text, not even a header."""
+    rows = list(rows)
+    if not rows:
+        return ""
+    keys = rows[0]
+    lines = [",".join(keys), *(",".join(_cell(r[k]) for k in keys) for r in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _dump(text: str, dest) -> None:
@@ -107,8 +85,8 @@ def _dump(text: str, dest) -> None:
             fh.write(text)
 
 
-def write_csv(dest, fieldnames, rows) -> None:
-    _dump(csv_text(fieldnames, rows), dest)
+def write_csv(dest, rows) -> None:
+    _dump(csv_text(rows), dest)
 
 
 def _json_render(obj, out) -> None:
@@ -203,4 +181,4 @@ def write_region_csv(dest, spec, n_points: int = 513) -> None:
                                 b1_eval(spec, u).tolist(),
                                 b2_eval(spec, u).tolist())
     )
-    write_csv(dest, REGION_FIELDS, rows)
+    write_csv(dest, rows)

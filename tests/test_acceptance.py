@@ -21,7 +21,7 @@ from sdlab.invariance import verify_invariance
 from sdlab.modulator import SchemeParams, residual_identity, run
 from sdlab.pipeline import error_curve, gen_signal, order_fit
 from sdlab.region import RegionSpec, step_region, yilmaz_gamma_range
-from sdlab.serialize import csv_text, sweep_fieldnames
+from sdlab.serialize import csv_text
 from sdlab.sweeps import (
     SweepConfig,
     measure_vmax,
@@ -210,12 +210,12 @@ def test_criterion_9_sweep_tables_are_byte_identical_across_reruns():
     def fig2_text(workers):
         cfg = SweepConfig(lambda_grid=grid, input_mode="random-uniform",
                           max_iters=10**5, seed=1729, workers=workers)
-        return csv_text(sweep_fieldnames("fig2"), run_fig2(cfg))
+        return csv_text(run_fig2(cfg))
 
     def fig4_text(workers):
         cfg = SweepConfig(lambda_grid=grid, input_mode="random-uniform",
                           max_iters=10**5, seed=1729, workers=workers)
-        return csv_text(sweep_fieldnames("fig4"), run_fig4(cfg))
+        return csv_text(run_fig4(cfg))
 
     a2, b2, c2 = fig2_text(1), fig2_text(3), fig2_text(8)
     a4, b4 = fig4_text(1), fig4_text(4)

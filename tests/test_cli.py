@@ -455,4 +455,5 @@ def test_help_exits_zero(capsys):
 def test_unknown_command_or_flag_is_a_usage_error(capsys):
     assert main(["simlate"]) == 1
     assert main(["simulate", "--beta", "0.3", "--steps", "3", "--bogus"]) == 1
+    assert main(["sweep", "fig5"]) == 1
     capsys.readouterr()

@@ -4,13 +4,17 @@ The fast fixture (loose tail tolerance) exercises plumbing; accuracy
 claims use the default design whose tail bound is certified under 1e-8.
 """
 
+import contextlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdlab import filters
+from sdlab import _kernels, filters
 from sdlab.errors import InvalidInputError, ResourceError
 from sdlab.filters import design_filter, taper_profiles
 
@@ -171,11 +175,34 @@ def test_design_is_bit_identical_to_three_transform_tables(kwargs, monkeypatch):
         monkeypatch.setattr(filters, "_DT", kwargs["dt"])
     f = design_filter(**{k: v for k, v in kwargs.items() if k != "dt"})
     assert f.dt == kwargs.get("dt", 1.0 / 64.0)
-    t, g, g1, g2, W, tail_bound, norms = _design_oracle(**kwargs)
+    # above T0 = 2.25 OpenBLAS threads each cap's 1-row product (4097 rows
+    # = 64 * 64 + 1); the design sums it on one thread, in map_blocks
+    tail_threads = kwargs.get("T0", 2.0) > 2.25
+    with _kernels.one_blas_thread() if tail_threads else contextlib.nullcontext():
+        t, g, g1, g2, W, tail_bound, norms = _design_oracle(**kwargs)
     for got, want in ((f.t_tab, t), (f.g_tab, g), (f.g1_tab, g1), (f.g2_tab, g2)):
         assert got.tobytes() == want.tobytes()
     assert (f.W, f.tail_bound) == (W, tail_bound)
     assert (f.g_l1, f.g1_l1, f.g2_l1) == norms
+
+
+def test_design_does_not_depend_on_the_blas_thread_count():
+    # at T0 = 2.5 each cap's 1-row tail is a product OpenBLAS would thread
+    code = ("import hashlib\n"
+            "from sdlab.filters import design_filter\n"
+            "f = design_filter(T0=2.5, trunc_tol=1e-6)\n"
+            "tabs = (f.t_tab, f.g_tab, f.g1_tab, f.g2_tab)\n"
+            "print(hashlib.sha256(b''.join(a.tobytes() for a in tabs)).hexdigest())\n"
+            "print(repr((f.W, f.tail_bound, f.g_l1, f.g1_l1, f.g2_l1)))\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_unreachable_tolerance_keeps_its_message():

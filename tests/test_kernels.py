@@ -499,7 +499,9 @@ def blas_count():
     setter(saved)
 
 
-def test_blas_runs_on_one_thread_while_a_pinned_map_runs(blas_count):
+def test_blas_runs_on_one_thread_while_a_pinned_map_runs(blas_count, monkeypatch):
+    # map_blocks pins its own map; any other map is pinned by its caller
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 2)
     assert blas_count() == 2
     seen = []
 
@@ -508,47 +510,57 @@ def test_blas_runs_on_one_thread_while_a_pinned_map_runs(blas_count):
         time.sleep(0.001)
         return x
 
-    def fail(x):
-        seen.append(blas_count())
-        raise KeyError(x)
+    def block(rows, buf):
+        return item(rows.start)
 
-    assert _kernels.map_ordered(item, range(6), 2, pin_blas=True) == list(range(6))
+    def fail(rows, buf):
+        seen.append(blas_count())
+        raise KeyError(rows.start)
+
+    def pinned(fn, items):
+        with _kernels.one_blas_thread():
+            return _kernels.map_ordered(fn, items, 2)
+
+    assert _kernels.map_blocks(block, 6 * 64, 64, 1) == list(range(0, 384, 64))
     assert blas_count() == 2
     with pytest.raises(KeyError):
-        _kernels.map_ordered(fail, range(4), 2, pin_blas=True)
+        _kernels.map_blocks(fail, 4 * 64, 64, 1)
     assert blas_count() == 2
-    nested = _kernels.map_ordered(
-        lambda x: _kernels.map_ordered(item, range(3), 2, pin_blas=True),
-        range(3), 2, pin_blas=True)
-    assert nested == [[0, 1, 2]] * 3
+    assert pinned(item, range(6)) == list(range(6))
+    assert blas_count() == 2
+    nested = pinned(lambda x: _kernels.map_blocks(block, 3 * 64, 64, 1), range(3))
+    assert nested == [[0, 64, 128]] * 3
     assert blas_count() == 2
     assert seen and set(seen) == {1}
     seen.clear()
-    _kernels.map_ordered(item, range(3), 1, pin_blas=True)  # serial: left be
-    _kernels.map_ordered(item, range(3), 2)  # unpinned: left be
-    assert seen == [2] * 6
+    _kernels.map_ordered(item, range(3), 2)  # a plain map: left be
+    assert seen == [2] * 3
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 1)
+    _kernels.map_blocks(block, 3 * 64, 64, 1)  # serial: pinned too
+    assert seen == [2] * 3 + [1] * 3
+    assert blas_count() == 2
 
 
-def test_overlapping_maps_restore_blas_only_when_the_last_ends(blas_count):
+def test_overlapping_maps_restore_blas_only_when_the_last_ends(blas_count, monkeypatch):
     # map A starts, map B starts, A ends, then B reads the count and ends:
-    # restoring at A's end would let B's items run threaded BLAS, and
+    # restoring at A's end would let B's blocks run threaded BLAS, and
     # restoring what B found at B's end would leave one thread for good
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 2)
     b_started, a_done = threading.Event(), threading.Event()
     late = []
 
     def run_a():
-        _kernels.map_ordered(lambda x: b_started.wait(10), range(2), 2,
-                             pin_blas=True)
+        _kernels.map_blocks(lambda rows, buf: b_started.wait(10), 2 * 64, 64, 1)
         a_done.set()
 
-    def item_b(x):
+    def block_b(rows, buf):
         b_started.set()
         if a_done.wait(10):
             late.append(blas_count())
 
     users = [threading.Thread(target=run_a),
-             threading.Thread(target=lambda: _kernels.map_ordered(
-                 item_b, range(2), 2, pin_blas=True))]
+             threading.Thread(target=_kernels.map_blocks,
+                              args=(block_b, 2 * 64, 64, 1))]
     for u in users:
         u.start()
     for u in users:

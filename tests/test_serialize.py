@@ -19,13 +19,10 @@ from sdlab.modulator import SchemeParams, run
 from sdlab.region import RegionSpec, b1_eval, corner_u0
 from sdlab.serialize import (
     CHUNK_ROWS,
-    ERROR_CURVE_FIELDS,
-    REGION_FIELDS,
     TRAJECTORY_FIELDS,
     csv_text,
     fmt_float,
     json_text,
-    sweep_fieldnames,
     write_csv,
     write_json,
     write_region_csv,
@@ -46,15 +43,18 @@ def test_float_text_roundtrips_exactly(x):
 
 def test_cell_conventions():
     rows = [{"a": None, "b": math.nan, "c": True, "d": 7, "e": "txt", "f": 0.1}]
-    text = csv_text(("a", "b", "c", "d", "e", "f"), rows)
+    text = csv_text(rows)
     assert text == "a,b,c,d,e,f\nNA,NA,true,7,txt,0.10000000000000001\n"
+    assert csv_text([]) == ""  # no rows, so no keys for a header
 
 
 def test_csv_rejects_rows_missing_a_field():
-    # absent values must be explicit Nones; a missing key is a schema bug
+    # the first row's keys are the header; absent values must be explicit
+    # Nones, so a later row that lacks a key is a schema bug
     with pytest.raises(KeyError):
-        csv_text(("a", "b"), [{"a": 1}])
-    assert csv_text(("a", "b"), [{"a": 1, "b": None}]).splitlines()[1] == "1,NA"
+        csv_text([{"a": 1, "b": 2}, {"a": 1}])
+    assert csv_text([{"a": 0, "b": 2}, {"a": 1, "b": None}]).splitlines() == [
+        "a,b", "0,2", "1,NA"]
 
 
 def test_trajectory_fast_path_matches_the_generic_writer():
@@ -64,7 +64,8 @@ def test_trajectory_fast_path_matches_the_generic_writer():
         {"n": i + 1, "f": tr.f[i], "q": int(tr.q[i]), "u": tr.u[i], "v": tr.v[i]}
         for i in range(tr.n_steps)
     ]
-    assert fast == csv_text(TRAJECTORY_FIELDS, rows)
+    assert fast == csv_text(rows)
+    assert fast.startswith(",".join(TRAJECTORY_FIELDS) + "\n")
 
 
 def test_trajectory_text_is_parse_exact():
@@ -213,9 +214,9 @@ def test_json_rejects_non_finite():
 def test_writers_accept_paths_and_file_objects(tmp_path):
     rows = [{"T": 32.0, "sup_error": 1e-3, "bound": 2e-3}]
     p = tmp_path / "curve.csv"
-    write_csv(p, ERROR_CURVE_FIELDS, rows)
+    write_csv(p, rows)
     buf = io.StringIO()
-    write_csv(buf, ERROR_CURVE_FIELDS, rows)
+    write_csv(buf, rows)
     assert p.read_text() == buf.getvalue()
     pj = tmp_path / "r.json"
     write_json(pj, {"ok": True})
@@ -227,7 +228,7 @@ def test_region_table_shape_and_symmetry(tmp_path):
     buf = io.StringIO()
     write_region_csv(buf, spec, n_points=201)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == ",".join(REGION_FIELDS)
+    assert lines[0] == "u,B1,B2"
     assert len(lines) == 202
     u0 = corner_u0(spec)
     first = lines[1].split(",")
@@ -247,15 +248,3 @@ def test_trajectory_writer_to_file(tmp_path):
     body = p.read_text()
     assert body == trajectory_text(tr)
     assert body.splitlines()[1].startswith("1,0.29999999999999999,1,")
-
-
-def test_sweep_fieldnames_schemas():
-    assert sweep_fieldnames("fig1") == ("lambda", "beta_max", "alpha_star")
-    assert sweep_fieldnames("fig2") == (
-        "lambda", "beta_theoretical", "beta_observed", "gamma_mode", "alpha_used")
-    assert sweep_fieldnames("fig3") == sweep_fieldnames("fig2")
-    assert sweep_fieldnames("fig4") == (
-        "lambda", "vmax_theoretical", "vmax_empirical_thm1gamma",
-        "vmax_empirical_gamma1")
-    with pytest.raises(InvalidInputError):
-        sweep_fieldnames("fig5")
