@@ -1,4 +1,4 @@
-"""Hot inner loops: the modulator recursion, the row formatter, the excess.
+"""Hot inner loops: the recursion, the row formatter, the excess, a correlation.
 
 One loop, _recur, runs the double-loop recursion; run_fill, probe_const
 and probe_input are one-call entry points that differ only in the input
@@ -9,16 +9,18 @@ A second loop, _format_rows, renders trajectory rows as CSV text for
 serialize.write_trajectory_csv through format_lanes, which on the C loop
 allocates a buffer per lane on the calling thread and formats the lanes
 through map_ordered.  A third, _excess, measures one region step's
-escapes for invariance through excess.  The lanes, the sweeps' rows,
-verify_invariance's blocks, and the reconstruction's phases and row blocks
-(map_blocks, a buffer per worker) fan out to threads through one
-map_ordered.  A caller whose items call BLAS runs its map inside
-one_blas_thread, as map_blocks does, so no BLAS helper spins beside.
+escapes for invariance through excess.  A fourth, C only, sums a
+reconstruction phase through correlator, by the ILP64 cblas_ddot numpy's
+dot calls (_find_ddot), over 64-byte aligned copies; without it numpy runs.
+The lanes, the sweeps' rows, verify_invariance's blocks, and the
+reconstruction's phases and row blocks (map_blocks, a buffer per worker)
+fan out to threads through one map_ordered.  A caller whose items call
+BLAS runs its map inside one_blas_thread, as map_blocks does.
 
 The entry points run the loops on the backend chosen the first time one
 of them runs (never at import) and reported as BACKEND:
 
-    "c"      _recur.c, one library holding all three loops, compiled with
+    "c"      _recur.c, one library holding all four loops, compiled with
              gcc -O2 -ffp-contract=off into
              sdlab/__pycache__/_recur-<hash>.so (or a per-user directory
              under tempfile.gettempdir() when that one is not writable)
@@ -42,6 +44,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
+import mmap
 import operator
 import os
 import sys
@@ -160,11 +163,11 @@ _CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 # longest %.17g text of a double, as in -2.2250738585072014e-308
 _NUM_WIDTH = 24
 
-# a backend: the name BACKEND reports and loops like _recur, _excess and
-# format_lanes
-_Backend = collections.namedtuple("_Backend", "name recur excess format_lanes")
+# a backend: the name BACKEND reports and loops like _recur, _excess,
+# format_lanes and the C correlation (None in Python)
+_Backend = collections.namedtuple("_Backend", "name recur excess format_lanes correlator")
 _PYTHON = _Backend("python", _recur, _excess,
-                   lambda n0, f, q, u, v, lanes: [_format_rows(n0, f, q, u, v)])
+                   lambda n0, f, q, u, v, lanes: [_format_rows(n0, f, q, u, v)], None)
 _chosen = None
 _choose_lock = threading.Lock()
 
@@ -305,7 +308,28 @@ def _load_c():
             spec.delta_H, spec.delta_L, out.ctypes.data)
         return out
 
-    return _Backend("c", c_recur, c_excess, c_format_lanes)
+    cor = lib.sdlab_correlate
+    cor.argtypes, cor.restype = [p, p, ll, ll, p, ll, ll, ll, p, ll], ctypes.c_int
+
+    def c_correlator(ddot, values):
+        n, w = values.shape[0], -(-values.shape[0] // 8) * 8
+        # rows from a page start, so 64-byte aligned, apart from the heap
+        copies = np.frombuffer(mmap.mmap(-1, 64 * w), np.float64).reshape(8, w)
+        for k in range(8):
+            copies[k, :n - k] = values[k:]
+
+        def correlate(start, taps, split, out):
+            n_taps, n_out = taps.shape[0], out.shape[0]
+            if not (0 <= start <= n - n_out - n_taps + 1 and 0 < split <= n_taps
+                    and out.dtype == np.float64 and out.flags.writeable):
+                raise IndexError(f"{n_out} outputs of {n_taps} taps at {start} of {n}")
+            taps = np.ascontiguousarray(taps)
+            if cor(ddot, copies.ctypes.data, w, start, taps.ctypes.data, n_taps,
+                   split, n_out, out.ctypes.data, out.strides[0] // 8):
+                raise MemoryError("no room for the correlation's aligned taps")
+        return correlate
+
+    return _Backend("c", c_recur, c_excess, c_format_lanes, c_correlator)
 
 
 def _choose():
@@ -408,21 +432,30 @@ _blas_lock = threading.Lock()
 _blas_depth = _blas_saved = 0  # open blocks; the count the first replaced
 
 
-@functools.cache  # looked up at the first pin, never at import
-def _find_blas_setter():
-    """openblas_set_num_threads_local of the OpenBLAS numpy calls, found
-    through numpy's extension module, or None.  Despite its name it sets
-    the process-wide thread count, and it returns the old one."""
+def _numpy_blas(*names):
+    """The first of names numpy's BLAS exports, as a ctypes function, or None."""
     import ctypes
 
     umath = (sys.modules.get("numpy._core._multiarray_umath")
              or sys.modules.get("numpy.core._multiarray_umath"))
-    try:
-        fn = ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
-    except (AttributeError, OSError):  # another BLAS, or an older OpenBLAS
-        return None
-    fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
-    return fn
+    for name in names:
+        with contextlib.suppress(AttributeError, OSError):
+            return getattr(ctypes.CDLL(umath.__file__), name)
+    return None
+
+
+@functools.cache  # looked up at the first pin, never at import
+def _find_blas_setter():
+    """openblas_set_num_threads_local of numpy's OpenBLAS, or None (an older
+    one), with ctypes' default int argument and result.  Despite its name it
+    sets the process-wide thread count, and it returns the old one."""
+    return _numpy_blas("openblas_set_num_threads_local")
+
+
+@functools.cache  # looked up at the first correlation, never at import
+def _find_ddot():
+    """The ILP64 cblas_ddot (64-bit n) that numpy's dot calls, or None."""
+    return _numpy_blas("scipy_cblas_ddot64_", "cblas_ddot64_")
 
 
 @contextlib.contextmanager
@@ -483,6 +516,16 @@ def format_lanes(n0, f, q, u, v, lanes):
     "n,f,q,u,v\\n" with the floats in %.17g and a NaN as "nan".
     """
     return (_chosen or _choose()).format_lanes(n0, f, q, u, v, lanes)
+
+
+def correlator(values):
+    """correlate(start, taps, split, out) over 64-byte aligned copies of the
+    1-D values, or None on the Python backend or without numpy's ILP64 ddot:
+    the C loop writes into the float64 view out, without the GIL,
+    np.correlate(values[start:], taps, "valid")[:len(out)] with each dot
+    (0.0 + first) + second over taps[:split] and taps[split:]."""
+    make, ddot = (_chosen or _choose()).correlator, _find_ddot()
+    return None if make is None or ddot is None else make(ddot, values)
 
 
 def excess(us, vs, deltas, gamma, lam, spec):

@@ -1,6 +1,7 @@
-/* The three loops of _kernels in C: the double-loop recursion of
-   _kernels._recur, the trajectory row formatter of _kernels._format_rows
-   and the one-step containment excess of _kernels._excess.
+/* The four loops of _kernels in C: the double-loop recursion of
+   _kernels._recur, the trajectory row formatter of _kernels._format_rows,
+   the one-step containment excess of _kernels._excess and the "valid"
+   correlation of one reconstruction phase, summed by numpy's own ddot.
 
    sdlab_recur is a line-for-line port: the same operations in the same
    order, so with -ffp-contract=off (no fused multiply-add) every state is
@@ -48,6 +49,7 @@
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
+#include <sys/mman.h>
 
 typedef unsigned __int128 u128;
 
@@ -383,4 +385,49 @@ void sdlab_excess(const double *us, const double *vs, long long n,
             out[i * nd + j] = nan_max(nan_max(fabs(u2) - u0, under), over);
         }
     }
+}
+
+/* One phase's "valid" correlation, bit for bit what np.correlate (and so
+   pipeline._valid_convolve) gives: out[j * ostride] sums, left to right,
+   0.0 + ddot(piece, samples start + j + a ..) over the tap pieces from
+   a = 0 to split and from split to n_taps, as numpy's DOUBLE_dot forms
+   0.0 + cblas_ddot.  ddot is the ILP64 cblas_ddot numpy itself calls.
+   Sample s is read from the shifted copy s % 8, at s - s % 8: copy k
+   holds samples k.., from a 64-byte aligned start cstride doubles after
+   copy k - 1, so every window starts aligned, as do the pieces, which
+   are copied here, into pages mapped apart from malloc's heap: memalign
+   from worker threads left the reconstruction's peak memory 4-6 MB
+   higher.  Pieces run outside and outputs inside, so a piece stays in
+   cache across its outputs.  Returns -1 if the pieces cannot be mapped,
+   else 0.
+*/
+typedef double (*ddot_fn)(long long, const double *, long long,
+                          const double *, long long);
+
+int sdlab_correlate(ddot_fn ddot, const double *copies, long long cstride,
+                    long long start, const double *taps, long long n_taps,
+                    long long split, long long n_out, double *out,
+                    long long ostride)
+{
+    long long tw = ((split > n_taps - split ? split : n_taps - split) + 7) & ~7LL;
+    size_t bytes = (size_t)(2 * tw) * sizeof(double);
+    double *pieces = mmap(NULL, bytes, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (pieces == MAP_FAILED)
+        return -1;
+    memcpy(pieces, taps, (size_t)split * sizeof(double));
+    memcpy(pieces + tw, taps + split, (size_t)(n_taps - split) * sizeof(double));
+    for (int p = 0; p < 2; p++) {
+        long long a = p == 0 ? 0 : split, len = (p == 0 ? split : n_taps) - a;
+        if (len <= 0)           /* split == n_taps: one piece */
+            break;
+        for (long long j = 0; j < n_out; j++) {
+            long long s = start + j + a;
+            double d = 0.0 + ddot(len, copies + (s & 7) * cstride + (s & ~7LL),
+                                  1, pieces + p * tw, 1);
+            out[j * ostride] = p == 0 ? d : out[j * ostride] + d;
+        }
+    }
+    munmap(pieces, bytes);
+    return 0;
 }

@@ -98,18 +98,13 @@ def _sample_block(spec: RegionSpec, u1: float, gamma: float, rng, lo: int, hi: i
     vs = np.empty(hi - lo)
     pos = 0
 
-    k = max(0, min(hi, c1) - lo)                      # upper arc
-    if k:
-        u = rng.uniform(-u0, u0, size=k)
-        us[pos:pos + k] = u
-        vs[pos:pos + k] = b1_eval(spec, u)
-        pos += k
-    k = max(0, min(hi, c2) - max(lo, c1))             # lower arc
-    if k:
-        u = rng.uniform(-u0, u0, size=k)
-        us[pos:pos + k] = u
-        vs[pos:pos + k] = b2_eval(spec, u)
-        pos += k
+    for a, b, arc in ((0, c1, b1_eval), (c1, c2, b2_eval)):  # upper, lower arc
+        k = max(0, min(hi, b) - max(lo, a))
+        if k:
+            u = rng.uniform(-u0, u0, size=k)
+            us[pos:pos + k] = u
+            vs[pos:pos + k] = arc(spec, u)
+            pos += k
     k = max(0, min(hi, c3) - max(lo, c2))             # switching segment
     if k:
         t = rng.uniform(0.0, 1.0, size=k)

@@ -24,9 +24,11 @@ its own strided slice of the output, and BandlimitedSignal.eval runs in
 its worker borrows.  OpenBLAS runs on one thread during both maps (the
 phase map pins it here, map_blocks itself).  Each reconstruction dot
 longer than 10,000 taps is split in the two halves that OpenBLAS sums on
-two threads, each summed on one (_valid_convolve), so the bytes do not
-depend on OPENBLAS_NUM_THREADS where OpenBLAS has a thread-count setter
-(without one, halves above 10,000 terms thread: T > 370).
+two threads, each summed on one, so the bytes do not depend on
+OPENBLAS_NUM_THREADS where OpenBLAS has a thread-count setter (without
+one, halves above 10,000 terms thread: T > 370).  _kernels.correlator's C
+loop sums them without the GIL by the ddot numpy's dot calls, on aligned
+windows; without it, _valid_convolve sums the same bits in numpy.
 """
 
 from __future__ import annotations
@@ -166,7 +168,8 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
     full-overlap dot products as a full convolve, hence the same bits.  When the window
     reaches outside the samples (rates below about 3, where the margin
     W + 1 holds fewer than J + 1 samples) the phase falls back to the
-    full convolve, whose zero-padded edge sums are then read.
+    full convolve, whose zero-padded edge sums are then read.  A "valid"
+    phase runs _kernels.correlator's C loop, or _valid_convolve without it.
     Returns (grid, reconstruction) on the _grid_indices grid.
     """
     T = plan.T
@@ -177,6 +180,7 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
     out = np.empty(c.size)
     J = math.ceil(filt.W * T) + 1
     k = np.arange(2 * J + 1)
+    correlate = _kernels.correlator(values)
 
     def phase(p):  # writes only its own strided slice of out
         sel = slice((p - c_lo) % _EVAL_PER_INTERVAL, None, _EVAL_PER_INTERVAL)
@@ -185,11 +189,14 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
             return
         taps = filt.g(((k - J) * _EVAL_PER_INTERVAL + p) / (_EVAL_PER_INTERVAL * T))
         lo, hi = int(m[0]), int(m[-1])
-        if lo - 1 - J >= 0 and hi + J <= N:
-            out[sel] = _valid_convolve(values[lo - 1 - J:hi + J], taps) / T
-        else:
+        if not (lo - 1 - J >= 0 and hi + J <= N):
             conv = np.convolve(values, taps)
             out[sel] = conv[m - 1 + J] / T
+        elif correlate is None:
+            out[sel] = _valid_convolve(values[lo - 1 - J:hi + J], taps) / T
+        else:  # the same bits in C
+            correlate(lo - 1 - J, taps[::-1], _first_half(taps.size), out[sel])
+            out[sel] /= T
 
     with _kernels.one_blas_thread():
         _kernels.map_ordered(phase, range(_EVAL_PER_INTERVAL), None)
@@ -198,7 +205,8 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
 
 def _valid_convolve(window, taps):
     """np.convolve(window, taps, "valid") in the bits OpenBLAS gives on
-    two threads, whatever OPENBLAS_NUM_THREADS says.
+    two threads, whatever OPENBLAS_NUM_THREADS says: the numpy path of a
+    phase when _kernels.correlator has no C loop, and its tests' oracle.
 
     OpenBLAS's ddot threads a dot longer than _DOT_SPLIT; on two threads
     it returns (0.0 + first) + second over the first ceil(n/2) terms and
@@ -206,13 +214,19 @@ def _valid_convolve(window, taps):
     OpenBLAS on one thread.
     """
     n = taps.size
-    if n <= _DOT_SPLIT:
+    h = _first_half(n)
+    if h == n:
         return np.convolve(window, taps, mode="valid")
-    h = -(-n // 2)
     rev = taps[::-1]
     with _kernels.one_blas_thread():  # already so inside the phase map
         first = np.correlate(window[:window.size - n + h], rev[:h], mode="valid")
         return (0.0 + first) + np.correlate(window[h:], rev[h:], mode="valid")
+
+
+def _first_half(n):
+    """Terms of an n-term dot that OpenBLAS sums first on two threads: all
+    of them up to _DOT_SPLIT, else ceil(n/2)."""
+    return n if n <= _DOT_SPLIT else -(-n // 2)
 
 
 def sup_error(signal, params: SchemeParams, T: float, filt: FilterSpec) -> float:

@@ -92,9 +92,7 @@ def b1_eval(spec: RegionSpec, u):
 
 def b2_eval(spec: RegionSpec, u):
     """Lower boundary B2(u) = -B1(-u)."""
-    u = np.asarray(u, dtype=np.float64)
-    out = -b1_eval(spec, -u)
-    return float(out) if np.ndim(out) == 0 else out
+    return -b1_eval(spec, -np.asarray(u, dtype=np.float64))
 
 
 def corner_u0(spec: RegionSpec) -> float:

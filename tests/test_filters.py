@@ -169,6 +169,7 @@ def _design_oracle(T0=2.0, trunc_tol=1e-8, rolloff="bump", dt=1.0 / 64.0):
     {"rolloff": "raised-cosine-squared", "trunc_tol": 1e-3},
     {"T0": 2.5, "trunc_tol": 1e-6},   # the 1-row tail is a threaded dot
     {"T0": 1.5, "trunc_tol": 1e-10},  # the 256 cap: 5387 kept rows
+    {"T0": 2.0001},               # an omega step that is no power of two
 ])
 def test_design_is_bit_identical_to_three_transform_tables(kwargs, monkeypatch):
     if "dt" in kwargs:
@@ -236,3 +237,36 @@ def test_design_holds_one_phase_matrix_at_a_time(monkeypatch):
         peak = _design_peak_bytes()
         assert peak <= min(cores, 16) * block_bytes + 2**21, cores
         assert peak <= 2 * chunk_bytes, cores
+
+
+def _counting(trig, fed):
+    def counted(x, out):
+        fed.append(x.size)
+        return trig(x, out=out)
+    return counted
+
+
+def test_default_design_takes_a_quarter_fewer_trig_values(monkeypatch):
+    # row 2s repeats row s's even columns, so the design copies them
+    # instead of taking trig: 35.90 M values instead of 47.72 M; a reuse
+    # that silently turned off would feed all 47.72 M again
+    fed = []
+    transforms = filters._transforms
+    monkeypatch.setattr(filters, "_transforms", lambda t, om, trig, weights:
+                        transforms(t, om, _counting(trig, fed), weights))
+    design_filter()
+    assert sum(fed) <= 36.0e6
+
+
+def test_transforms_take_every_trig_value_when_omega_does_not_double():
+    # om[2j] == 2 * om[j] fails at the last node, so no row may copy
+    t = np.arange(4097) * filters._DT
+    om = np.linspace(0.0, 2.0, 8193)
+    om[-1] = np.nextafter(om[-1], 3.0)
+    w = np.random.default_rng(5).normal(size=om.size)
+    fed = []
+    got, = filters._transforms(t, om, _counting(np.cos, fed), (w,))
+    assert sum(fed) == t.size * om.size
+    want = np.concatenate([np.cos(2.0 * math.pi * (t[a:a + 1024, None] * om)) @ w
+                           for a in range(0, t.size, 1024)])
+    assert got.tobytes() == want.tobytes()

@@ -227,6 +227,48 @@ def test_long_dots_are_split_into_two_single_thread_halves(n_taps):
         assert got.tobytes() == two.tobytes()
 
 
+@pytest.mark.parametrize("n_taps", [1_727, 6_895, 10_000, 10_001, 13_789])
+def test_c_correlation_gives_the_bits_of_valid_convolve(n_taps):
+    rng = np.random.default_rng(n_taps)
+    taps = rng.normal(size=n_taps)
+    values = rng.normal(size=n_taps + 40)
+    correlate = _kernels.correlator(values)
+    if correlate is None:
+        pytest.skip("no C loop or no ILP64 ddot: phases run _valid_convolve")
+    n_out = 25
+    for start in range(8, 16):  # every window start mod 8
+        out = np.full(3 * n_out, 7.0)
+        correlate(start, taps[::-1], pipeline._first_half(n_taps), out[1::3])
+        want = _valid_convolve(values[start:start + n_taps - 1 + n_out], taps)
+        assert out[1::3].tobytes() == want.tobytes(), start
+        assert np.all(out[0::3] == 7.0) and np.all(out[2::3] == 7.0)
+    with pytest.raises(IndexError):  # one output past the last sample
+        correlate(17, taps[::-1], n_taps, np.empty(n_out))
+
+
+def test_polyphase_without_the_c_correlation_takes_the_numpy_path(
+        filt_default, monkeypatch):
+    calls = []
+    numpy_path = pipeline._valid_convolve
+    monkeypatch.setattr(pipeline, "_valid_convolve",
+                        lambda window, taps: calls.append(taps.size)
+                        or numpy_path(window, taps))
+    for T in (32.0, 256.0):  # one piece per dot, and two
+        plan = sampling_plan(T, filt_default)
+        q = np.random.default_rng(3).normal(0.0, 0.5, plan.n_samples)
+        want = _reconstruct_polyphase(q, plan, filt_default)[1].tobytes()
+        assert (calls == []) == (_kernels.correlator(q) is not None)
+        for name, value in (("_chosen", _kernels._PYTHON),
+                            ("_find_ddot", lambda: None)):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, name, value)
+                got = _reconstruct_polyphase(q, plan, filt_default)[1]
+            assert got.tobytes() == want, (T, name)
+            assert len(calls) == 16, (T, name)
+        calls.clear()
+
+
 def test_reconstruct_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # T = 256 has 13,789 taps per dot, which OpenBLAS would thread
     argv = ["reconstruct", "--beta", "0.5", "--seed", "1"]
