@@ -10,8 +10,9 @@ serialize.write_trajectory_csv through format_lanes, which on the C loop
 allocates a buffer per lane on the calling thread and formats the lanes
 through map_ordered.  A third, _excess, measures one region step's
 escapes for invariance through excess.  A fourth, C only, sums a
-reconstruction phase through correlator, by the ILP64 cblas_ddot numpy's
-dot calls (_find_ddot), over 64-byte aligned copies; without it numpy runs.
+reconstruction phase through correlator in the order of OpenBLAS's
+SkylakeX ddot, on AVX-512, AVX2 or plain C as the CPU allows; without
+it numpy runs.
 The lanes, the sweeps' rows, verify_invariance's blocks, and the
 reconstruction's phases and row blocks (map_blocks, a buffer per worker)
 fan out to threads through one map_ordered.  A caller whose items call
@@ -44,7 +45,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
-import mmap
 import operator
 import os
 import sys
@@ -309,14 +309,11 @@ def _load_c():
         return out
 
     cor = lib.sdlab_correlate
-    cor.argtypes, cor.restype = [p, p, ll, ll, p, ll, ll, ll, p, ll], ctypes.c_int
+    cor.argtypes, cor.restype = [p, ll, p, ll, ll, ll, p, ll], None
 
-    def c_correlator(ddot, values):
-        n, w = values.shape[0], -(-values.shape[0] // 8) * 8
-        # rows from a page start, so 64-byte aligned, apart from the heap
-        copies = np.frombuffer(mmap.mmap(-1, 64 * w), np.float64).reshape(8, w)
-        for k in range(8):
-            copies[k, :n - k] = values[k:]
+    def c_correlator(values):
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        n = values.shape[0]
 
         def correlate(start, taps, split, out):
             n_taps, n_out = taps.shape[0], out.shape[0]
@@ -324,9 +321,8 @@ def _load_c():
                     and out.dtype == np.float64 and out.flags.writeable):
                 raise IndexError(f"{n_out} outputs of {n_taps} taps at {start} of {n}")
             taps = np.ascontiguousarray(taps)
-            if cor(ddot, copies.ctypes.data, w, start, taps.ctypes.data, n_taps,
-                   split, n_out, out.ctypes.data, out.strides[0] // 8):
-                raise MemoryError("no room for the correlation's aligned taps")
+            cor(values.ctypes.data, start, taps.ctypes.data, n_taps, split, n_out,
+                out.ctypes.data, out.strides[0] // 8)
         return correlate
 
     return _Backend("c", c_recur, c_excess, c_format_lanes, c_correlator)
@@ -432,30 +428,19 @@ _blas_lock = threading.Lock()
 _blas_depth = _blas_saved = 0  # open blocks; the count the first replaced
 
 
-def _numpy_blas(*names):
-    """The first of names numpy's BLAS exports, as a ctypes function, or None."""
+@functools.cache  # looked up at the first pin, never at import
+def _find_blas_setter():
+    """openblas_set_num_threads_local of numpy's OpenBLAS, found through
+    numpy's extension module, or None (an older one, another BLAS), with
+    ctypes' default int argument and result.  Despite its name it sets the
+    process-wide thread count, and it returns the old one."""
     import ctypes
 
     umath = (sys.modules.get("numpy._core._multiarray_umath")
              or sys.modules.get("numpy.core._multiarray_umath"))
-    for name in names:
-        with contextlib.suppress(AttributeError, OSError):
-            return getattr(ctypes.CDLL(umath.__file__), name)
+    with contextlib.suppress(AttributeError, OSError):
+        return ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
     return None
-
-
-@functools.cache  # looked up at the first pin, never at import
-def _find_blas_setter():
-    """openblas_set_num_threads_local of numpy's OpenBLAS, or None (an older
-    one), with ctypes' default int argument and result.  Despite its name it
-    sets the process-wide thread count, and it returns the old one."""
-    return _numpy_blas("openblas_set_num_threads_local")
-
-
-@functools.cache  # looked up at the first correlation, never at import
-def _find_ddot():
-    """The ILP64 cblas_ddot (64-bit n) that numpy's dot calls, or None."""
-    return _numpy_blas("scipy_cblas_ddot64_", "cblas_ddot64_")
 
 
 @contextlib.contextmanager
@@ -519,13 +504,13 @@ def format_lanes(n0, f, q, u, v, lanes):
 
 
 def correlator(values):
-    """correlate(start, taps, split, out) over 64-byte aligned copies of the
-    1-D values, or None on the Python backend or without numpy's ILP64 ddot:
-    the C loop writes into the float64 view out, without the GIL,
-    np.correlate(values[start:], taps, "valid")[:len(out)] with each dot
-    (0.0 + first) + second over taps[:split] and taps[split:]."""
-    make, ddot = (_chosen or _choose()).correlator, _find_ddot()
-    return None if make is None or ddot is None else make(ddot, values)
+    """correlate(start, taps, split, out) over the 1-D values, or None on
+    the Python backend: the C loop writes into the float64 view out,
+    without the GIL, np.correlate(values[start:], taps, "valid")[:len(out)]
+    with each dot (0.0 + first) + second over taps[:split] and taps[split:],
+    in the bits of OpenBLAS's single-thread SkylakeX ddot (see _recur.c)."""
+    make = (_chosen or _choose()).correlator
+    return None if make is None else make(values)
 
 
 def excess(us, vs, deltas, gamma, lam, spec):

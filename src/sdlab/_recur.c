@@ -1,7 +1,8 @@
 /* The four loops of _kernels in C: the double-loop recursion of
    _kernels._recur, the trajectory row formatter of _kernels._format_rows,
    the one-step containment excess of _kernels._excess and the "valid"
-   correlation of one reconstruction phase, summed by numpy's own ddot.
+   correlation of one reconstruction phase, summed in the order of
+   OpenBLAS's SkylakeX ddot with explicit fused multiply-adds.
 
    sdlab_recur is a line-for-line port: the same operations in the same
    order, so with -ffp-contract=off (no fused multiply-add) every state is
@@ -49,7 +50,6 @@
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
-#include <sys/mman.h>
 
 typedef unsigned __int128 u128;
 
@@ -388,46 +388,264 @@ void sdlab_excess(const double *us, const double *vs, long long n,
 }
 
 /* One phase's "valid" correlation, bit for bit what np.correlate (and so
-   pipeline._valid_convolve) gives: out[j * ostride] sums, left to right,
-   0.0 + ddot(piece, samples start + j + a ..) over the tap pieces from
-   a = 0 to split and from split to n_taps, as numpy's DOUBLE_dot forms
-   0.0 + cblas_ddot.  ddot is the ILP64 cblas_ddot numpy itself calls.
-   Sample s is read from the shifted copy s % 8, at s - s % 8: copy k
-   holds samples k.., from a 64-byte aligned start cstride doubles after
-   copy k - 1, so every window starts aligned, as do the pieces, which
-   are copied here, into pages mapped apart from malloc's heap: memalign
-   from worker threads left the reconstruction's peak memory 4-6 MB
-   higher.  Pieces run outside and outputs inside, so a piece stays in
-   cache across its outputs.  Returns -1 if the pieces cannot be mapped,
-   else 0.
+   pipeline._valid_convolve) gives with numpy's OpenBLAS 0.3.31 on its
+   SkylakeX kernels, one thread: out[j * ostride] sums, left to right,
+   0.0 + dot(taps[a..b), values[start + j + a..)) over the tap pieces
+   [0, split) and [split, n_taps) (one piece when split == n_taps), as
+   numpy's DOUBLE_dot forms 0.0 + ddot; on a CPU whose OpenBLAS takes
+   another kernel, numpy's bits may differ and these stay.
+   Each dot sums in the order of that ddot kernel, with n1 = n & -16 and
+   n32 = n1 & -32 (dot = 0.0 when n1 = 0):
+   - four 8-lane FMA accumulators over the 32-term blocks, for terms i,
+     i + 8, i + 16 and i + 24;
+   - each folded to 4 lanes, low half plus high half, and carried on as
+     four 4-lane FMA accumulators over the 16-term block left, if any,
+     for terms i, i + 4, i + 8 and i + 12;
+   - ((a0 + a1) + a2) + a3, then lanes 0, 1 plus lanes 2, 3, then lane 0
+     plus lane 1;
+   - dot = fma(y[i], x[i], dot) for the terms from n1 on.
+   Three paths give the same bits, picked per call by sdlab_simd: with
+   AVX-512F, four outputs 8 apart at a time (16 accumulators) share each
+   tap load and each window load, 32 outputs in 8 such passes, and the
+   n_out mod 32 left take the one-output form; with AVX2 and FMA one
+   output holds each 8-lane accumulator as two 4-lane halves; else plain
+   C with fma().  Windows are read with unaligned loads from values.
+   Each path has its own exported symbol, so tests can compare them.
 */
-typedef double (*ddot_fn)(long long, const double *, long long,
-                          const double *, long long);
+typedef void dots_fn(const double *x, const double *y, long long n,
+                     double *d, int k);
 
-int sdlab_correlate(ddot_fn ddot, const double *copies, long long cstride,
-                    long long start, const double *taps, long long n_taps,
-                    long long split, long long n_out, double *out,
-                    long long ostride)
+/* the portable path: d[o] = dot(x + o, y, n) for o < k, lanes as arrays */
+static void dots_c(const double *x, const double *y, long long n, double *d,
+                   int k)
 {
-    long long tw = ((split > n_taps - split ? split : n_taps - split) + 7) & ~7LL;
-    size_t bytes = (size_t)(2 * tw) * sizeof(double);
-    double *pieces = mmap(NULL, bytes, PROT_READ | PROT_WRITE,
-                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (pieces == MAP_FAILED)
-        return -1;
-    memcpy(pieces, taps, (size_t)split * sizeof(double));
-    memcpy(pieces + tw, taps + split, (size_t)(n_taps - split) * sizeof(double));
+    long long n1 = n & -16, n32 = n1 & -32;
+    for (int o = 0; o < k; o++, x++) {
+        double a8[4][8] = {{0.0}}, a4[4][4], s[4], dot = 0.0;
+        long long i = 0;
+        for (; i < n32; i += 32)
+            for (int b = 0; b < 4; b++)
+                for (int l = 0; l < 8; l++)
+                    a8[b][l] = fma(x[i + 8 * b + l], y[i + 8 * b + l], a8[b][l]);
+        for (int b = 0; b < 4; b++)
+            for (int l = 0; l < 4; l++)
+                a4[b][l] = a8[b][l] + a8[b][l + 4];
+        for (; i < n1; i += 16)
+            for (int b = 0; b < 4; b++)
+                for (int l = 0; l < 4; l++)
+                    a4[b][l] = fma(x[i + 4 * b + l], y[i + 4 * b + l], a4[b][l]);
+        if (n1) {
+            for (int l = 0; l < 4; l++)
+                s[l] = ((a4[0][l] + a4[1][l]) + a4[2][l]) + a4[3][l];
+            dot = (s[0] + s[2]) + (s[1] + s[3]);
+        }
+        for (; i < n; i++)
+            dot = fma(y[i], x[i], dot);
+        d[o] = dot;
+    }
+}
+
+static void correlate(dots_fn *dots, const double *values, long long start,
+                      const double *taps, long long n_taps, long long split,
+                      long long n_out, double *out, long long ostride)
+{
     for (int p = 0; p < 2; p++) {
         long long a = p == 0 ? 0 : split, len = (p == 0 ? split : n_taps) - a;
         if (len <= 0)           /* split == n_taps: one piece */
             break;
-        for (long long j = 0; j < n_out; j++) {
-            long long s = start + j + a;
-            double d = 0.0 + ddot(len, copies + (s & 7) * cstride + (s & ~7LL),
-                                  1, pieces + p * tw, 1);
-            out[j * ostride] = p == 0 ? d : out[j * ostride] + d;
+        const double *x = values + start + a;
+        for (long long j = 0; j < n_out;) {
+            double d[32];
+            int k = n_out - j >= 32 ? 32 : 1;
+            dots(x + j, taps + a, len, d, k);
+            for (int o = 0; o < k; o++, j++)
+                out[j * ostride] = p == 0 ? 0.0 + d[o]
+                                          : out[j * ostride] + (0.0 + d[o]);
         }
     }
-    munmap(pieces, bytes);
+}
+
+#define CORRELATE_ARGS const double *values, long long start,             \
+    const double *taps, long long n_taps, long long split, long long n_out, \
+    double *out, long long ostride
+#define CORRELATE(dots) correlate(dots, values, start, taps, n_taps, split, \
+                                  n_out, out, ostride)
+
+void sdlab_correlate_c(CORRELATE_ARGS)
+{
+    CORRELATE(dots_c);
+}
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+#define AVX512 __attribute__((target("avx512f,fma")))
+#define AVX2 __attribute__((target("avx2,fma")))
+#define UNROLL _Pragma("GCC unroll 4")  /* so the accumulators stay in registers */
+
+/* the dot from 4-lane accumulators h at term i: the 16-term block left,
+   if any, the fold to one lane and the scalar tail */
+static inline AVX2 __attribute__((always_inline)) double
+finish(__m256d *h, const double *x, const double *y, long long i,
+       long long n1, long long n)
+{
+    if (i < n1)
+        UNROLL
+        for (int b = 0; b < 4; b++)
+            h[b] = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 4 * b),
+                                   _mm256_loadu_pd(y + i + 4 * b), h[b]);
+    double dot = 0.0;
+    if (n1) {
+        __m256d s = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(h[0], h[1]), h[2]),
+                                  h[3]);
+        __m128d q = _mm_add_pd(_mm256_castpd256_pd128(s),
+                               _mm256_extractf128_pd(s, 1));
+        dot = _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q));
+    }
+    for (; n1 < n; n1++)
+        dot = fma(y[n1], x[n1], dot);
+    return dot;
+}
+
+/* four outputs 8 apart, the windows x, x + 8, x + 16 and x + 24: window
+   block w[m] = x[i + 8m..) serves output o at tap block m - o, so a
+   32-term block loads 4 tap and 4 window blocks for 16 FMAs and carries
+   w[4..6] into the next block as its w[0..2].  Four consecutive outputs
+   would load 16 window blocks: 1.4x slower on a T256-shaped phase on a
+   2-core AVX-512 Xeon. */
+static AVX512 void dots512x4(const double *x, const double *y, long long n,
+                             double *d)
+{
+    long long n1 = n & -16, n32 = n1 & -32, i = 0;
+    __m512d a[4][4], w[7];
+    UNROLL
+    for (int o = 0; o < 4; o++)
+        UNROLL
+        for (int b = 0; b < 4; b++)
+            a[o][b] = _mm512_setzero_pd();
+    if (n32) {
+        UNROLL
+        for (int m = 0; m < 3; m++)
+            w[m] = _mm512_loadu_pd(x + 8 * m);
+    }
+    for (; i < n32; i += 32) {
+        UNROLL
+        for (int m = 3; m < 7; m++)
+            w[m] = _mm512_loadu_pd(x + i + 8 * m);
+        UNROLL
+        for (int b = 0; b < 4; b++) {
+            __m512d t = _mm512_loadu_pd(y + i + 8 * b);
+            UNROLL
+            for (int o = 0; o < 4; o++)
+                a[o][b] = _mm512_fmadd_pd(w[o + b], t, a[o][b]);
+        }
+        UNROLL
+        for (int m = 0; m < 3; m++)
+            w[m] = w[m + 4];
+    }
+    UNROLL
+    for (int o = 0; o < 4; o++) {
+        __m256d h[4];
+        UNROLL
+        for (int b = 0; b < 4; b++)
+            h[b] = _mm256_add_pd(_mm512_castpd512_pd256(a[o][b]),
+                                 _mm512_extractf64x4_pd(a[o][b], 1));
+        d[8 * o] = finish(h, x + 8 * o, y, i, n1, n);
+    }
+}
+
+static AVX512 void dots512x1(const double *x, const double *y, long long n,
+                             double *d)
+{
+    long long n1 = n & -16, n32 = n1 & -32, i = 0;
+    __m512d a[4];
+    UNROLL
+    for (int b = 0; b < 4; b++)
+        a[b] = _mm512_setzero_pd();
+    for (; i < n32; i += 32)
+        UNROLL
+        for (int b = 0; b < 4; b++)
+            a[b] = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 8 * b),
+                                   _mm512_loadu_pd(y + i + 8 * b), a[b]);
+    __m256d h[4];
+    UNROLL
+    for (int b = 0; b < 4; b++)
+        h[b] = _mm256_add_pd(_mm512_castpd512_pd256(a[b]),
+                             _mm512_extractf64x4_pd(a[b], 1));
+    d[0] = finish(h, x, y, i, n1, n);
+}
+
+/* k = 32 outputs as 8 groups of four 8 apart, else k single outputs */
+static AVX512 void dots_avx512(const double *x, const double *y, long long n,
+                               double *d, int k)
+{
+    if (k == 32)
+        for (int r = 0; r < 8; r++)
+            dots512x4(x + r, y, n, d + r);
+    else
+        for (int o = 0; o < k; o++)
+            dots512x1(x + o, y, n, d + o);
+}
+
+static AVX2 void dots_avx2(const double *x, const double *y, long long n,
+                           double *d, int k)
+{
+    long long n1 = n & -16, n32 = n1 & -32;
+    for (int o = 0; o < k; o++, x++) {
+        __m256d lo[4], hi[4], h[4];
+        long long i = 0;
+        UNROLL
+        for (int b = 0; b < 4; b++)
+            lo[b] = hi[b] = _mm256_setzero_pd();
+        for (; i < n32; i += 32)
+            UNROLL
+            for (int b = 0; b < 4; b++) {
+                lo[b] = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 8 * b),
+                                        _mm256_loadu_pd(y + i + 8 * b), lo[b]);
+                hi[b] = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 8 * b + 4),
+                                        _mm256_loadu_pd(y + i + 8 * b + 4), hi[b]);
+            }
+        UNROLL
+        for (int b = 0; b < 4; b++)
+            h[b] = _mm256_add_pd(lo[b], hi[b]);
+        d[o] = finish(h, x, y, i, n1, n);
+    }
+}
+
+void sdlab_correlate_avx512(CORRELATE_ARGS)
+{
+    CORRELATE(dots_avx512);
+}
+
+void sdlab_correlate_avx2(CORRELATE_ARGS)
+{
+    CORRELATE(dots_avx2);
+}
+#endif
+
+/* 2 with AVX-512F and FMA, 1 with AVX2 and FMA, else 0 */
+int sdlab_simd(void)
+{
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("fma") && __builtin_cpu_supports("avx512f"))
+        return 2;
+    if (__builtin_cpu_supports("fma") && __builtin_cpu_supports("avx2"))
+        return 1;
+#endif
     return 0;
+}
+
+void sdlab_correlate(CORRELATE_ARGS)
+{
+#if defined(__x86_64__)
+    switch (sdlab_simd()) {
+    case 2:
+        CORRELATE(dots_avx512);
+        return;
+    case 1:
+        CORRELATE(dots_avx2);
+        return;
+    }
+#endif
+    CORRELATE(dots_c);
 }

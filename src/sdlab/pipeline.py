@@ -20,15 +20,12 @@ convolution, with the same outputs as before.
 
 Threads: the 16 phases run through _kernels.map_ordered, each writing
 its own strided slice of the output, and BandlimitedSignal.eval runs in
-4096-row blocks through _kernels.map_blocks, each in a (4096, k) buffer
-its worker borrows.  OpenBLAS runs on one thread during both maps (the
-phase map pins it here, map_blocks itself).  Each reconstruction dot
-longer than 10,000 taps is split in the two halves that OpenBLAS sums on
-two threads, each summed on one, so the bytes do not depend on
-OPENBLAS_NUM_THREADS where OpenBLAS has a thread-count setter (without
-one, halves above 10,000 terms thread: T > 370).  _kernels.correlator's C
-loop sums them without the GIL by the ddot numpy's dot calls, on aligned
-windows; without it, _valid_convolve sums the same bits in numpy.
+4096-row blocks through _kernels.map_blocks; OpenBLAS runs on one thread
+during both.  A reconstruction dot longer than 10,000 taps is summed as
+(0.0 + first) + second over OpenBLAS's two-thread halves.
+_kernels.correlator's C loop sums each piece, without BLAS or the GIL,
+in the order of OpenBLAS's one-thread SkylakeX ddot; without it
+_valid_convolve sums by numpy's BLAS, the same bits on that kernel.
 """
 
 from __future__ import annotations
@@ -63,6 +60,7 @@ _NORM_SPAN = 272.0
 _NORM_STEP = 1.0 / 2048.0
 _EVAL_PER_INTERVAL = 16
 _EVAL_ROWS = 4096   # time points per block of BandlimitedSignal.eval
+_NORM_ROWS = 34 * _EVAL_ROWS  # a quarter of the normalization grid
 # OpenBLAS sums a ddot of up to this many terms on one thread
 _DOT_SPLIT = 10_000
 
@@ -132,8 +130,12 @@ def gen_signal(seed, n_components: int, beta: float) -> BandlimitedSignal:
     phases = rng.uniform(0.0, 2.0 * math.pi, n_components)
     if n_components:
         raw = BandlimitedSignal(freqs, amps, phases, sup_bound=1.0)
-        grid = np.arange(0.0, _NORM_SPAN, _NORM_STEP)
-        peak = float(np.max(np.abs(raw.eval(grid))))
+        # np.arange(0.0, _NORM_SPAN, _NORM_STEP) in chunks of whole eval
+        # blocks, so each point keeps its dgemv row group
+        n, peak = int(_NORM_SPAN / _NORM_STEP), 0.0
+        for a in range(0, n, _NORM_ROWS):
+            grid = np.arange(a, min(a + _NORM_ROWS, n)) * _NORM_STEP
+            peak = max(peak, float(np.max(np.abs(raw.eval(grid)))))
         amps = amps * (beta * (1.0 - 1e-3) / peak)
     return BandlimitedSignal(freqs, amps, phases, sup_bound=float(beta))
 

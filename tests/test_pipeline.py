@@ -246,6 +246,86 @@ def test_c_correlation_gives_the_bits_of_valid_convolve(n_taps):
         correlate(17, taps[::-1], n_taps, np.empty(n_out))
 
 
+def _openblas_corename():
+    """The kernel family numpy's OpenBLAS picked, or None."""
+    import ctypes
+
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    with contextlib.suppress(AttributeError, OSError):
+        fn = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+        fn.restype = ctypes.c_char_p
+        return fn().decode()
+    return None
+
+
+def test_c_dots_are_numpys_skylakex_ddot():
+    # the C loop replicates OpenBLAS's one-thread SkylakeX ddot order; on
+    # that kernel every length up to past two halves' 10,000 must match
+    if _openblas_corename() != "SkylakeX":
+        pytest.skip("numpy's OpenBLAS does not run its SkylakeX kernels here")
+    rng = np.random.default_rng(26)
+    values = rng.normal(size=20_001 + 48)
+    taps = rng.normal(size=20_001)
+    correlate = _kernels.correlator(values)
+    if correlate is None:
+        pytest.skip("no C loop: phases run _valid_convolve")
+    bad = []
+    with _kernels.one_blas_thread():
+        for n in range(1, 20_002):
+            # n_out mod 4 = 0..3, and at every 4th n past one 32-output block
+            start, n_out = n % 8, 1 + n % 6 + 32 * (n % 4 == 0)
+            out = np.empty(n_out)
+            correlate(start, taps[:n], n, out)
+            # np.dot is 0.0 + ddot; np.correlate has its own loop below 12 taps
+            want = [np.dot(values[start + j:start + j + n], taps[:n])
+                    for j in range(n_out)]
+            if out.tobytes() != np.array(want).tobytes():
+                bad.append(n)
+    assert bad == []
+
+
+def _correlation_paths():
+    """The C correlation's exported paths this CPU can run, by name."""
+    import ctypes
+
+    if _kernels.BACKEND != "c":
+        pytest.skip("no C loop")
+    lib = ctypes.CDLL(_kernels._library_path())
+    names = ["sdlab_correlate", "sdlab_correlate_c", "sdlab_correlate_avx2",
+             "sdlab_correlate_avx512"][:2 + lib.sdlab_simd()]
+    p, ll = ctypes.c_void_p, ctypes.c_longlong
+    paths = {}
+    for name in names:
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = [p, ll, p, ll, ll, ll, p, ll], None
+        paths[name] = fn
+    return paths
+
+
+def test_every_correlation_path_gives_the_same_bits():
+    # the AVX-512 (32-output blocks, four outputs per load), AVX2 and
+    # portable fma() paths, each through its own symbol, over every n mod 32
+    # and mod 16 remainder, n < 16, n_out mod 4 = 0..3 with and without
+    # 32-output blocks, and one-piece and two-piece dots
+    paths = _correlation_paths()
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=2_100) * np.exp(rng.normal(0.0, 4.0, 2_100))
+    taps = rng.normal(size=1_900)
+    sizes = [*range(1, 70), 95, 96, 97, 111, 112, 113, 1_000, 1_777]
+    for n in sizes:
+        for n_out in (1, 2, 3, 4, 5, 6, 7, 9, 32, 33, 35, 38, 70):
+            for split in {n, -(-n // 2), max(1, n // 3)}:
+                outs = {}
+                for name, fn in paths.items():
+                    out = np.full(2 * n_out, 7.0)
+                    fn(values.ctypes.data, n % 8, taps.ctypes.data, n, split,
+                       n_out, out.ctypes.data, 2)
+                    assert np.all(out[1::2] == 7.0)
+                    outs[name] = out[0::2].tobytes()
+                assert len(set(outs.values())) == 1, (n, n_out, split, outs)
+
+
 def test_polyphase_without_the_c_correlation_takes_the_numpy_path(
         filt_default, monkeypatch):
     calls = []
@@ -258,14 +338,12 @@ def test_polyphase_without_the_c_correlation_takes_the_numpy_path(
         q = np.random.default_rng(3).normal(0.0, 0.5, plan.n_samples)
         want = _reconstruct_polyphase(q, plan, filt_default)[1].tobytes()
         assert (calls == []) == (_kernels.correlator(q) is not None)
-        for name, value in (("_chosen", _kernels._PYTHON),
-                            ("_find_ddot", lambda: None)):
-            calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(_kernels, name, value)
-                got = _reconstruct_polyphase(q, plan, filt_default)[1]
-            assert got.tobytes() == want, (T, name)
-            assert len(calls) == 16, (T, name)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_chosen", _kernels._PYTHON)
+            got = _reconstruct_polyphase(q, plan, filt_default)[1]
+        assert got.tobytes() == want, T
+        assert len(calls) == 16, T
         calls.clear()
 
 
