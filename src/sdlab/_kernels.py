@@ -1,43 +1,17 @@
-"""Hot inner loops: the recursion, the row formatter, the excess, a correlation.
+"""Hot inner loops, and the one thread map that fans them out.
 
-One loop, _recur, runs the double-loop recursion; run_fill, probe_const
-and probe_input are one-call entry points that differ only in the input
-(an array, a constant or a KeyedUniform stream of numpy's uniform draws),
-in whether steps are recorded, and in the bounds.  The C loop draws a
-stream itself, so a random probe holds no array and no GIL.
-A second loop, _format_rows, renders trajectory rows as CSV text for
-serialize.write_trajectory_csv through format_lanes, which on the C loop
-allocates a buffer per lane on the calling thread and formats the lanes
-through map_ordered.  A third, _excess, measures one region step's
-escapes for invariance through excess.  A fourth, C only, sums a
-reconstruction phase through correlator in the order of OpenBLAS's
-SkylakeX ddot, on AVX-512, AVX2 or plain C as the CPU allows; without
-it numpy runs.
-The lanes, the sweeps' rows, verify_invariance's blocks, and the
-reconstruction's phases and row blocks (map_blocks, a buffer per worker)
-fan out to threads through one map_ordered.  A caller whose items call
-BLAS runs its map inside one_blas_thread, as map_blocks does.
+Four loops run on the backend chosen the first time one is called (never
+at import) and reported as BACKEND: "c", _recur.c as _load_c builds and
+loads it, or "python", the reference loops below, when it cannot be built
+or loaded.  They are _recur (the double-loop recursion behind run_fill,
+probe_const and probe_input), _format_rows (trajectory CSV rows), _excess
+(one region step's escapes) and _valid_convolve (a reconstruction phase's
+dots).  The C loops are tested against these references bit for bit, so
+contraction stays off: IEEE evaluation order is part of the contract.
 
-The entry points run the loops on the backend chosen the first time one
-of them runs (never at import) and reported as BACKEND:
-
-    "c"      _recur.c, one library holding all four loops, compiled with
-             gcc -O2 -ffp-contract=off into
-             sdlab/__pycache__/_recur-<hash>.so (or a per-user directory
-             under tempfile.gettempdir() when that one is not writable)
-             and called through ctypes, which releases the GIL (the source
-             needs unsigned __int128; without it the build fails);
-    "python" the plain-Python _recur and %-formatting _format_rows and
-             the numpy _excess, when the library cannot be built or loaded.
-
-The plain-Python loops are also the references the C loops are tested
-against.  Contraction stays off: IEEE evaluation order is part of the
-contract (bit-identical outputs across runs and backends, exact state
-identities up to one rounding).
-
-The quantizer is its dead band tau >= 0: |x| < tau maps to 0, the rest
-to +1 (ties at 0 too) or -1, so tau = 0 is the two-level sign quantizer.
-Recorded q is int64, u and v float64.
+map_ordered runs the sweeps' rows, verify_invariance's blocks, the
+formatter's lanes and the reconstruction's phases; a caller whose items
+call BLAS runs its map inside one_blas_thread, as map_blocks does.
 """
 
 from __future__ import annotations
@@ -154,6 +128,42 @@ def _excess(us, vs, deltas, gamma, lam, spec):
                       v2 - b1_eval(spec, u2))
 
 
+# OpenBLAS's ddot sums up to this many terms on one thread; on two threads
+# a longer dot is (0.0 + first) + second, split at _first_half
+_DOT_SPLIT = 10_000
+
+
+def _first_half(n):
+    """Terms of an n-term dot that OpenBLAS sums first on two threads."""
+    return n if n <= _DOT_SPLIT else -(-n // 2)
+
+
+def _valid_convolve(window, taps):
+    """np.convolve(window, taps, "valid") in the bits OpenBLAS's ddot gives
+    on two threads, whatever OPENBLAS_NUM_THREADS says, each piece summed
+    on one thread.  Under 12 taps each output is an np.dot, as np.correlate
+    sums such short kernels in its own loop, not by ddot."""
+    n = taps.size
+    h = _first_half(n)
+    rev = np.ascontiguousarray(taps[::-1])
+    with one_blas_thread():
+        if n < 12:
+            return np.array([np.dot(window[j:j + n], rev)
+                             for j in range(window.size - n + 1)])
+        first = np.correlate(window[:window.size - n + h], rev[:h], mode="valid")
+        if h == n:
+            return first
+        return (0.0 + first) + np.correlate(window[h:], rev[h:], mode="valid")
+
+
+def _correlator(values):
+    """The Python backend's correlate, by _valid_convolve."""
+    def correlate(start, taps, out):
+        window = values[start:start + out.shape[0] + taps.shape[0] - 1]
+        out[:] = _valid_convolve(window, taps[::-1])
+    return correlate
+
+
 # ---------------------------------------------------------------- backends
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_recur.c")
@@ -164,10 +174,11 @@ _CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 _NUM_WIDTH = 24
 
 # a backend: the name BACKEND reports and loops like _recur, _excess,
-# format_lanes and the C correlation (None in Python)
+# format_lanes and correlator
 _Backend = collections.namedtuple("_Backend", "name recur excess format_lanes correlator")
 _PYTHON = _Backend("python", _recur, _excess,
-                   lambda n0, f, q, u, v, lanes: [_format_rows(n0, f, q, u, v)], None)
+                   lambda n0, f, q, u, v, lanes: [_format_rows(n0, f, q, u, v)],
+                   _correlator)
 _chosen = None
 _choose_lock = threading.Lock()
 
@@ -315,14 +326,14 @@ def _load_c():
         values = np.ascontiguousarray(values, dtype=np.float64)
         n = values.shape[0]
 
-        def correlate(start, taps, split, out):
+        def correlate(start, taps, out):
             n_taps, n_out = taps.shape[0], out.shape[0]
-            if not (0 <= start <= n - n_out - n_taps + 1 and 0 < split <= n_taps
+            if not (0 <= start <= n - n_out - n_taps + 1 and n_taps > 0
                     and out.dtype == np.float64 and out.flags.writeable):
                 raise IndexError(f"{n_out} outputs of {n_taps} taps at {start} of {n}")
-            taps = np.ascontiguousarray(taps)
-            cor(values.ctypes.data, start, taps.ctypes.data, n_taps, split, n_out,
-                out.ctypes.data, out.strides[0] // 8)
+            taps = np.ascontiguousarray(taps, dtype=np.float64)
+            cor(values.ctypes.data, start, taps.ctypes.data, n_taps,
+                _first_half(n_taps), n_out, out.ctypes.data, out.strides[0] // 8)
         return correlate
 
     return _Backend("c", c_recur, c_excess, c_format_lanes, c_correlator)
@@ -495,7 +506,7 @@ def probe_input(lam1, lam2, gamma, tau, f, bound):
 def format_lanes(n0, f, q, u, v, lanes):
     """CSV rows n0+1 .. n0+len(f) of a trajectory as ASCII bytes, in a list
     of buffers (bytes or bytearrays) to write in order: on the C loop one
-    per lane, formatted at once (see the module docstring).
+    per lane, allocated here and formatted through map_ordered.
 
     f, u, v are float64 and q int64 arrays of one length; each row is
     "n,f,q,u,v\\n" with the floats in %.17g and a NaN as "nan".
@@ -504,13 +515,11 @@ def format_lanes(n0, f, q, u, v, lanes):
 
 
 def correlator(values):
-    """correlate(start, taps, split, out) over the 1-D values, or None on
-    the Python backend: the C loop writes into the float64 view out,
-    without the GIL, np.correlate(values[start:], taps, "valid")[:len(out)]
-    with each dot (0.0 + first) + second over taps[:split] and taps[split:],
-    in the bits of OpenBLAS's single-thread SkylakeX ddot (see _recur.c)."""
-    make = (_chosen or _choose()).correlator
-    return None if make is None else make(values)
+    """correlate(start, taps, out) over the 1-D values: writes into the
+    float64 view out np.correlate(values[start:], taps, "valid")[:len(out)]
+    in _valid_convolve's bits, on the C loop in the summation order of
+    OpenBLAS's SkylakeX ddot without BLAS or the GIL (see _recur.c)."""
+    return (_chosen or _choose()).correlator(values)
 
 
 def excess(us, vs, deltas, gamma, lam, spec):

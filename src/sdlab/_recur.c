@@ -388,7 +388,7 @@ void sdlab_excess(const double *us, const double *vs, long long n,
 }
 
 /* One phase's "valid" correlation, bit for bit what np.correlate (and so
-   pipeline._valid_convolve) gives with numpy's OpenBLAS 0.3.31 on its
+   _kernels._valid_convolve) gives with numpy's OpenBLAS 0.3.31 on its
    SkylakeX kernels, one thread: out[j * ostride] sums, left to right,
    0.0 + dot(taps[a..b), values[start + j + a..)) over the tap pieces
    [0, split) and [split, n_taps) (one piece when split == n_taps), as
@@ -407,9 +407,9 @@ void sdlab_excess(const double *us, const double *vs, long long n,
    Three paths give the same bits, picked per call by sdlab_simd: with
    AVX-512F, four outputs 8 apart at a time (16 accumulators) share each
    tap load and each window load, 32 outputs in 8 such passes, and the
-   n_out mod 32 left take the one-output form; with AVX2 and FMA one
-   output holds each 8-lane accumulator as two 4-lane halves; else plain
-   C with fma().  Windows are read with unaligned loads from values.
+   n_out mod 32 left take the AVX2 path; with AVX2 and FMA one output
+   holds each 8-lane accumulator as two 4-lane halves; else plain C with
+   fma().  Windows are read with unaligned loads from values.
    Each path has its own exported symbol, so tests can compare them.
 */
 typedef void dots_fn(const double *x, const double *y, long long n,
@@ -554,39 +554,6 @@ static AVX512 void dots512x4(const double *x, const double *y, long long n,
     }
 }
 
-static AVX512 void dots512x1(const double *x, const double *y, long long n,
-                             double *d)
-{
-    long long n1 = n & -16, n32 = n1 & -32, i = 0;
-    __m512d a[4];
-    UNROLL
-    for (int b = 0; b < 4; b++)
-        a[b] = _mm512_setzero_pd();
-    for (; i < n32; i += 32)
-        UNROLL
-        for (int b = 0; b < 4; b++)
-            a[b] = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 8 * b),
-                                   _mm512_loadu_pd(y + i + 8 * b), a[b]);
-    __m256d h[4];
-    UNROLL
-    for (int b = 0; b < 4; b++)
-        h[b] = _mm256_add_pd(_mm512_castpd512_pd256(a[b]),
-                             _mm512_extractf64x4_pd(a[b], 1));
-    d[0] = finish(h, x, y, i, n1, n);
-}
-
-/* k = 32 outputs as 8 groups of four 8 apart, else k single outputs */
-static AVX512 void dots_avx512(const double *x, const double *y, long long n,
-                               double *d, int k)
-{
-    if (k == 32)
-        for (int r = 0; r < 8; r++)
-            dots512x4(x + r, y, n, d + r);
-    else
-        for (int o = 0; o < k; o++)
-            dots512x1(x + o, y, n, d + o);
-}
-
 static AVX2 void dots_avx2(const double *x, const double *y, long long n,
                            double *d, int k)
 {
@@ -610,6 +577,17 @@ static AVX2 void dots_avx2(const double *x, const double *y, long long n,
             h[b] = _mm256_add_pd(lo[b], hi[b]);
         d[o] = finish(h, x, y, i, n1, n);
     }
+}
+
+/* k = 32 outputs as 8 groups of four 8 apart, else k outputs by AVX2 */
+static AVX512 void dots_avx512(const double *x, const double *y, long long n,
+                               double *d, int k)
+{
+    if (k == 32)
+        for (int r = 0; r < 8; r++)
+            dots512x4(x + r, y, n, d + r);
+    else
+        dots_avx2(x, y, n, d, k);
 }
 
 void sdlab_correlate_avx512(CORRELATE_ARGS)

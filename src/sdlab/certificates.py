@@ -6,21 +6,16 @@ the modulator can make while |f_n| <= beta.  The full inequality chain:
 
     lambda <= 1 + alpha*(1-alpha) / (2*(1+alpha))            ("lambda2")
     2*dH*(lambda-1)/dL <= epsilon <= alpha                   ("eps2")
-    2*dH/dL <= C <= epsilon^2*dL / (2*dH*(lambda-1)^2)       ("C2")
+    2*dH/dL <= C <= epsilon^2*dL / (2*dH*(lambda-1)^2)
     gamma inside the admissible range at the chosen C        ("gamma-range")
     beta = (alpha - epsilon) / (1 + epsilon) > 0             ("beta")
 
 with dL = 1 - alpha and dH = 1 + alpha.  The guaranteed state bound is
 v_max = C + dL/8.
 
-Two variants of the safe-input-bound formula are carried throughout.
-They differ only in the constant multiplying (lambda - 1):
-
-    "remark-derived": beta = (alpha - e)/(1 + e),  e = 2*dH*(lambda-1)/dL
-    "eq5-literal":    same shape with coefficient 2*sqrt(2) instead of 2
-
-The remark-derived form is the default; the eq5-literal form is kept
-selectable because both are in circulation.  Their positivity cutoffs in
+Two variants of beta_bound, both in circulation, differ only in the
+coefficient of (lambda - 1) in epsilon: 2, "remark-derived" (the
+default), or 2*sqrt(2), "eq5-literal".  Their positivity cutoffs in
 lambda differ (about 1.0858 versus 1.0607 when alpha is optimized).
 """
 
@@ -101,12 +96,10 @@ class StabilityCertificate:
 
 
 def beta_bound(alpha: float, lam: float, variant: str = VARIANT_REMARK) -> float:
-    """Safe input bound beta(alpha, lambda) for the chosen variant.
+    """Safe input bound (alpha - e)/(1 + e), e = _epsilon(alpha, lam, variant).
 
-    Evaluates (alpha - e)/(1 + e) with e = coef*(lambda-1)*(1+alpha)/(1-alpha),
-    where coef is 2 (remark-derived) or 2*sqrt(2) (eq5-literal).  The value
-    is negative when lambda is too large; callers decide whether that is an
-    error.  At lambda = 1 the result is exactly alpha.
+    The value is negative when lambda is too large; callers decide whether
+    that is an error.  At lambda = 1 the result is exactly alpha.
     """
     e = _epsilon(alpha, lam, variant)
     return (alpha - e) / (1.0 + e)
@@ -147,9 +140,7 @@ def thm1_certificate(alpha: float, lam: float, variant: str = VARIANT_REMARK) ->
     """Certificate with the canonical fixed multiplier and smallest region.
 
     This is unchecked_certificate(alpha, lam, variant=variant) behind the
-    gate beta_bound > 0: gamma = (1-alpha)/(1+alpha), C = 2(1+alpha)/(1-alpha),
-    beta = beta_bound(alpha, lam, variant), and the state bound
-    2(1+alpha)/(1-alpha) + (1-alpha)/8.
+    gate beta_bound > 0.
 
     Raises
     ------
@@ -185,7 +176,7 @@ def thm2_certificate(
     Raises
     ------
     InfeasibleError
-        Naming the first violated bound: "lambda2", "eps2", "C2", or
+        Naming the first violated bound: "lambda2", "eps2" or
         "gamma-range".
     """
     alpha, lam = _validate_alpha_lambda(alpha, lam)
@@ -209,9 +200,7 @@ def thm2_certificate(
     c_min = 2.0 * dH / dL
     c_max = (epsilon * epsilon * dL / (2.0 * dH * (lam - 1.0) ** 2)
              if lam > 1.0 else math.inf)
-    if c_max < c_min * (1.0 - 1e-12):
-        raise InfeasibleError("C2", f"C interval [{c_min!r}, {c_max!r}] is empty")
-    c_max = max(c_max, c_min)
+    c_max = max(c_max, c_min)  # past the eps2 gate, c_max >= c_min (1 - 3e-14)
     C = c_min if math.isinf(c_max) else min(max(math.sqrt(c_min * c_max), c_min), c_max)
 
     spec = RegionSpec(alpha, C)
@@ -312,8 +301,7 @@ def unchecked_certificate(
     The region is R(alpha, C = 2dH/dL), gamma is dL/dH, a negative beta
     is clamped to 0, and the state bound is the region's v_extent, C + dL/8.
     Meant for falsification experiments that apply an inadmissible lambda
-    to a valid region on purpose; never a guarantee.  thm1_certificate is
-    this function, at the variant's default epsilon, behind a beta > 0 gate.
+    to a valid region on purpose; never a guarantee.
     """
     alpha, lam = _validate_alpha_lambda(alpha, lam)
     if epsilon is None:

@@ -4,17 +4,8 @@ Subcommands wrap the library one-to-one: simulate (trajectory CSV),
 certificate (JSON), region (bounding-curve CSV), verify (invariance
 check, JSON report), reconstruct (error-curve CSV) and sweep (figure
 tables).  Data goes to stdout or --out; diagnostics go to stderr so
-outputs stay pipe-safe.
-
-Exit codes: 0 success, 1 usage or invalid arguments (also an output
-file that cannot be opened or written), 2 a verify run found invariance
-violations, 3 infeasible or unsatisfiable parameters (also a request too
-large for memory), 4 state divergence, 141 the reader closed stdout early
-(128 + SIGPIPE).
-
-The default seed is fixed for reproducibility; the SD_LAB_SEED
-environment variable overrides it and an explicit --seed flag wins
-over both.
+outputs stay pipe-safe.  main maps each error class to an exit code,
+as the README's table lists them.
 """
 
 from __future__ import annotations
@@ -98,6 +89,15 @@ def _add_seed_out(p):
                    help="output file (default: stdout)")
 
 
+def _add_certificate_args(p):
+    """The flags _certificate reads."""
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="quantizer-error slack; selects the general certificate")
+    p.add_argument("--variant", choices=sorted(_VARIANTS), default="remark")
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="sdlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True,
@@ -119,13 +119,9 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("certificate", help="compute a stability certificate")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="quantizer-error slack; selects the general certificate")
+    _add_certificate_args(p)
     p.add_argument("--gamma", type=float, default=None,
                    help="coupling override for the general certificate")
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="remark")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_certificate)
 
@@ -137,10 +133,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_region)
 
     p = sub.add_parser("verify", help="sample the region and check invariance")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="remark")
+    _add_certificate_args(p)
     p.add_argument("--points", type=int, default=2000)
     p.add_argument("--deltas", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-9)

@@ -1,15 +1,7 @@
 """Error taxonomy shared by the whole package.
 
-Every failure mode maps to one exception type so callers (and the CLI
-exit-code table) can dispatch on class alone:
-
-  InvalidInputError            bad argument values, usage-level mistakes
-  DivergenceError              state sequence left the finite/bounded regime
-  InsufficientDataError        not enough samples/points for the request
-  InfeasibleError              a parameter bound is violated; names the bound
-  NoSolutionError              an inverse map has no admissible solution
-  ResourceError                a tolerance is unreachable within fixed caps
-  DegenerateConfigurationError search precondition fails at the trivial point
+Every failure mode maps to one exception type, so callers (and the CLI's
+exit codes) can dispatch on class alone.
 """
 
 from __future__ import annotations
@@ -62,7 +54,7 @@ class InfeasibleError(SdlabError):
     ----------
     bound : str
         Short name of the violated bound, one of
-        {"lowerc", "lambda2", "eps2", "C2", "gamma-range"}.
+        {"lowerc", "lambda2", "eps2", "gamma-range"}.
     """
 
     def __init__(self, bound, message):

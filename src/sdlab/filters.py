@@ -13,11 +13,9 @@ are available:
                               t**-3 and tight tail tolerances can exceed
                               the tabulation cap (a ResourceError).
 
-Everything downstream needs three numbers besides the samples of g: the
-L1 norms of g, g', g''.  Derivatives are computed spectrally (extra omega
-factors under the inverse transform), and the L1 norms by splitting at
-sign changes of spline fits, where the integral of |h| telescopes into
-total-variation sums evaluated from the tabulated values.
+Besides the samples of g, the error bound needs the L1 norms of g, g'
+and g''.  The derivatives are computed spectrally (extra omega factors
+under the inverse transform), the norms by _l1_by_sign_splits.
 
 Quadrature note: the inverse transforms are evaluated with the composite
 trapezoid rule on a dense omega grid.  The integrands have vanishing odd
@@ -242,9 +240,8 @@ def design_filter(
     InvalidInputError
         For T0 <= 1, non-positive tolerances, or unknown profiles.
     ResourceError
-        When the tail bound cannot be met within the tabulation cap
-        (expected for the raised-cosine-squared profile at tight
-        tolerances; its tail only decays like W**-2).
+        When the tail bound cannot be met within the tabulation cap, as
+        the raised-cosine-squared profile's at tight tolerances.
     """
     if not (isinstance(T0, (int, float)) and math.isfinite(T0) and T0 > 1.0):
         raise InvalidInputError(f"T0 must be > 1, got {T0!r}")

@@ -21,11 +21,6 @@ probes and the interior draws are redundancy).
 Determinism: the point set is split into 64 fixed logical blocks; block
 b draws from its own generator seeded by (seed, b), so the result is
 byte-identical for any worker count, and workers only schedule blocks.
-
-The escapes come back as one NumPy record array with the fields
-point_index, delta_index, u, v, u_next, v_next, excess (in that order),
-one row per escaping (point, delta) pair, sorted by point_index and then
-delta_index.
 """
 
 from __future__ import annotations
@@ -60,8 +55,6 @@ class InvarianceReport:
     n_deltas: int
     seed: int
     tol: float
-    lam: float
-    gamma: float
     n_checked: int
     violations: np.recarray
 
@@ -232,6 +225,5 @@ def verify_invariance(
 
     # blocks cover ascending point ranges, so block order is sorted order
     violations = _violations(blocks, deltas, cert.gamma, cert.lam)
-    return InvarianceReport(n_points=n_points, n_deltas=n_deltas, seed=seed,
-                            tol=tol, lam=cert.lam, gamma=cert.gamma,
+    return InvarianceReport(n_points=n_points, n_deltas=n_deltas, seed=seed, tol=tol,
                             n_checked=n_points * n_deltas, violations=violations)

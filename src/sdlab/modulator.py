@@ -157,13 +157,8 @@ def run(params: SchemeParams, input, n_steps: int) -> Trajectory:
 
 
 def residual_identity(traj: Trajectory) -> float:
-    """Largest residual of the exact u-elimination identity.
-
-    Evaluates max over n >= 2 of
-
-        | f_n - q_n - (v_n - (l1 + l2) v_{n-1} + l1 l2 v_{n-2}) |
-
-    which is 0 in exact arithmetic for every stored trajectory.
+    """Largest residual over n >= 2 of the identity for f_n - q_n in the
+    module docstring, which is 0 in exact arithmetic.
 
     Raises
     ------

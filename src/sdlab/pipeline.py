@@ -10,22 +10,6 @@ Reconstruction windows: a run at rate T uses N = round(L*T) samples on
 (0, L] with L = 4*(W + 1), and errors are measured on the central half
 [L/4, 3L/4].  The margin L/4 = W + 1 exceeds the kernel half-width W,
 so every evaluated point sees a fully covered kernel sum.
-
-On that grid the reconstruction is polyphase: one convolution
-per phase of the 16 evaluation points per sampling interval, taken in
-"valid" mode over just the samples the grid reads, so nothing is
-computed that is thrown away.  Rates below about 3 leave fewer samples
-in the margin than the kernel reaches; those phases use a full
-convolution, with the same outputs as before.
-
-Threads: the 16 phases run through _kernels.map_ordered, each writing
-its own strided slice of the output, and BandlimitedSignal.eval runs in
-4096-row blocks through _kernels.map_blocks; OpenBLAS runs on one thread
-during both.  A reconstruction dot longer than 10,000 taps is summed as
-(0.0 + first) + second over OpenBLAS's two-thread halves.
-_kernels.correlator's C loop sums each piece, without BLAS or the GIL,
-in the order of OpenBLAS's one-thread SkylakeX ddot; without it
-_valid_convolve sums by numpy's BLAS, the same bits on that kernel.
 """
 
 from __future__ import annotations
@@ -61,8 +45,6 @@ _NORM_STEP = 1.0 / 2048.0
 _EVAL_PER_INTERVAL = 16
 _EVAL_ROWS = 4096   # time points per block of BandlimitedSignal.eval
 _NORM_ROWS = 34 * _EVAL_ROWS  # a quarter of the normalization grid
-# OpenBLAS sums a ddot of up to this many terms on one thread
-_DOT_SPLIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -159,20 +141,19 @@ def _grid_indices(plan: SamplingConfig):
 
 
 def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: FilterSpec):
-    """Fast direct-summation reconstruction on the default central grid.
+    """Fast direct-summation reconstruction on the _grid_indices grid.
 
     Evaluation times c/(16T) split by phase p = c mod 16; each phase is
-    one convolution of the sample array with that phase's 2J+1 kernel
-    taps, read at m - 1 + J for the grid's sample indices m = c // 16.
-    Those m form one range [lo, hi], so only the samples
-    values[lo-1-J : hi+J] enter, and a "valid" convolve of that window
-    computes exactly the hi - lo + 1 needed outputs with the same
-    full-overlap dot products as a full convolve, hence the same bits.  When the window
-    reaches outside the samples (rates below about 3, where the margin
-    W + 1 holds fewer than J + 1 samples) the phase falls back to the
-    full convolve, whose zero-padded edge sums are then read.  A "valid"
-    phase runs _kernels.correlator's C loop, or _valid_convolve without it.
-    Returns (grid, reconstruction) on the _grid_indices grid.
+    one convolution of the samples with that phase's 2J+1 kernel taps,
+    read at m - 1 + J for the grid's sample indices m = c // 16, which
+    form one range [lo, hi].  A "valid" correlation of values[lo-1-J :
+    hi+J] gives exactly those outputs with the full convolve's
+    full-overlap dots, hence the same bits.  Where that window reaches
+    past the samples (rates below about 3, where the margin W + 1 holds
+    fewer than J + 1 samples) the phase reads a full convolve's
+    zero-padded edge sums instead.  The phases run through map_ordered,
+    each writing its own strided slice of out; each has at least 6 grid
+    points, as L >= 12 and T > 1.  Returns (grid, reconstruction).
     """
     T = plan.T
     N = plan.n_samples
@@ -184,51 +165,19 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
     k = np.arange(2 * J + 1)
     correlate = _kernels.correlator(values)
 
-    def phase(p):  # writes only its own strided slice of out
+    def phase(p):
         sel = slice((p - c_lo) % _EVAL_PER_INTERVAL, None, _EVAL_PER_INTERVAL)
         m = c[sel] // _EVAL_PER_INTERVAL
-        if m.size == 0:
-            return
         taps = filt.g(((k - J) * _EVAL_PER_INTERVAL + p) / (_EVAL_PER_INTERVAL * T))
         lo, hi = int(m[0]), int(m[-1])
-        if not (lo - 1 - J >= 0 and hi + J <= N):
-            conv = np.convolve(values, taps)
-            out[sel] = conv[m - 1 + J] / T
-        elif correlate is None:
-            out[sel] = _valid_convolve(values[lo - 1 - J:hi + J], taps) / T
-        else:  # the same bits in C
-            correlate(lo - 1 - J, taps[::-1], _first_half(taps.size), out[sel])
+        if lo - 1 - J >= 0 and hi + J <= N:
+            correlate(lo - 1 - J, taps[::-1], out[sel])
             out[sel] /= T
+        else:
+            out[sel] = np.convolve(values, taps)[m - 1 + J] / T
 
-    with _kernels.one_blas_thread():
-        _kernels.map_ordered(phase, range(_EVAL_PER_INTERVAL), None)
+    _kernels.map_ordered(phase, range(_EVAL_PER_INTERVAL), None)
     return grid, out
-
-
-def _valid_convolve(window, taps):
-    """np.convolve(window, taps, "valid") in the bits OpenBLAS gives on
-    two threads, whatever OPENBLAS_NUM_THREADS says: the numpy path of a
-    phase when _kernels.correlator has no C loop, and its tests' oracle.
-
-    OpenBLAS's ddot threads a dot longer than _DOT_SPLIT; on two threads
-    it returns (0.0 + first) + second over the first ceil(n/2) terms and
-    the rest.  This forms that sum from two correlations, each summed with
-    OpenBLAS on one thread.
-    """
-    n = taps.size
-    h = _first_half(n)
-    if h == n:
-        return np.convolve(window, taps, mode="valid")
-    rev = taps[::-1]
-    with _kernels.one_blas_thread():  # already so inside the phase map
-        first = np.correlate(window[:window.size - n + h], rev[:h], mode="valid")
-        return (0.0 + first) + np.correlate(window[h:], rev[h:], mode="valid")
-
-
-def _first_half(n):
-    """Terms of an n-term dot that OpenBLAS sums first on two threads: all
-    of them up to _DOT_SPLIT, else ceil(n/2)."""
-    return n if n <= _DOT_SPLIT else -(-n // 2)
 
 
 def sup_error(signal, params: SchemeParams, T: float, filt: FilterSpec) -> float:

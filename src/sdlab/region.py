@@ -17,17 +17,10 @@ magnitude delta = |f - q| and gain lam,
     right move (q = -1):  (u, v) -> (lam*u + delta, lam*u + v + delta)
 
 and the branch is decided by the sign of u + gamma*v (ties go left,
-matching the sign quantizer's tie rule Q(0) = +1).  step_region applies
-this map to whole arrays of points; it is the one copy of it, behind the
-invariance check and the reference excess loop in _kernels.
-
-The feedback multiplier gamma and the abscissa u1 of the intersection of
-the switching line u + gamma*v = 0 with B1 determine each other:
-
-    gamma = u1 / B1(-u1) = u1 / (C - u1/2 - u1^2/(2*dH))
-
-which is monotone increasing in u1 wherever B1(-u1) > 0, so the inverse
-is the positive root of a quadratic.
+matching the sign quantizer's tie rule Q(0) = +1).  step_region is the
+one copy of this map, behind the invariance check and the reference
+excess loop in _kernels.  The switching line u + gamma*v = 0 meets B1 at
+u = -u1, so gamma = u1 / B1(-u1).
 """
 
 from __future__ import annotations
@@ -126,8 +119,8 @@ def u1_from_gamma(spec: RegionSpec, gamma: float) -> float:
 def yilmaz_gamma_range(spec: RegionSpec):
     """Admissible closed interval for gamma at this (alpha, C).
 
-    The interval is the image of u1 in [dH, u0 - dH] under
-    gamma = u1 / B1(-u1):
+    The interval is the image of u1 in [dH, u0 - dH] under the map
+    gamma = u1 / B1(-u1), increasing wherever B1(-u1) > 0:
 
         lo = dH / (C - dH)
         hi = (sqrt(2 C dH dL) - dH) / (C alpha + sqrt(C dH dL / 2))

@@ -6,13 +6,9 @@ cells are the literal NA in CSV and null in JSON.  Writers accept a
 filesystem path or any object with a write method, so an io.StringIO
 gives the text of any of them as one string.
 
-Trajectories are streamed in CHUNK_ROWS-row chunks by
-_kernels.format_lanes (the C row formatter or, without a compiler, its
-%-formatting reference).  With two or more cores, the C formatter formats
-a chunk's two halves on two threads, into buffers the calling thread
-allocated; the halves are then written in order, to a path as bytes, to
-a file object as ASCII text.
-The bytes depend neither on the backend nor on the core count.
+Trajectories stream in CHUNK_ROWS-row chunks through
+_kernels.format_lanes; the bytes depend neither on the backend nor on
+the core count.
 """
 
 from __future__ import annotations

@@ -7,12 +7,9 @@ starts from one certificate, Theorem 1's at the best alpha for its gain
 bound beta that keeps max_iters iterations below a divergence cutoff
 (one bisection path) or the largest |v_n| reached by a run.
 
-Of the kernel's three input modes (constant, array, keyed stream) a
-probe uses the constant beta or the stream of uniform draws on [-beta,
+A probe's input is the constant beta or the uniform stream on [-beta,
 beta] keyed by (seed, row index, probe index), so results are
-byte-identical for any worker count and rows can run concurrently.  The
-C backend draws the stream in its loop, in constant memory, without the
-GIL, so row threads run in parallel; the Python fallback takes turns.
+byte-identical for any worker count and rows can run concurrently.
 """
 
 from __future__ import annotations
@@ -99,12 +96,8 @@ def _probe(lam, gamma, beta, cfg, row_index, probe_index):
 
 def is_stable(lam: float, gamma: float, beta: float, cfg: SweepConfig,
               row_index: int = 0, probe_index: int = 0) -> bool:
-    """True iff |v_n| stays within cfg.divergence_bound for all max_iters.
-
-    Input is constant f = beta or i.i.d. uniform on [-beta, beta] per
-    cfg.input_mode; the random stream is keyed by (seed, row_index,
-    probe_index) so repeated calls are reproducible.
-    """
+    """True iff |v_n| stays within cfg.divergence_bound for all max_iters
+    steps of the probe with this row and probe index."""
     diverged_at, _ = _probe(lam, gamma, beta, cfg, row_index, probe_index)
     return diverged_at < 0
 
@@ -154,12 +147,8 @@ def _bisect_threshold(stable_probe, tol: float) -> float:
 
 def measure_vmax(lam: float, gamma: float, beta: float, cfg: SweepConfig,
                  row_index: int = 0) -> float:
-    """Sup of |v_n| over a full probe run; raises on divergence.
-
-    Random-input mode draws from the stream slot reserved for state-bound
-    measurements so the run is independent of the bisection probes yet
-    reproducible.
-    """
+    """Sup of |v_n| over a full probe run, in the stream slot that no
+    bisection probe uses; raises on divergence."""
     diverged_at, vmax = _probe(lam, gamma, beta, cfg, row_index, _VMAX_PROBE_INDEX)
     if diverged_at >= 0:
         raise DivergenceError(

@@ -219,6 +219,21 @@ def test_thm2_infeasibility_tags():
     assert exc.value.bound == "gamma-range"
 
 
+def test_thm2_past_the_epsilon_gate_never_finds_an_empty_c_interval():
+    # epsilon >= eps_min (1 - 1e-14) gives c_max >= c_min (1 - 3e-14) after
+    # rounding, so the smallest epsilon the gate passes gets C = c_min
+    for alpha in (1e-6, 0.1, 0.5, 0.9):
+        dL, dH = 1.0 - alpha, 1.0 + alpha
+        cut = 1.0 + alpha * dL / (2.0 * dH)
+        for lam in (float(np.nextafter(1.0, 2.0)), 1.0 + (cut - 1.0) * 1e-6,
+                    0.5 * (1.0 + cut), cut):
+            eps_min = 2.0 * dH * (lam - 1.0) / dL
+            eps = eps_min * (1.0 - 1e-14)
+            while eps < eps_min * (1.0 - 1e-14):
+                eps = float(np.nextafter(eps, 2.0))
+            assert thm2_certificate(alpha, lam, eps).C == 2.0 * dH / dL
+
+
 def test_thm2_honors_an_admissible_gamma_choice():
     base = thm2_certificate(0.5, 1.01, 0.2)
     pick = 0.5 * (base.gamma_lo + base.gamma)

@@ -393,6 +393,22 @@ def test_reconstruct_schema_and_slope_note(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_chaotic_reconstruct_is_the_error_curve_at_gains_one_plus_one_over_t(capsys):
+    from sdlab.filters import design_filter
+    from sdlab.modulator import SchemeParams
+    from sdlab.pipeline import error_curve, gen_signal
+    from sdlab.serialize import csv_text
+
+    rc = main(["reconstruct", "--beta", "0.3", "--components", "4", "--rates",
+               "32,48", "--trunc-tol", "1e-4", "--chaotic", "--seed", "2"])
+    cap = capsys.readouterr()
+    assert rc == 0, cap.err
+    rows = error_curve(gen_signal(2, 4, 0.3),
+                       lambda T: SchemeParams(1.0 + 1.0 / T, 1.0 + 1.0 / T, 1.0),
+                       [32.0, 48.0], design_filter(trunc_tol=1e-4))
+    assert cap.out == csv_text(rows)
+
+
 def test_reconstruct_unreachable_tolerance_is_a_resource_failure(capsys):
     rc = main(["reconstruct", "--beta", "0.3", "--rates", "16,24",
                "--rolloff", "raised-cosine-squared", "--trunc-tol", "1e-8"])
@@ -409,6 +425,10 @@ def test_reconstruct_unreachable_tolerance_is_a_resource_failure(capsys):
     ["region", "--alpha", "0.5", "--C", "1e308"],
     ["certificate", "--alpha", "0.5", "--lambda", "1.02", "--epsilon", "0.2",
      "--gamma", "nan"],
+    # and malformed rate lists or point counts
+    ["reconstruct", "--beta", "0.5", "--rates", "32,x"],
+    ["reconstruct", "--beta", "0.5", "--rates", ","],
+    ["region", "--alpha", "0.5", "--C", "6", "--points", "1"],
 ])
 def test_non_finite_numbers_are_invalid_input(argv, capsys):
     assert main(argv) == 1

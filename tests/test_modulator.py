@@ -152,6 +152,8 @@ def test_run_input_contract():
     with pytest.raises(InvalidInputError):
         run(SchemeParams(), [0.1, 0.2], 5)  # too short
     with pytest.raises(InvalidInputError):
+        run(SchemeParams(), (0.1 for _ in range(4)), 5)  # a short generator
+    with pytest.raises(InvalidInputError):
         run(SchemeParams(), np.array([0.1, math.nan, 0.2]), 3)
     with pytest.raises(InvalidInputError):
         run(SchemeParams(), 0.0, -1)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdlab import _kernels, pipeline
+from sdlab._kernels import _first_half, _valid_convolve
 from sdlab.cli import main
 from sdlab.errors import InsufficientDataError, InvalidInputError, ResourceError
 from sdlab.modulator import SchemeParams, run
@@ -20,7 +21,6 @@ from sdlab.filters import design_filter
 from sdlab.pipeline import (
     _grid_indices,
     _reconstruct_polyphase,
-    _valid_convolve,
     error_curve,
     first_order_quantize,
     gen_signal,
@@ -232,18 +232,18 @@ def test_c_correlation_gives_the_bits_of_valid_convolve(n_taps):
     rng = np.random.default_rng(n_taps)
     taps = rng.normal(size=n_taps)
     values = rng.normal(size=n_taps + 40)
+    if _kernels.BACKEND != "c":
+        pytest.skip("no C loop: phases run _valid_convolve")
     correlate = _kernels.correlator(values)
-    if correlate is None:
-        pytest.skip("no C loop or no ILP64 ddot: phases run _valid_convolve")
     n_out = 25
     for start in range(8, 16):  # every window start mod 8
         out = np.full(3 * n_out, 7.0)
-        correlate(start, taps[::-1], pipeline._first_half(n_taps), out[1::3])
+        correlate(start, taps[::-1], out[1::3])
         want = _valid_convolve(values[start:start + n_taps - 1 + n_out], taps)
         assert out[1::3].tobytes() == want.tobytes(), start
         assert np.all(out[0::3] == 7.0) and np.all(out[2::3] == 7.0)
     with pytest.raises(IndexError):  # one output past the last sample
-        correlate(17, taps[::-1], n_taps, np.empty(n_out))
+        correlate(17, taps[::-1], np.empty(n_out))
 
 
 def _openblas_corename():
@@ -267,16 +267,19 @@ def test_c_dots_are_numpys_skylakex_ddot():
     rng = np.random.default_rng(26)
     values = rng.normal(size=20_001 + 48)
     taps = rng.normal(size=20_001)
+    one_piece = _correlation_paths()["sdlab_correlate"]  # split = n past 10,000
     correlate = _kernels.correlator(values)
-    if correlate is None:
-        pytest.skip("no C loop: phases run _valid_convolve")
     bad = []
     with _kernels.one_blas_thread():
         for n in range(1, 20_002):
             # n_out mod 4 = 0..3, and at every 4th n past one 32-output block
             start, n_out = n % 8, 1 + n % 6 + 32 * (n % 4 == 0)
             out = np.empty(n_out)
-            correlate(start, taps[:n], n, out)
+            if n == _first_half(n):
+                correlate(start, taps[:n], out)
+            else:
+                one_piece(values.ctypes.data, start, taps.ctypes.data, n, n,
+                          n_out, out.ctypes.data, 1)
             # np.dot is 0.0 + ddot; np.correlate has its own loop below 12 taps
             want = [np.dot(values[start + j:start + j + n], taps[:n])
                     for j in range(n_out)]
@@ -328,22 +331,28 @@ def test_every_correlation_path_gives_the_same_bits():
 
 def test_polyphase_without_the_c_correlation_takes_the_numpy_path(
         filt_default, monkeypatch):
+    # a W = 2 filter has 9 taps per phase at T = 1.5 and 11 at T = 2, which
+    # np.correlate would sum in its own loop; 8 of its phases at T = 1.5
+    # reach past the samples and take the full convolve on both backends
+    short = design_filter(T0=4.0, trunc_tol=0.1)
     calls = []
-    numpy_path = pipeline._valid_convolve
-    monkeypatch.setattr(pipeline, "_valid_convolve",
+    numpy_path = _kernels._valid_convolve
+    monkeypatch.setattr(_kernels, "_valid_convolve",
                         lambda window, taps: calls.append(taps.size)
                         or numpy_path(window, taps))
-    for T in (32.0, 256.0):  # one piece per dot, and two
-        plan = sampling_plan(T, filt_default)
+    # one piece per dot, two pieces, and short phases
+    for filt, T, phases in ((filt_default, 32.0, 16), (filt_default, 256.0, 16),
+                            (short, 1.5, 8), (short, 2.0, 16)):
+        plan = sampling_plan(T, filt)
         q = np.random.default_rng(3).normal(0.0, 0.5, plan.n_samples)
-        want = _reconstruct_polyphase(q, plan, filt_default)[1].tobytes()
-        assert (calls == []) == (_kernels.correlator(q) is not None)
+        want = _reconstruct_polyphase(q, plan, filt)[1].tobytes()
+        assert (calls == []) == (_kernels.BACKEND == "c")
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(_kernels, "_chosen", _kernels._PYTHON)
-            got = _reconstruct_polyphase(q, plan, filt_default)[1]
+            got = _reconstruct_polyphase(q, plan, filt)[1]
         assert got.tobytes() == want, T
-        assert len(calls) == 16, T
+        assert len(calls) == phases, T
         calls.clear()
 
 
@@ -460,6 +469,11 @@ def test_single_loop_converges_at_first_order(filt_default):
         rows.append((T, reconstruction_error_of(q, sig, T, filt_default)))
     slope = order_fit(rows)
     assert slope <= -0.9
+
+
+def test_first_order_quantizer_refuses_no_samples():
+    with pytest.raises(InvalidInputError):
+        first_order_quantize([])
 
 
 def test_first_order_quantizer_tracks_the_running_sum():

@@ -211,6 +211,11 @@ def test_json_rejects_non_finite():
         json_text([math.nan])
 
 
+def test_json_rejects_a_type_it_has_no_form_for():
+    with pytest.raises(InvalidInputError, match="cannot serialize object"):
+        json_text({"x": object()})
+
+
 def test_writers_accept_paths_and_file_objects(tmp_path):
     rows = [{"T": 32.0, "sup_error": 1e-3, "bound": 2e-3}]
     p = tmp_path / "curve.csv"
