@@ -4,7 +4,7 @@ Four loops run on the backend chosen the first time one is called (never
 at import) and reported as BACKEND: "c", _recur.c as _load_c builds and
 loads it, or "python", the reference loops below, when it cannot be built
 or loaded.  They are _recur (the double-loop recursion behind run_fill,
-probe_const and probe_input), _format_rows (trajectory CSV rows), _excess
+probe_const and probe_input), _format_rows (trajectory CSV rows), _escapes
 (one region step's escapes) and _valid_convolve (a reconstruction phase's
 dots).  The C loops are tested against these references bit for bit, so
 contraction stays off: IEEE evaluation order is part of the contract.
@@ -128,6 +128,26 @@ def _excess(us, vs, deltas, gamma, lam, spec):
                       v2 - b1_eval(spec, u2))
 
 
+VIOLATION = np.dtype([("point_index", "i8"), ("delta_index", "i8"), ("u", "f8"),
+                      ("v", "f8"), ("u_next", "f8"), ("v_next", "f8"), ("excess", "f8")])
+
+
+def _escapes(us, vs, deltas, gamma, lam, spec, tol, lo, rows):
+    """How many pairs _excess puts above tol, 4,096 points at a time; their
+    VIOLATION records, in (point, delta) order, go into rows unless None."""
+    count = 0
+    for a in range(0, us.shape[0], 4096):
+        excess = _excess(us[a:a + 4096], vs[a:a + 4096], deltas, gamma, lam, spec)
+        i, j = np.nonzero(excess > tol)  # row-major: (point, delta) order
+        if rows is not None:
+            u, v = us[a + i], vs[a + i]
+            rows[count:count + i.size] = np.rec.fromarrays(
+                (lo + a + i, j, u, v, *step_region(u, v, deltas[j], gamma, lam),
+                 excess[i, j]), dtype=VIOLATION)
+        count += i.size
+    return count
+
+
 # OpenBLAS's ddot sums up to this many terms on one thread; on two threads
 # a longer dot is (0.0 + first) + second, split at _first_half
 _DOT_SPLIT = 10_000
@@ -173,10 +193,10 @@ _CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 # longest %.17g text of a double, as in -2.2250738585072014e-308
 _NUM_WIDTH = 24
 
-# a backend: the name BACKEND reports and loops like _recur, _excess,
+# a backend: the name BACKEND reports and loops like _recur, _escapes,
 # format_lanes and correlator
-_Backend = collections.namedtuple("_Backend", "name recur excess format_lanes correlator")
-_PYTHON = _Backend("python", _recur, _excess,
+_Backend = collections.namedtuple("_Backend", "name recur escapes format_lanes correlator")
+_PYTHON = _Backend("python", _recur, _escapes,
                    lambda n0, f, q, u, v, lanes: [_format_rows(n0, f, q, u, v)],
                    _correlator)
 _chosen = None
@@ -308,16 +328,18 @@ def _load_c():
             del buf[n:]
         return bufs
 
-    exc = lib.sdlab_excess
-    exc.argtypes, exc.restype = [p, p, ll, p, ll, *[d] * 6, p], None
+    esc = lib.sdlab_escapes
+    esc.argtypes, esc.restype = [p, p, ll, p, ll, *[d] * 7, ll, p, ll], ll
 
-    def c_excess(us, vs, deltas, gamma, lam, spec):
-        n, nd = us.shape[0], deltas.shape[0]
-        out = np.empty((n, nd))
-        exc(_address(us, n, False), _address(vs, n, False), n,
-            _address(deltas, nd, False), nd, gamma, lam, spec.u0, spec.C,
-            spec.delta_H, spec.delta_L, out.ctypes.data)
-        return out
+    def c_escapes(us, vs, deltas, gamma, lam, spec, tol, lo, rows):
+        n, nd, cap = us.shape[0], deltas.shape[0], 0 if rows is None else len(rows)
+        count = esc(_address(us, n, False), _address(vs, n, False), n,
+                    _address(deltas, nd, False), nd, gamma, lam, spec.u0, spec.C,
+                    spec.delta_H, spec.delta_L, tol, lo,
+                    None if rows is None else _address(rows, cap, True, VIOLATION), cap)
+        if rows is not None and count > cap:
+            raise IndexError(f"{count} escapes for {cap} rows")
+        return count
 
     cor = lib.sdlab_correlate
     cor.argtypes, cor.restype = [p, ll, p, ll, ll, ll, p, ll], None
@@ -336,7 +358,7 @@ def _load_c():
                 _first_half(n_taps), n_out, out.ctypes.data, out.strides[0] // 8)
         return correlate
 
-    return _Backend("c", c_recur, c_excess, c_format_lanes, c_correlator)
+    return _Backend("c", c_recur, c_escapes, c_format_lanes, c_correlator)
 
 
 def _choose():
@@ -366,6 +388,12 @@ def __getattr__(name):
 
 # ------------------------------------------------------------ entry points
 
+def cores():
+    """CPUs this process may run on: its affinity set, where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def map_ordered(fn, items, workers):
     """[fn(x) for x in items], in item order, on up to workers threads
     (None: one per core), serially when one would do; InvalidInputError
@@ -376,7 +404,7 @@ def map_ordered(fn, items, workers):
     exception of the first failing item in item order is raised.
     """
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = cores()
     elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidInputError(f"workers must be a positive integer, got {workers!r}")
     items = list(items)
@@ -419,7 +447,7 @@ def map_blocks(fn, n, rows, width):
     one call at a time.  rows is a multiple of 64, so blocks start 64-row
     aligned for numpy's vector loops."""
     blocks = [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
-    workers = min(os.cpu_count() or 1, _BLOCK_WORKERS)
+    workers = min(cores(), _BLOCK_WORKERS)
     free = [np.empty((min(rows, n), width)) for _ in blocks[:workers]]
 
     def lend(block):  # list.pop and append are atomic: no lock needed
@@ -522,6 +550,8 @@ def correlator(values):
     return (_chosen or _choose()).correlator(values)
 
 
-def excess(us, vs, deltas, gamma, lam, spec):
-    """_excess of 1-D C-contiguous float64 us, vs, deltas in a RegionSpec."""
-    return (_chosen or _choose()).excess(us, vs, deltas, gamma, lam, spec)
+def escapes(us, vs, deltas, gamma, lam, spec, tol, lo=0, rows=None):
+    """_escapes of 1-D C-contiguous float64 us, vs, deltas, the first point
+    numbered lo; on the C loop IndexError if rows cannot hold them all."""
+    return (_chosen or _choose()).escapes(us, vs, deltas, gamma, lam, spec,
+                                          tol, lo, rows)

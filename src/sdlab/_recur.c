@@ -1,8 +1,9 @@
 /* The four loops of _kernels in C: the double-loop recursion of
    _kernels._recur, the trajectory row formatter of _kernels._format_rows,
-   the one-step containment excess of _kernels._excess and the "valid"
-   correlation of one reconstruction phase, summed in the order of
-   OpenBLAS's SkylakeX ddot with explicit fused multiply-adds.
+   the "valid" correlation of one reconstruction phase, summed in the
+   order of OpenBLAS's SkylakeX ddot with explicit fused multiply-adds,
+   and the escape loop of _kernels._escapes, which counts or records the
+   sampled points that one region step moves out of the region.
 
    sdlab_recur is a line-for-line port: the same operations in the same
    order, so with -ffp-contract=off (no fused multiply-add) every state is
@@ -354,39 +355,6 @@ long long sdlab_format_rows(long long n0, const double *f, const long long *q,
     return p - buf;
 }
 
-/* The containment excess of one region step for every (point, delta)
-   pair, into the row-major (n, nd) array out: max(|u'| - u0, B2(u') - v',
-   v' - B1(u')) with (u', v') the image of (us[i], vs[i]) under deltas[j].
-   Operation for operation what _kernels._excess does in numpy, with NaNs
-   propagated as np.maximum does.
-*/
-static double b1(double u, double C, double dH, double dL)
-{
-    return -(u * u) / (2.0 * (u <= 0.0 ? dH : dL)) + 0.5 * u + C;
-}
-
-static double nan_max(double a, double b)
-{
-    return (a >= b || isnan(a)) ? a : b;
-}
-
-void sdlab_excess(const double *us, const double *vs, long long n,
-                  const double *deltas, long long nd, double gamma, double lam,
-                  double u0, double C, double dH, double dL, double *out)
-{
-    for (long long i = 0; i < n; i++) {
-        double u = us[i], v = vs[i], w = lam * u;
-        double sgn = u + gamma * v >= 0.0 ? -1.0 : 1.0;
-        for (long long j = 0; j < nd; j++) {
-            double u2 = w + sgn * deltas[j];
-            double v2 = w + v + sgn * deltas[j];
-            double under = -b1(-u2, C, dH, dL) - v2;
-            double over = v2 - b1(u2, C, dH, dL);
-            out[i * nd + j] = nan_max(nan_max(fabs(u2) - u0, under), over);
-        }
-    }
-}
-
 /* One phase's "valid" correlation, bit for bit what np.correlate (and so
    _kernels._valid_convolve) gives with numpy's OpenBLAS 0.3.31 on its
    SkylakeX kernels, one thread: out[j * ostride] sums, left to right,
@@ -626,4 +594,188 @@ void sdlab_correlate(CORRELATE_ARGS)
     }
 #endif
     CORRELATE(dots_c);
+}
+
+/* The escapes of one region step: the (point, delta) pairs whose
+   containment excess max(|u'| - u0, B2(u') - v', v' - B1(u')) is above
+   tol, with (u', v') the image of (us[i], vs[i]) under deltas[j].  The
+   excess is, operation for operation, what _kernels._excess computes in
+   numpy, with NaNs propagated as np.maximum does, so a NaN is no escape.
+   Returns the number of escapes.  Unless rows is NULL, the first cap of
+   them go into rows, in (point, delta) order, as the 56-byte records
+   (lo + i, j, u, v, u', v', excess) of _kernels.VIOLATION.
+   Three paths give the same count, picked per call by sdlab_simd: with
+   AVX-512 and AVX2 the count runs branch-free over 8 or 4 points at a
+   time, each through every delta, with the plain loop's branches as lane
+   masks (about 1.4 and 1.6 ns per pair on a 2-core AVX-512 Xeon, against
+   5 for the plain loop, which gcc 12 at -O2 does not vectorize); the
+   plain loop takes the points left over, and all of them when rows are
+   written.  Each path has its own exported symbol, so tests can compare
+   them.
+*/
+struct escape {
+    long long point, delta;
+    double u, v, u_next, v_next, excess;
+};
+
+#define ESCAPES_ARGS const double *us, const double *vs, long long n,       \
+    const double *deltas, long long nd, double gamma, double lam, double u0, \
+    double C, double dH, double dL, double tol, long long lo,               \
+    struct escape *rows, long long cap
+#define ESCAPES_PASS us, vs, n, deltas, nd, gamma, lam, u0, C, dH, dL, tol, \
+    lo, rows, cap
+#define ESCAPES(i) escapes(i, ESCAPES_PASS)
+
+static double b1(double u, double C, double dH, double dL)
+{
+    return -(u * u) / (2.0 * (u <= 0.0 ? dH : dL)) + 0.5 * u + C;
+}
+
+static double nan_max(double a, double b)
+{
+    return (a >= b || isnan(a)) ? a : b;
+}
+
+/* the plain loop over points i.. */
+static long long escapes(long long i, ESCAPES_ARGS)
+{
+    long long count = 0;
+    for (; i < n; i++) {
+        double u = us[i], v = vs[i], w = lam * u;
+        double sgn = u + gamma * v >= 0.0 ? -1.0 : 1.0;
+        for (long long j = 0; j < nd; j++) {
+            double u2 = w + sgn * deltas[j];
+            double v2 = w + v + sgn * deltas[j];
+            double under = -b1(-u2, C, dH, dL) - v2;
+            double over = v2 - b1(u2, C, dH, dL);
+            double e = nan_max(nan_max(fabs(u2) - u0, under), over);
+            if (e > tol) {
+                if (count < cap && rows != NULL)
+                    rows[count] = (struct escape){lo + i, j, u, v, u2, v2, e};
+                count++;
+            }
+        }
+    }
+    return count;
+}
+
+long long sdlab_escapes_c(ESCAPES_ARGS)
+{
+    return ESCAPES(0);
+}
+
+#if defined(__x86_64__)
+#define COUNT_ARGS const double *us, const double *vs, long long n,         \
+    const double *deltas, long long nd, double gamma, double lam, double u0, \
+    double C, double dH, double dL, double tol
+#define COUNT(path) path(us, vs, n, deltas, nd, gamma, lam, u0, C, dH, dL, tol)
+
+typedef double v4d __attribute__((vector_size(32)));
+typedef long long v4i __attribute__((vector_size(32)));
+
+/* m ? a : b in each lane, m all ones where true */
+#define PICK(m, a, b) ((v4d)(((v4i)(m) & (v4i)(a)) | (~(v4i)(m) & (v4i)(b))))
+#define B1(x) (-((x) * (x)) / PICK((x) <= 0.0, h2, l2) + 0.5 * (x) + C)
+#define NAN_MAX(a, b) PICK((a) == (a), PICK((a) >= (b), a, b), a)
+
+/* the plain loop's count over points 0 .. (n & -4) - 1, 4 at a time, in
+   generic vectors: gcc lowers their compares to vcmppd here, but not at
+   8 lanes for AVX-512, which takes intrinsics instead */
+static AVX2 long long count_avx2(COUNT_ARGS)
+{
+    const v4d zero = {0}, one = zero + 1.0, h2 = zero + 2.0 * dH,
+              l2 = zero + 2.0 * dL;
+    const v4i magnitude = (v4i){0} + INT64_MAX;
+    v4i hits = {0};
+    for (long long i = 0; i + 4 <= n; i += 4) {
+        v4d u, v;
+        memcpy(&u, us + i, sizeof u);
+        memcpy(&v, vs + i, sizeof v);
+        v4d w = lam * u, sgn = PICK(u + gamma * v >= 0.0, -one, one);
+        for (long long j = 0; j < nd; j++) {
+            v4d u2 = w + sgn * deltas[j];
+            v4d v2 = w + v + sgn * deltas[j];
+            v4d nu = -u2;
+            v4d under = -B1(nu) - v2;
+            v4d over = v2 - B1(u2);
+            v4d e = (v4d)((v4i)u2 & magnitude) - u0;
+            e = NAN_MAX(NAN_MAX(e, under), over);
+            hits -= (v4i)(e > tol);
+        }
+    }
+    return hits[0] + hits[1] + hits[2] + hits[3];
+}
+
+static inline AVX512 __m512d neg512(__m512d x)
+{
+    return _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(x),
+                                                _mm512_set1_epi64(INT64_MIN)));
+}
+
+static inline AVX512 __m512d b1_512(__m512d x, __m512d h2, __m512d l2,
+                                    __m512d C)
+{
+    __mmask8 le = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_LE_OS);
+    __m512d q = _mm512_div_pd(neg512(_mm512_mul_pd(x, x)),
+                              _mm512_mask_blend_pd(le, l2, h2));
+    return _mm512_add_pd(_mm512_add_pd(q, _mm512_mul_pd(_mm512_set1_pd(0.5), x)),
+                         C);
+}
+
+static inline AVX512 __m512d nan_max512(__m512d a, __m512d b)
+{
+    __m512d m = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, b, _CMP_GE_OS), b, a);
+    return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, a, _CMP_EQ_OQ), a, m);
+}
+
+/* count_avx2's loop on 8 points at a time, with k-masks for its lane masks */
+static AVX512 long long count_avx512(COUNT_ARGS)
+{
+    const __m512d one = _mm512_set1_pd(1.0), h2 = _mm512_set1_pd(2.0 * dH),
+                  l2 = _mm512_set1_pd(2.0 * dL), vC = _mm512_set1_pd(C);
+    long long count = 0;
+    for (long long i = 0; i + 8 <= n; i += 8) {
+        __m512d u = _mm512_loadu_pd(us + i), v = _mm512_loadu_pd(vs + i);
+        __m512d w = _mm512_mul_pd(_mm512_set1_pd(lam), u);
+        __m512d s = _mm512_add_pd(u, _mm512_mul_pd(_mm512_set1_pd(gamma), v));
+        __mmask8 left = _mm512_cmp_pd_mask(s, _mm512_setzero_pd(), _CMP_GE_OS);
+        __m512d sgn = _mm512_mask_blend_pd(left, one, neg512(one));
+        __m512d wv = _mm512_add_pd(w, v);
+        for (long long j = 0; j < nd; j++) {
+            __m512d sd = _mm512_mul_pd(sgn, _mm512_set1_pd(deltas[j]));
+            __m512d u2 = _mm512_add_pd(w, sd), v2 = _mm512_add_pd(wv, sd);
+            __m512d under = _mm512_sub_pd(neg512(b1_512(neg512(u2), h2, l2, vC)),
+                                          v2);
+            __m512d over = _mm512_sub_pd(v2, b1_512(u2, h2, l2, vC));
+            __m512d e = _mm512_sub_pd(_mm512_abs_pd(u2), _mm512_set1_pd(u0));
+            e = nan_max512(nan_max512(e, under), over);
+            count += __builtin_popcount(
+                _mm512_cmp_pd_mask(e, _mm512_set1_pd(tol), _CMP_GT_OS));
+        }
+    }
+    return count;
+}
+
+long long sdlab_escapes_avx512(ESCAPES_ARGS)
+{
+    return rows != NULL ? ESCAPES(0) : COUNT(count_avx512) + ESCAPES(n & -8);
+}
+
+long long sdlab_escapes_avx2(ESCAPES_ARGS)
+{
+    return rows != NULL ? ESCAPES(0) : COUNT(count_avx2) + ESCAPES(n & -4);
+}
+#endif
+
+long long sdlab_escapes(ESCAPES_ARGS)
+{
+#if defined(__x86_64__)
+    switch (sdlab_simd()) {
+    case 2:
+        return sdlab_escapes_avx512(ESCAPES_PASS);
+    case 1:
+        return sdlab_escapes_avx2(ESCAPES_PASS);
+    }
+#endif
+    return ESCAPES(0);
 }

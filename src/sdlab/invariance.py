@@ -34,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .certificates import StabilityCertificate
 from .errors import InvalidInputError, _check_array_len
-from .region import RegionSpec, b1_eval, b2_eval, step_region
+from .region import RegionSpec, b1_eval, b2_eval
 
 __all__ = ["InvarianceReport", "verify_invariance"]
 
@@ -120,45 +120,30 @@ def _sample_block(spec: RegionSpec, u1: float, gamma: float, rng, lo: int, hi: i
     return us, vs
 
 
-_VIOLATION = np.dtype([("point_index", "i8"), ("delta_index", "i8"), ("u", "f8"),
-                       ("v", "f8"), ("u_next", "f8"), ("v_next", "f8"), ("excess", "f8")])
-
-
 def _check_block(spec, u1, gamma, lam, deltas, seed, block, n_points, cuts, tol):
-    """(lo, us, vs, hits, excess of each hit) for one block of points.
-
-    hits index the row-major (points, deltas) layout, so they come out
-    sorted by (point, delta).
-    """
-    lo = (block * n_points) // N_BLOCKS
-    hi = ((block + 1) * n_points) // N_BLOCKS
-    rng = np.random.default_rng([seed, block])
-    us, vs = _sample_block(spec, u1, gamma, rng, lo, hi, cuts)
-    excess = _kernels.excess(us, vs, deltas, gamma, lam, spec).ravel()
-    hits = np.flatnonzero(excess > tol)
-    return lo, us, vs, hits, excess[hits]
+    """(lo, escapes, us, vs) for one block of points; us and vs are None
+    when it has none, so a certified run holds only the blocks in flight."""
+    lo, hi = (block * n_points) // N_BLOCKS, ((block + 1) * n_points) // N_BLOCKS
+    us, vs = _sample_block(spec, u1, gamma, np.random.default_rng([seed, block]),
+                           lo, hi, cuts)
+    count = _kernels.escapes(us, vs, deltas, gamma, lam, spec, tol)
+    return (lo, count, us, vs) if count else (lo, 0, None, None)
 
 
-def _violations(blocks, deltas, gamma, lam):
-    """The escapes of all blocks as one record array, in block order.
+def _violations(blocks, deltas, gamma, lam, spec, tol, workers):
+    """All blocks' escapes as one record array, in block order: each block
+    with escapes fills its slice, on up to workers threads, of one anonymous
+    mapping; in malloc, a large report would raise glibc's trim thresholds."""
+    ends = np.cumsum([count for _, count, _, _ in blocks]).tolist()
+    mapping = mmap.mmap(-1, max(1, ends[-1] * _kernels.VIOLATION.itemsize))  # not 0 B
+    rows = np.frombuffer(mapping, _kernels.VIOLATION, count=ends[-1])
 
-    The rows are written once, into an anonymous mapping that is unmapped
-    when the report is freed.  Built in malloc, a large report grows the
-    heap and, once freed, raises glibc's mmap and trim thresholds, so
-    later calls in the process keep that memory resident.
-    """
-    count = sum(hits.size for _, _, _, hits, _ in blocks)
-    if count == 0:
-        return np.empty(0, _VIOLATION).view(np.recarray)
-    rows = np.frombuffer(mmap.mmap(-1, count * _VIOLATION.itemsize), _VIOLATION)
-    end = 0
-    for lo, us, vs, hits, excess in blocks:
-        pj, di = np.divmod(hits, deltas.size)
-        u2, v2 = step_region(us[pj], vs[pj], deltas[di], gamma, lam)
-        start, end = end, end + hits.size
-        for name, col in zip(_VIOLATION.names,
-                             (lo + pj, di, us[pj], vs[pj], u2, v2, excess)):
-            rows[name][start:end] = col
+    def fill(b):
+        lo, count, us, vs = blocks[b]
+        _kernels.escapes(us, vs, deltas, gamma, lam, spec, tol, lo,
+                         rows[ends[b] - count:ends[b]])
+
+    _kernels.map_ordered(fill, [b for b, blk in enumerate(blocks) if blk[1]], workers)
     return rows.view(np.recarray)
 
 
@@ -182,8 +167,8 @@ def verify_invariance(
         always included).
     seed : int
     workers : int or None
-        Thread count (>= 1) for block scheduling; None is 1, as threads
-        raise the peak memory.  The report is identical for every value.
+        Thread count (>= 1) for the blocks; None is one per core.  The
+        report is identical for every value.
     tol : float
         Absolute containment slack.
 
@@ -220,10 +205,9 @@ def verify_invariance(
         return _check_block(spec, cert.u1, cert.gamma, cert.lam, deltas, seed,
                             block, n_points, cuts, tol)
 
-    blocks = _kernels.map_ordered(check, range(N_BLOCKS),
-                                  1 if workers is None else workers)
-
+    blocks = _kernels.map_ordered(check, range(N_BLOCKS), workers)
     # blocks cover ascending point ranges, so block order is sorted order
-    violations = _violations(blocks, deltas, cert.gamma, cert.lam)
+    violations = _violations(blocks, deltas, cert.gamma, cert.lam, spec, tol,
+                             workers)
     return InvarianceReport(n_points=n_points, n_deltas=n_deltas, seed=seed, tol=tol,
                             n_checked=n_points * n_deltas, violations=violations)

@@ -18,8 +18,8 @@ magnitude delta = |f - q| and gain lam,
 
 and the branch is decided by the sign of u + gamma*v (ties go left,
 matching the sign quantizer's tie rule Q(0) = +1).  step_region is the
-one copy of this map, behind the invariance check and the reference
-excess loop in _kernels.  The switching line u + gamma*v = 0 meets B1 at
+one copy of this map in numpy, behind the reference escape loop in
+_kernels, which _recur.c follows.  The switching line u + gamma*v = 0 meets B1 at
 u = -u1, so gamma = u1 / B1(-u1).
 """
 

@@ -155,7 +155,7 @@ def write_trajectory_csv(dest, traj) -> None:
     f, u, v = (np.ascontiguousarray(a, dtype=np.float64)
                for a in (traj.f, traj.u, traj.v))
     q = np.ascontiguousarray(traj.q, dtype=np.int64)
-    lanes = min(2, os.cpu_count() or 1)
+    lanes = min(2, _kernels.cores())
     with _byte_writer(dest) as write:
         write(",".join(TRAJECTORY_FIELDS).encode() + b"\n")
         for lo in range(0, n, CHUNK_ROWS):

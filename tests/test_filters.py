@@ -233,7 +233,7 @@ def test_design_holds_one_phase_matrix_at_a_time(monkeypatch):
     design_filter(trunc_tol=1e-4)  # imports and first-use set-up
     assert _design_peak_bytes() <= 2 * chunk_bytes
     for cores in (1, 4, 64):
-        monkeypatch.setattr(filters._kernels.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(filters._kernels, "cores", lambda: cores)
         peak = _design_peak_bytes()
         assert peak <= min(cores, 16) * block_bytes + 2**21, cores
         assert peak <= 2 * chunk_bytes, cores

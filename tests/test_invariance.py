@@ -1,7 +1,10 @@
 """One-step containment probes: certified regions hold, inflated gains leak."""
 
 import mmap
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,12 +151,12 @@ def test_report_does_not_depend_on_backend_or_workers(cert, is_max_excess,
     runs = []
     for chosen in (_kernels._load_c(), _kernels._PYTHON):
         monkeypatch.setattr(_kernels, "_chosen", chosen)
-        for workers in (1, 2):
+        for workers in (1, 2, None):
             rep = verify_invariance(cert, n_points=3000, n_deltas=12, seed=4,
                                     workers=workers)
             runs.append((rep.violations.dtype, rep.violations.tobytes(),
                          rep.to_json_dict()))
-    assert runs == [runs[0]] * 4
+    assert runs == [runs[0]] * 6
     assert is_max_excess(runs[0][2]["max_excess"])
 
 
@@ -169,3 +172,26 @@ def test_sampling_calls_the_boundaries_through_invariance(monkeypatch):
         monkeypatch.setattr(invariance, name, counted)
     verify_invariance(thm1_certificate(0.5, 1.01), n_points=1000, n_deltas=3, seed=0)
     assert min(points.values()) >= 400
+
+
+def test_certified_verify_memory_does_not_grow_with_the_points():
+    # a block without escapes keeps none of its points, and each of two
+    # workers holds one block in flight, so ten times the points costs no
+    # more than a few blocks' worth (2 M points are 0.5 MB a block)
+    pytest.importorskip("resource")
+    code = ("import os, resource, sys\n"
+            "import sdlab.cli\n"
+            "sdlab._kernels.cores = lambda: 2\n"
+            "assert sdlab.cli.main(['verify', '--alpha', '0.5', '--lambda', '1.02',\n"
+            "                       '--epsilon', '0.3', '--points', sys.argv[1],\n"
+            "                       '--out', os.devnull]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes or KiB
+    peaks = []
+    for points in ("200000", "2000000"):
+        proc = subprocess.run([sys.executable, "-c", code, points], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.split()[-1]) * unit / 2**20)
+    assert peaks[1] - peaks[0] <= 15.0, f"peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB"

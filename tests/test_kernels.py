@@ -7,7 +7,8 @@ The compiled C loop must agree bit for bit with the plain-Python
 reference _kernels._recur, and the tables built on it must not depend on
 the backend or the worker count.  The C row formatter must write the
 same bytes as the %-formatting reference _kernels._format_rows, and the
-C excess loop the same values as the numpy reference _kernels._excess.
+C escape loop the same count and rows as the numpy reference
+_kernels._escapes.
 """
 
 import os
@@ -325,17 +326,11 @@ def test_formatter_is_exact_over_a_million_doubles():
         assert bad[:5] == [] and len(got) == f.size + 1
 
 
-@settings(deadline=None, max_examples=200)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60), nd=st.integers(1, 6),
-       alpha=st.floats(0.05, 0.95), C=st.floats(0.5, 30.0),
-       gamma=st.floats(0.01, 3.0), lam=st.floats(1.0, 2.0) | st.just(1e308),
-       special=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]))
-def test_c_excess_matches_the_numpy_reference(c_loops, seed, n, nd, alpha, C,
-                                              gamma, lam, special):
+def _spread_points(seed, n, nd, alpha, C, special):
+    """Points and deltas around the region, with one coordinate and one
+    delta set to a special value, so rounding, overflow and NaN all show."""
     from sdlab.region import RegionSpec
 
-    # points around the region, one coordinate and one delta set to a
-    # special value, so rounding, overflow and NaN all show
     spec = RegionSpec(alpha, C)
     rng = np.random.default_rng(seed)
     us = rng.uniform(-1.2 * spec.u0, 1.2 * spec.u0, n)
@@ -345,28 +340,93 @@ def test_c_excess_matches_the_numpy_reference(c_loops, seed, n, nd, alpha, C,
         (us, vs)[seed % 2][seed % n] = special
     if nd > 1:
         deltas[seed % nd] = special
+    return spec, us, vs, deltas
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60), nd=st.integers(1, 6),
+       alpha=st.floats(0.05, 0.95), C=st.floats(0.5, 30.0),
+       gamma=st.floats(0.01, 3.0), lam=st.floats(1.0, 2.0) | st.just(1e308),
+       special=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+       tol=st.sampled_from([0.0, 1e-9, 0.5]))
+def test_c_escapes_match_the_numpy_reference(c_loops, seed, n, nd, alpha, C,
+                                             gamma, lam, special, tol):
+    spec, us, vs, deltas = _spread_points(seed, n, nd, alpha, C, special)
     with np.errstate(all="ignore"):
-        want = _kernels._excess(us, vs, deltas, gamma, lam, spec)
-    got = c_loops.excess(us, vs, deltas, gamma, lam, spec)
-    assert got.shape == want.shape == (n, nd)
-    # NaN where numpy has NaN; elsewhere the same values (a zero's sign
-    # aside, which no comparison against tol sees)
-    assert np.array_equal(got, want, equal_nan=True)
+        excess = _kernels._excess(us, vs, deltas, gamma, lam, spec)
+        want = np.empty(n * nd, _kernels.VIOLATION)
+        count = _kernels._escapes(us, vs, deltas, gamma, lam, spec, tol, 7, want)
+    assert count == np.count_nonzero(excess > tol)  # a NaN excess is no escape
+    got = np.full(n * nd + 1, 3, _kernels.VIOLATION)
+    assert c_loops.escapes(us, vs, deltas, gamma, lam, spec, tol, 7, None) == count
+    assert c_loops.escapes(us, vs, deltas, gamma, lam, spec, tol, 7, got) == count
+    assert got[:count].tobytes() == want[:count].tobytes()
+    assert got[count:].tobytes() == np.full(n * nd + 1 - count, 3, _kernels.VIOLATION).tobytes()
+    i, j = np.nonzero(excess > tol)
+    assert np.array_equal(got["point_index"][:count], 7 + i)
+    assert np.array_equal(got["delta_index"][:count], j)
+    assert np.array_equal(got["excess"][:count], excess[i, j])
 
 
-def test_c_excess_refuses_arrays_it_could_overrun(c_loops):
+def test_c_escapes_refuse_arrays_they_could_overrun(c_loops):
     from sdlab.region import RegionSpec
 
-    c_excess = c_loops.excess
+    c_escapes = c_loops.escapes
     spec = RegionSpec(0.5, 6.0)
-    us, vs, deltas = np.zeros(4), np.zeros(4), np.ones(3)
+    us, vs, deltas = np.full(4, 100.0), np.zeros(4), np.ones(3)  # all escape
+    rows = np.empty(12, _kernels.VIOLATION)
     with pytest.raises(IndexError):
-        c_excess(us, vs[:-1].copy(), deltas, 0.5, 1.01, spec)
+        c_escapes(us, vs[:-1].copy(), deltas, 0.5, 1.01, spec, 0.0, 0, None)
     with pytest.raises(TypeError):
-        c_excess(us, vs, deltas.astype(np.float32), 0.5, 1.01, spec)
+        c_escapes(us, vs, deltas.astype(np.float32), 0.5, 1.01, spec, 0.0, 0, None)
     with pytest.raises(TypeError):
-        c_excess(np.zeros(8)[::2], vs, deltas, 0.5, 1.01, spec)
-    assert c_excess(us, vs, deltas, 0.5, 1.01, spec).shape == (4, 3)
+        c_escapes(np.zeros(8)[::2], vs, deltas, 0.5, 1.01, spec, 0.0, 0, None)
+    with pytest.raises(TypeError):
+        c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, np.empty((12, 7)))
+    with pytest.raises(TypeError):
+        c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, rows[::2])
+    rows.flags.writeable = False
+    with pytest.raises(ValueError):
+        c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, rows)
+    rows = np.full(13, 3, _kernels.VIOLATION)
+    with pytest.raises(IndexError):  # writes the 11 that fit, then refuses
+        c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, rows[:11])
+    assert rows[11:].tobytes() == np.full(2, 3, _kernels.VIOLATION).tobytes()
+    assert c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, None) == 12
+    assert c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, rows[:12]) == 12
+    assert rows[12].tobytes() == np.full(1, 3, _kernels.VIOLATION).tobytes()
+
+
+def test_every_escape_path_gives_the_same_count_and_rows(c_loops):
+    # the AVX-512 (8 points a pass), AVX2 (4 points) and plain paths, each
+    # through its own symbol, counting (rows NULL) and writing, over every
+    # n mod 8 left to the plain loop, inside and around a region
+    import ctypes
+
+    lib = ctypes.CDLL(_kernels._library_path())
+    names = ["sdlab_escapes", "sdlab_escapes_c", "sdlab_escapes_avx2",
+             "sdlab_escapes_avx512"][:2 + lib.sdlab_simd()]
+    d, p, ll = ctypes.c_double, ctypes.c_void_p, ctypes.c_longlong
+    for name in names:
+        getattr(lib, name).argtypes = [p, p, ll, p, ll, *[d] * 7, ll, p, ll]
+        getattr(lib, name).restype = ll
+    cases = 0
+    for seed, special in enumerate([np.nan, np.inf, -np.inf, -0.0, 1e300] * 3):
+        for n in (*range(1, 18), 64, 203):
+            spec, us, vs, deltas = _spread_points(seed, n, 5, 0.3 + 0.03 * seed,
+                                                  4.0 + seed, special)
+            for gamma, lam, tol in ((0.4, 1.01, 1e-9), (1.3, 1.6, 0.0), (0.9, 1e308, 0.5)):
+                args = (us.ctypes.data, vs.ctypes.data, n, deltas.ctypes.data, 5,
+                        gamma, lam, spec.u0, spec.C, spec.delta_H, spec.delta_L, tol, 11)
+                out = {}
+                for name in names:
+                    rows = np.zeros(5 * n, _kernels.VIOLATION)
+                    count = getattr(lib, name)(*args, None, 0)
+                    assert getattr(lib, name)(*args, rows.ctypes.data, 5 * n) == count
+                    out[name] = count, rows.tobytes()
+                assert len(set(out.values())) == 1, (seed, n, gamma, out)
+                cases += 0 < out[names[0]][0] < 5 * n
+    assert cases > 100  # most cases have escapes and pairs that stay
 
 
 def _tables():
@@ -436,8 +496,28 @@ def test_map_ordered_keeps_item_order(workers):
     assert _kernels.map_ordered(square, range(24), workers) == [x * x for x in range(24)]
     if workers == 1:
         assert threads == {threading.get_ident()}
-    assert len(threads) <= (workers or os.cpu_count() or 1)
+    assert len(threads) <= (workers or _kernels.cores())
     assert _kernels.map_ordered(square, [], workers) == []
+
+
+def test_a_process_pinned_to_one_cpu_starts_no_thread(monkeypatch):
+    # the default worker count is the CPUs the process may run on (taskset,
+    # a cpuset), not the host's
+    from sdlab.certificates import thm1_certificate
+    from sdlab.invariance import verify_invariance
+
+    monkeypatch.setattr(_kernels.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 64)
+    assert _kernels.cores() == 1
+
+    def start(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert _kernels.map_ordered(lambda x: x * x, range(24), None) == [
+        x * x for x in range(24)]
+    assert verify_invariance(thm1_certificate(0.5, 1.01), n_points=500).ok
 
 
 def test_map_ordered_runs_items_on_the_calling_thread_too():
@@ -501,7 +581,7 @@ def blas_count():
 
 def test_blas_runs_on_one_thread_while_a_pinned_map_runs(blas_count, monkeypatch):
     # map_blocks pins its own map; any other map is pinned by its caller
-    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "cores", lambda: 2)
     assert blas_count() == 2
     seen = []
 
@@ -535,7 +615,7 @@ def test_blas_runs_on_one_thread_while_a_pinned_map_runs(blas_count, monkeypatch
     seen.clear()
     _kernels.map_ordered(item, range(3), 2)  # a plain map: left be
     assert seen == [2] * 3
-    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(_kernels, "cores", lambda: 1)
     _kernels.map_blocks(block, 3 * 64, 64, 1)  # serial: pinned too
     assert seen == [2] * 3 + [1] * 3
     assert blas_count() == 2
@@ -545,7 +625,7 @@ def test_overlapping_maps_restore_blas_only_when_the_last_ends(blas_count, monke
     # map A starts, map B starts, A ends, then B reads the count and ends:
     # restoring at A's end would let B's blocks run threaded BLAS, and
     # restoring what B found at B's end would leave one thread for good
-    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "cores", lambda: 2)
     b_started, a_done = threading.Event(), threading.Event()
     late = []
 
@@ -574,7 +654,7 @@ def test_block_maps_at_once_lend_each_buffer_to_one_block(blas_count, monkeypatc
     # 6 user threads each map 40 blocks on 4 workers, switching every
     # microsecond: a buffer lent twice at once, or a lost update of the
     # pin's depth, shows as a clobbered mark or a count left changed
-    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_kernels, "cores", lambda: 4)
     clashes, counts = [], set()
 
     def block(rows, buf):
@@ -602,7 +682,7 @@ def test_block_maps_at_once_lend_each_buffer_to_one_block(blas_count, monkeypatc
 
 
 def test_block_maps_hold_at_most_16_buffers_on_many_cores(monkeypatch):
-    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(_kernels, "cores", lambda: 64)
     bufs, threads = set(), set()
 
     def block(rows, buf):

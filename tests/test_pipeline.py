@@ -374,7 +374,7 @@ def test_worker_count_does_not_change_curves_or_designs(filt_default, monkeypatc
     sig = gen_signal(seed=2, n_components=8, beta=0.5)
     results = []
     for cores in (1, 4):
-        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(_kernels, "cores", lambda: cores)
         f = design_filter(trunc_tol=1e-4)
         tables = [getattr(f, name).tobytes()
                   for name in ("t_tab", "g_tab", "g1_tab", "g2_tab")]
@@ -399,7 +399,7 @@ def test_reconstruct_memory_stays_bounded():
     pytest.importorskip("resource")
     code = ("import os, resource\n"
             "import sdlab.cli, scipy.interpolate\n"
-            "os.cpu_count = lambda: 2\n"
+            "sdlab._kernels.cores = lambda: 2\n"
             "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "assert sdlab.cli.main(['reconstruct', '--beta', '0.5', '--rates',\n"
             "                       '32,64,128,256', '--seed', '1',\n"

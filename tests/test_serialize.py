@@ -108,7 +108,7 @@ def test_chunked_output_is_the_same_for_every_backend_and_worker_count(
         if backend == "python":
             monkeypatch.setattr(_kernels, "_chosen", _kernels._PYTHON)
         for workers in (1, 2):
-            monkeypatch.setattr(serialize.os, "cpu_count", lambda: workers)
+            monkeypatch.setattr(serialize._kernels, "cores", lambda: workers)
             buf = io.StringIO()
             write_trajectory_csv(buf, tr)
             outputs.append(buf.getvalue())
@@ -135,10 +135,10 @@ def test_many_threads_switching_often_keep_the_chunk_order(monkeypatch):
     n = 4 * CHUNK_ROWS + 123
     f = np.random.default_rng(5).uniform(-0.3, 0.3, n)
     tr = run(SchemeParams(lambda1=1.01, gamma=0.7), f, n)
-    monkeypatch.setattr(serialize.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(serialize._kernels, "cores", lambda: 1)
     serial = io.StringIO()
     write_trajectory_csv(serial, tr)
-    monkeypatch.setattr(serialize.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(serialize._kernels, "cores", lambda: 8)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -170,7 +170,7 @@ def test_divergent_simulate_writes_its_infinite_row(backend, monkeypatch, capsys
 def test_streamed_file_holds_only_the_chunks_in_flight(workers, monkeypatch,
                                                        tmp_path):
     # one chunk buffer is alive at a time, sized for the widest row the
-    # chunk can have, whatever os.cpu_count() says; the text is ~71 MB and
+    # chunk can have, whatever the core count is; the text is ~71 MB and
     # never held whole
     if _kernels.BACKEND != "c":
         pytest.skip("the bound is for the C formatter's buffers")
@@ -178,7 +178,7 @@ def test_streamed_file_holds_only_the_chunks_in_flight(workers, monkeypatch,
     tr = run(SchemeParams(), 0.3, n)
     row_cap = len(str(n)) + 2 + 3 * _kernels._NUM_WIDTH + 5  # q is +-1
     chunk_cap = CHUNK_ROWS * row_cap
-    monkeypatch.setattr(serialize.os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(serialize._kernels, "cores", lambda: workers)
     path = tmp_path / "traj.csv"
     tracemalloc.start()
     try:
