@@ -604,14 +604,14 @@ void sdlab_correlate(CORRELATE_ARGS)
    Returns the number of escapes.  Unless rows is NULL, the first cap of
    them go into rows, in (point, delta) order, as the 56-byte records
    (lo + i, j, u, v, u', v', excess) of _kernels.VIOLATION.
-   Three paths give the same count, picked per call by sdlab_simd: with
-   AVX-512 and AVX2 the count runs branch-free over 8 or 4 points at a
-   time, each through every delta, with the plain loop's branches as lane
-   masks (about 1.4 and 1.6 ns per pair on a 2-core AVX-512 Xeon, against
-   5 for the plain loop, which gcc 12 at -O2 does not vectorize); the
-   plain loop takes the points left over, and all of them when rows are
-   written.  Each path has its own exported symbol, so tests can compare
-   them.
+   Two paths give the same count, picked per call by sdlab_simd: with
+   AVX2 (which every AVX-512 CPU also has) the count runs branch-free over
+   4 points at a time, each through every delta, with the plain loop's
+   branches as lane masks (about 1.6 ns per pair on a 2-core AVX-512 Xeon,
+   against 5 for the plain loop, which gcc 12 at -O2 does not vectorize);
+   the plain loop takes the points left over, and all of them when rows
+   are written.  Each path has its own exported symbol, so tests can
+   compare them.
 */
 struct escape {
     long long point, delta;
@@ -679,8 +679,7 @@ typedef long long v4i __attribute__((vector_size(32)));
 #define NAN_MAX(a, b) PICK((a) == (a), PICK((a) >= (b), a, b), a)
 
 /* the plain loop's count over points 0 .. (n & -4) - 1, 4 at a time, in
-   generic vectors: gcc lowers their compares to vcmppd here, but not at
-   8 lanes for AVX-512, which takes intrinsics instead */
+   generic vectors that gcc lowers to AVX2 compares and blends */
 static AVX2 long long count_avx2(COUNT_ARGS)
 {
     const v4d zero = {0}, one = zero + 1.0, h2 = zero + 2.0 * dH,
@@ -706,61 +705,6 @@ static AVX2 long long count_avx2(COUNT_ARGS)
     return hits[0] + hits[1] + hits[2] + hits[3];
 }
 
-static inline AVX512 __m512d neg512(__m512d x)
-{
-    return _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(x),
-                                                _mm512_set1_epi64(INT64_MIN)));
-}
-
-static inline AVX512 __m512d b1_512(__m512d x, __m512d h2, __m512d l2,
-                                    __m512d C)
-{
-    __mmask8 le = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_LE_OS);
-    __m512d q = _mm512_div_pd(neg512(_mm512_mul_pd(x, x)),
-                              _mm512_mask_blend_pd(le, l2, h2));
-    return _mm512_add_pd(_mm512_add_pd(q, _mm512_mul_pd(_mm512_set1_pd(0.5), x)),
-                         C);
-}
-
-static inline AVX512 __m512d nan_max512(__m512d a, __m512d b)
-{
-    __m512d m = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, b, _CMP_GE_OS), b, a);
-    return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, a, _CMP_EQ_OQ), a, m);
-}
-
-/* count_avx2's loop on 8 points at a time, with k-masks for its lane masks */
-static AVX512 long long count_avx512(COUNT_ARGS)
-{
-    const __m512d one = _mm512_set1_pd(1.0), h2 = _mm512_set1_pd(2.0 * dH),
-                  l2 = _mm512_set1_pd(2.0 * dL), vC = _mm512_set1_pd(C);
-    long long count = 0;
-    for (long long i = 0; i + 8 <= n; i += 8) {
-        __m512d u = _mm512_loadu_pd(us + i), v = _mm512_loadu_pd(vs + i);
-        __m512d w = _mm512_mul_pd(_mm512_set1_pd(lam), u);
-        __m512d s = _mm512_add_pd(u, _mm512_mul_pd(_mm512_set1_pd(gamma), v));
-        __mmask8 left = _mm512_cmp_pd_mask(s, _mm512_setzero_pd(), _CMP_GE_OS);
-        __m512d sgn = _mm512_mask_blend_pd(left, one, neg512(one));
-        __m512d wv = _mm512_add_pd(w, v);
-        for (long long j = 0; j < nd; j++) {
-            __m512d sd = _mm512_mul_pd(sgn, _mm512_set1_pd(deltas[j]));
-            __m512d u2 = _mm512_add_pd(w, sd), v2 = _mm512_add_pd(wv, sd);
-            __m512d under = _mm512_sub_pd(neg512(b1_512(neg512(u2), h2, l2, vC)),
-                                          v2);
-            __m512d over = _mm512_sub_pd(v2, b1_512(u2, h2, l2, vC));
-            __m512d e = _mm512_sub_pd(_mm512_abs_pd(u2), _mm512_set1_pd(u0));
-            e = nan_max512(nan_max512(e, under), over);
-            count += __builtin_popcount(
-                _mm512_cmp_pd_mask(e, _mm512_set1_pd(tol), _CMP_GT_OS));
-        }
-    }
-    return count;
-}
-
-long long sdlab_escapes_avx512(ESCAPES_ARGS)
-{
-    return rows != NULL ? ESCAPES(0) : COUNT(count_avx512) + ESCAPES(n & -8);
-}
-
 long long sdlab_escapes_avx2(ESCAPES_ARGS)
 {
     return rows != NULL ? ESCAPES(0) : COUNT(count_avx2) + ESCAPES(n & -4);
@@ -770,12 +714,8 @@ long long sdlab_escapes_avx2(ESCAPES_ARGS)
 long long sdlab_escapes(ESCAPES_ARGS)
 {
 #if defined(__x86_64__)
-    switch (sdlab_simd()) {
-    case 2:
-        return sdlab_escapes_avx512(ESCAPES_PASS);
-    case 1:
+    if (sdlab_simd() > 0)
         return sdlab_escapes_avx2(ESCAPES_PASS);
-    }
 #endif
     return ESCAPES(0);
 }
