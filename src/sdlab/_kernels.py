@@ -444,8 +444,8 @@ def map_blocks(fn, n, rows, width):
     through map_ordered on one thread per core, at most _BLOCK_WORKERS,
     inside one_blas_thread.  buf is a (block rows, width) view of one
     of min(workers, blocks) buffers the calling thread allocates, lent to
-    one call at a time.  rows is a multiple of 64, so blocks start 64-row
-    aligned for numpy's vector loops."""
+    one call at a time.  Callers looping over rows in numpy pass a multiple
+    of 64, so blocks start 64-row aligned for its vector loops."""
     blocks = [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
     workers = min(cores(), _BLOCK_WORKERS)
     free = [np.empty((min(rows, n), width)) for _ in blocks[:workers]]

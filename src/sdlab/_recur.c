@@ -372,48 +372,40 @@ long long sdlab_format_rows(long long n0, const double *f, const long long *q,
    - ((a0 + a1) + a2) + a3, then lanes 0, 1 plus lanes 2, 3, then lane 0
      plus lane 1;
    - dot = fma(y[i], x[i], dot) for the terms from n1 on.
-   Three paths give the same bits, picked per call by sdlab_simd: with
-   AVX-512F, four outputs 8 apart at a time (16 accumulators) share each
-   tap load and each window load, 32 outputs in 8 such passes, and the
-   n_out mod 32 left take the AVX2 path; with AVX2 and FMA one output
-   holds each 8-lane accumulator as two 4-lane halves; else plain C with
-   fma().  Windows are read with unaligned loads from values.
+   Two paths give the same bits, picked per call by sdlab_simd: with AVX2
+   and FMA each 8-lane accumulator is held as two 4-lane halves; else
+   plain C with fma().  Windows are read with unaligned loads from values.
    Each path has its own exported symbol, so tests can compare them.
 */
-typedef void dots_fn(const double *x, const double *y, long long n,
-                     double *d, int k);
+typedef double dot_fn(const double *x, const double *y, long long n);
 
-/* the portable path: d[o] = dot(x + o, y, n) for o < k, lanes as arrays */
-static void dots_c(const double *x, const double *y, long long n, double *d,
-                   int k)
+/* the portable path, lanes as arrays */
+static double dot_c(const double *x, const double *y, long long n)
 {
-    long long n1 = n & -16, n32 = n1 & -32;
-    for (int o = 0; o < k; o++, x++) {
-        double a8[4][8] = {{0.0}}, a4[4][4], s[4], dot = 0.0;
-        long long i = 0;
-        for (; i < n32; i += 32)
-            for (int b = 0; b < 4; b++)
-                for (int l = 0; l < 8; l++)
-                    a8[b][l] = fma(x[i + 8 * b + l], y[i + 8 * b + l], a8[b][l]);
+    long long n1 = n & -16, n32 = n1 & -32, i = 0;
+    double a8[4][8] = {{0.0}}, a4[4][4], s[4], dot = 0.0;
+    for (; i < n32; i += 32)
+        for (int b = 0; b < 4; b++)
+            for (int l = 0; l < 8; l++)
+                a8[b][l] = fma(x[i + 8 * b + l], y[i + 8 * b + l], a8[b][l]);
+    for (int b = 0; b < 4; b++)
+        for (int l = 0; l < 4; l++)
+            a4[b][l] = a8[b][l] + a8[b][l + 4];
+    for (; i < n1; i += 16)
         for (int b = 0; b < 4; b++)
             for (int l = 0; l < 4; l++)
-                a4[b][l] = a8[b][l] + a8[b][l + 4];
-        for (; i < n1; i += 16)
-            for (int b = 0; b < 4; b++)
-                for (int l = 0; l < 4; l++)
-                    a4[b][l] = fma(x[i + 4 * b + l], y[i + 4 * b + l], a4[b][l]);
-        if (n1) {
-            for (int l = 0; l < 4; l++)
-                s[l] = ((a4[0][l] + a4[1][l]) + a4[2][l]) + a4[3][l];
-            dot = (s[0] + s[2]) + (s[1] + s[3]);
-        }
-        for (; i < n; i++)
-            dot = fma(y[i], x[i], dot);
-        d[o] = dot;
+                a4[b][l] = fma(x[i + 4 * b + l], y[i + 4 * b + l], a4[b][l]);
+    if (n1) {
+        for (int l = 0; l < 4; l++)
+            s[l] = ((a4[0][l] + a4[1][l]) + a4[2][l]) + a4[3][l];
+        dot = (s[0] + s[2]) + (s[1] + s[3]);
     }
+    for (; i < n; i++)
+        dot = fma(y[i], x[i], dot);
+    return dot;
 }
 
-static void correlate(dots_fn *dots, const double *values, long long start,
+static void correlate(dot_fn *dot, const double *values, long long start,
                       const double *taps, long long n_taps, long long split,
                       long long n_out, double *out, long long ostride)
 {
@@ -422,13 +414,9 @@ static void correlate(dots_fn *dots, const double *values, long long start,
         if (len <= 0)           /* split == n_taps: one piece */
             break;
         const double *x = values + start + a;
-        for (long long j = 0; j < n_out;) {
-            double d[32];
-            int k = n_out - j >= 32 ? 32 : 1;
-            dots(x + j, taps + a, len, d, k);
-            for (int o = 0; o < k; o++, j++)
-                out[j * ostride] = p == 0 ? 0.0 + d[o]
-                                          : out[j * ostride] + (0.0 + d[o]);
+        for (long long j = 0; j < n_out; j++) {
+            double d = dot(x + j, taps + a, len);
+            out[j * ostride] = p == 0 ? 0.0 + d : out[j * ostride] + (0.0 + d);
         }
     }
 }
@@ -436,27 +424,38 @@ static void correlate(dots_fn *dots, const double *values, long long start,
 #define CORRELATE_ARGS const double *values, long long start,             \
     const double *taps, long long n_taps, long long split, long long n_out, \
     double *out, long long ostride
-#define CORRELATE(dots) correlate(dots, values, start, taps, n_taps, split, \
-                                  n_out, out, ostride)
+#define CORRELATE(dot) correlate(dot, values, start, taps, n_taps, split, \
+                                 n_out, out, ostride)
 
 void sdlab_correlate_c(CORRELATE_ARGS)
 {
-    CORRELATE(dots_c);
+    CORRELATE(dot_c);
 }
 
 #if defined(__x86_64__)
 #include <immintrin.h>
 
-#define AVX512 __attribute__((target("avx512f,fma")))
 #define AVX2 __attribute__((target("avx2,fma")))
 #define UNROLL _Pragma("GCC unroll 4")  /* so the accumulators stay in registers */
 
-/* the dot from 4-lane accumulators h at term i: the 16-term block left,
-   if any, the fold to one lane and the scalar tail */
-static inline AVX2 __attribute__((always_inline)) double
-finish(__m256d *h, const double *x, const double *y, long long i,
-       long long n1, long long n)
+static AVX2 double dot_avx2(const double *x, const double *y, long long n)
 {
+    long long n1 = n & -16, n32 = n1 & -32, i = 0;
+    __m256d lo[4], hi[4], h[4];
+    UNROLL
+    for (int b = 0; b < 4; b++)
+        lo[b] = hi[b] = _mm256_setzero_pd();
+    for (; i < n32; i += 32)
+        UNROLL
+        for (int b = 0; b < 4; b++) {
+            lo[b] = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 8 * b),
+                                    _mm256_loadu_pd(y + i + 8 * b), lo[b]);
+            hi[b] = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 8 * b + 4),
+                                    _mm256_loadu_pd(y + i + 8 * b + 4), hi[b]);
+        }
+    UNROLL
+    for (int b = 0; b < 4; b++)
+        h[b] = _mm256_add_pd(lo[b], hi[b]);
     if (i < n1)
         UNROLL
         for (int b = 0; b < 4; b++)
@@ -475,106 +474,16 @@ finish(__m256d *h, const double *x, const double *y, long long i,
     return dot;
 }
 
-/* four outputs 8 apart, the windows x, x + 8, x + 16 and x + 24: window
-   block w[m] = x[i + 8m..) serves output o at tap block m - o, so a
-   32-term block loads 4 tap and 4 window blocks for 16 FMAs and carries
-   w[4..6] into the next block as its w[0..2].  Four consecutive outputs
-   would load 16 window blocks: 1.4x slower on a T256-shaped phase on a
-   2-core AVX-512 Xeon. */
-static AVX512 void dots512x4(const double *x, const double *y, long long n,
-                             double *d)
-{
-    long long n1 = n & -16, n32 = n1 & -32, i = 0;
-    __m512d a[4][4], w[7];
-    UNROLL
-    for (int o = 0; o < 4; o++)
-        UNROLL
-        for (int b = 0; b < 4; b++)
-            a[o][b] = _mm512_setzero_pd();
-    if (n32) {
-        UNROLL
-        for (int m = 0; m < 3; m++)
-            w[m] = _mm512_loadu_pd(x + 8 * m);
-    }
-    for (; i < n32; i += 32) {
-        UNROLL
-        for (int m = 3; m < 7; m++)
-            w[m] = _mm512_loadu_pd(x + i + 8 * m);
-        UNROLL
-        for (int b = 0; b < 4; b++) {
-            __m512d t = _mm512_loadu_pd(y + i + 8 * b);
-            UNROLL
-            for (int o = 0; o < 4; o++)
-                a[o][b] = _mm512_fmadd_pd(w[o + b], t, a[o][b]);
-        }
-        UNROLL
-        for (int m = 0; m < 3; m++)
-            w[m] = w[m + 4];
-    }
-    UNROLL
-    for (int o = 0; o < 4; o++) {
-        __m256d h[4];
-        UNROLL
-        for (int b = 0; b < 4; b++)
-            h[b] = _mm256_add_pd(_mm512_castpd512_pd256(a[o][b]),
-                                 _mm512_extractf64x4_pd(a[o][b], 1));
-        d[8 * o] = finish(h, x + 8 * o, y, i, n1, n);
-    }
-}
-
-static AVX2 void dots_avx2(const double *x, const double *y, long long n,
-                           double *d, int k)
-{
-    long long n1 = n & -16, n32 = n1 & -32;
-    for (int o = 0; o < k; o++, x++) {
-        __m256d lo[4], hi[4], h[4];
-        long long i = 0;
-        UNROLL
-        for (int b = 0; b < 4; b++)
-            lo[b] = hi[b] = _mm256_setzero_pd();
-        for (; i < n32; i += 32)
-            UNROLL
-            for (int b = 0; b < 4; b++) {
-                lo[b] = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 8 * b),
-                                        _mm256_loadu_pd(y + i + 8 * b), lo[b]);
-                hi[b] = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 8 * b + 4),
-                                        _mm256_loadu_pd(y + i + 8 * b + 4), hi[b]);
-            }
-        UNROLL
-        for (int b = 0; b < 4; b++)
-            h[b] = _mm256_add_pd(lo[b], hi[b]);
-        d[o] = finish(h, x, y, i, n1, n);
-    }
-}
-
-/* k = 32 outputs as 8 groups of four 8 apart, else k outputs by AVX2 */
-static AVX512 void dots_avx512(const double *x, const double *y, long long n,
-                               double *d, int k)
-{
-    if (k == 32)
-        for (int r = 0; r < 8; r++)
-            dots512x4(x + r, y, n, d + r);
-    else
-        dots_avx2(x, y, n, d, k);
-}
-
-void sdlab_correlate_avx512(CORRELATE_ARGS)
-{
-    CORRELATE(dots_avx512);
-}
-
 void sdlab_correlate_avx2(CORRELATE_ARGS)
 {
-    CORRELATE(dots_avx2);
+    CORRELATE(dot_avx2);
 }
 #endif
 
-/* 2 with AVX-512F and FMA, 1 with AVX2 and FMA, else 0 */
+/* 1 with AVX2 and FMA, else 0 */
 int sdlab_simd(void)
 {
 #if defined(__x86_64__)
-    if (__builtin_cpu_supports("fma") && __builtin_cpu_supports("avx512f"))
-        return 2;
     if (__builtin_cpu_supports("fma") && __builtin_cpu_supports("avx2"))
         return 1;
 #endif
@@ -584,16 +493,12 @@ int sdlab_simd(void)
 void sdlab_correlate(CORRELATE_ARGS)
 {
 #if defined(__x86_64__)
-    switch (sdlab_simd()) {
-    case 2:
-        CORRELATE(dots_avx512);
-        return;
-    case 1:
-        CORRELATE(dots_avx2);
+    if (sdlab_simd() > 0) {
+        CORRELATE(dot_avx2);
         return;
     }
 #endif
-    CORRELATE(dots_c);
+    CORRELATE(dot_c);
 }
 
 /* The escapes of one region step: the (point, delta) pairs whose

@@ -10,6 +10,24 @@ Reconstruction windows: a run at rate T uses N = round(L*T) samples on
 (0, L] with L = 4*(W + 1), and errors are measured on the central half
 [L/4, 3L/4].  The margin L/4 = W + 1 exceeds the kernel half-width W,
 so every evaluated point sees a fully covered kernel sum.
+
+Screened sup error: a rate's result is max|s - rec| alone, so exact
+dots run only where it can be.  With u = 2^-53, one rfft of the samples
+x the phases share and, per phase, one rfft of its taps h and one irfft
+(length n >= len(x), a power of two: no output wraps) give approx with
+|approx - rec| <= d at every grid point, where d*T = 16u log2(n) (|x|_1
+|h|_2 + |x|_2 |h|_1) (the FFTs' 2-norm error, Higham, Accuracy and
+Stability of Numerical Algorithms, Thm 24.2, through the product and the
+inverse) + gamma_{2J+4} |x|_inf |h|_1 (the dot's 2J + 1 roundings, the
+split's add and both divisions by T, ibid. Sec. 3.1) + n^2 (1 + |x|_1 +
+|h|_1) 2^-1074 (underflow), |h| the largest over the phases.  Each
+subtraction from s rounds by at most u|s - .|, so a = |s - approx| is
+within delta = 100 (d + 2u max a) of the exact error e (100 for safety)
+and the point of max e has a >= max a - 2 delta.  The exact errors
+there, by _reconstruct_polyphase's correlator and operations, give its
+result bit for bit.  A rate takes that full path where a phase's window
+passes the samples' ends, or where max a, delta or n |x|_1 |h|_1 (which
+bounds every FFT intermediate and dot partial sum) is not finite.
 """
 
 from __future__ import annotations
@@ -140,7 +158,24 @@ def _grid_indices(plan: SamplingConfig):
     return c_lo, c_hi, step16
 
 
-def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: FilterSpec):
+def _phases(plan: SamplingConfig, filt: FilterSpec):
+    """J and, per r < 16, the phase p = c mod 16 of grid points r, r + 16,
+    ..., the sample their "valid" correlation starts at, and their count."""
+    c_lo, c_hi, _ = _grid_indices(plan)
+    J = math.ceil(filt.W * plan.T) + 1
+    return J, [((c_lo + r) % _EVAL_PER_INTERVAL,
+                (c_lo + r) // _EVAL_PER_INTERVAL - 1 - J,
+                len(range(r, c_hi - c_lo + 1, _EVAL_PER_INTERVAL)))
+               for r in range(_EVAL_PER_INTERVAL)]
+
+
+def _taps(filt: FilterSpec, T: float, J: int, p: int) -> np.ndarray:
+    k = np.arange(2 * J + 1)
+    return filt.g(((k - J) * _EVAL_PER_INTERVAL + p) / (_EVAL_PER_INTERVAL * T))
+
+
+def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig,
+                           filt: FilterSpec, taps=None):
     """Fast direct-summation reconstruction on the _grid_indices grid.
 
     Evaluation times c/(16T) split by phase p = c mod 16; each phase is
@@ -152,32 +187,91 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
     past the samples (rates below about 3, where the margin W + 1 holds
     fewer than J + 1 samples) the phase reads a full convolve's
     zero-padded edge sums instead.  The phases run through map_ordered,
-    each writing its own strided slice of out; each has at least 6 grid
-    points, as L >= 12 and T > 1.  Returns (grid, reconstruction).
+    each writing its own strided slice of out.  taps[r], if given, holds
+    _phases' r-th phase's taps.  Returns (grid, reconstruction).
     """
     T = plan.T
-    N = plan.n_samples
     c_lo, c_hi, step16 = _grid_indices(plan)
-    c = np.arange(c_lo, c_hi + 1)
-    grid = c * step16
-    out = np.empty(c.size)
-    J = math.ceil(filt.W * T) + 1
-    k = np.arange(2 * J + 1)
+    grid = np.arange(c_lo, c_hi + 1) * step16
+    out = np.empty(grid.size)
+    J, phases = _phases(plan, filt)
     correlate = _kernels.correlator(values)
 
-    def phase(p):
-        sel = slice((p - c_lo) % _EVAL_PER_INTERVAL, None, _EVAL_PER_INTERVAL)
-        m = c[sel] // _EVAL_PER_INTERVAL
-        taps = filt.g(((k - J) * _EVAL_PER_INTERVAL + p) / (_EVAL_PER_INTERVAL * T))
-        lo, hi = int(m[0]), int(m[-1])
-        if lo - 1 - J >= 0 and hi + J <= N:
-            correlate(lo - 1 - J, taps[::-1], out[sel])
+    def phase(r):
+        p, start, count = phases[r]
+        h = _taps(filt, T, J, p) if taps is None else taps[r]
+        sel = slice(r, None, _EVAL_PER_INTERVAL)
+        if start >= 0 and start + count + 2 * J <= plan.n_samples:
+            correlate(start, h[::-1], out[sel])
             out[sel] /= T
         else:
-            out[sel] = np.convolve(values, taps)[m - 1 + J] / T
+            out[sel] = np.convolve(values, h)[start + 2 * J:start + 2 * J + count] / T
 
     _kernels.map_ordered(phase, range(_EVAL_PER_INTERVAL), None)
     return grid, out
+
+
+def _screen(values, s, plan: SamplingConfig, filt: FilterSpec):
+    """(err, taps, top, delta) of the module docstring's screen: |s - approx|,
+    _phases' phase taps by row, max(err) and delta (inf where an FFT could
+    overflow); None where a phase's window reaches past the samples."""
+    from numpy import fft  # on use, not at import
+
+    T, u = plan.T, np.finfo(float).eps / 2
+    J, phases = _phases(plan, filt)
+    a = min(start for _, start, _ in phases)
+    b = max(start + count + 2 * J for _, start, count in phases)
+    if a < 0 or b > plan.n_samples:
+        return None
+    n = 1 << (b - a - 1).bit_length()
+    x = values[a:b]
+    taps = np.empty((_EVAL_PER_INTERVAL, 2 * J + 1))
+    err = np.empty(s.size)
+
+    def phase(block, buf):  # buf: the worker's scratch, H then z
+        r = block.start
+        p, start, count = phases[r]
+        h, H, z = taps[r], buf[0, :n + 2].view(complex), buf[0, n + 2:]
+        h[:] = _taps(filt, T, J, p)
+        with np.errstate(all="ignore"):  # overflow leaves err non-finite
+            fft.irfft(np.multiply(fft.rfft(h, n, out=H), X, out=H), n, out=z)
+            o = start - a + 2 * J
+            np.divide(z[o:o + count], T, out=err[r::_EVAL_PER_INTERVAL])
+        return float(np.sum(np.abs(h))), math.sqrt(np.dot(h, h))
+
+    with np.errstate(all="ignore"):
+        X = fft.rfft(x, n)
+        norms = _kernels.map_blocks(phase, _EVAL_PER_INTERVAL, 1, 2 * n + 2)
+        np.abs(np.subtract(s, err, out=err), out=err)  # in approx's buffer
+        # np.sum, not np.dot: OpenBLAS would thread a dot this long
+        x1, x2 = float(np.sum(np.abs(x))), math.sqrt(np.sum(x * x))
+    h1, h2 = max(h for h, _ in norms), max(h for _, h in norms)
+    top, m = float(np.max(err)), 2 * J + 4
+    delta = 100.0 * ((16.0 * u * math.log2(n) * (x1 * h2 + x2 * h1)
+                      + m * u / (1.0 - m * u) * float(np.max(np.abs(x))) * h1
+                      + n * n * (1.0 + x1 + h1) * 2.0 ** -1074) / T + 2.0 * u * top)
+    return err, taps, top, delta if math.isfinite(n * x1 * h1) else math.inf
+
+
+def _exact_max(values, s, idx, plan, filt, taps):
+    """max|s - rec| over the grid points idx and the gaps of up to 32
+    between them in a phase, in _reconstruct_polyphase's operations."""
+    spans = []  # (r, j0, j1): outputs j0 .. j1 - 1 of the r-th phase
+    for r in np.unique(idx % _EVAL_PER_INTERVAL).tolist():
+        j = idx[idx % _EVAL_PER_INTERVAL == r] // _EVAL_PER_INTERVAL
+        for piece in np.split(j, np.flatnonzero(np.diff(j) > 32) + 1):
+            spans.append((r, int(piece[0]), int(piece[-1]) + 1))
+    phases = _phases(plan, filt)[1]
+    correlate = _kernels.correlator(values)
+
+    def exact(span):
+        r, j0, j1 = span
+        rec = np.empty(j1 - j0)
+        correlate(phases[r][1] + j0, taps[r][::-1], rec)
+        rec /= plan.T
+        return np.max(np.abs(s[r::_EVAL_PER_INTERVAL][j0:j1] - rec))
+
+    return float(max(_kernels.map_ordered(exact, spans, None)))
 
 
 def sup_error(signal, params: SchemeParams, T: float, filt: FilterSpec) -> float:
@@ -226,8 +320,16 @@ def reconstruction_error_of(q, signal, T: float, filt: FilterSpec) -> float:
         raise InvalidInputError(
             f"expected {plan.n_samples} samples for T={T!r}, got {q.size}"
         )
-    grid, rec = _reconstruct_polyphase(q, plan, filt)
-    return float(np.max(np.abs(signal.eval(grid) - rec)))
+    c_lo, c_hi, step16 = _grid_indices(plan)
+    s = signal.eval(np.arange(c_lo, c_hi + 1) * step16)
+    screened = _screen(q, s, plan, filt)
+    taps = None
+    if screened is not None:
+        err, taps, top, delta = screened
+        if math.isfinite(top) and math.isfinite(delta):
+            return _exact_max(q, s, np.flatnonzero(err >= top - 2.0 * delta),
+                              plan, filt, taps)
+    return float(np.max(np.abs(s - _reconstruct_polyphase(q, plan, filt, taps)[1])))
 
 
 def error_curve(signal, params, T_list, filt: FilterSpec):

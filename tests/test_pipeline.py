@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sdlab.filters import design_filter
 from sdlab.pipeline import (
     _grid_indices,
     _reconstruct_polyphase,
+    _screen,
     error_curve,
     first_order_quantize,
     gen_signal,
@@ -272,7 +274,7 @@ def test_c_dots_are_numpys_skylakex_ddot():
     bad = []
     with _kernels.one_blas_thread():
         for n in range(1, 20_002):
-            # n_out mod 4 = 0..3, and at every 4th n past one 32-output block
+            # 1 to 6 outputs, and 33 to 38 at every 4th n
             start, n_out = n % 8, 1 + n % 6 + 32 * (n % 4 == 0)
             out = np.empty(n_out)
             if n == _first_half(n):
@@ -295,8 +297,8 @@ def _correlation_paths():
     if _kernels.BACKEND != "c":
         pytest.skip("no C loop")
     lib = ctypes.CDLL(_kernels._library_path())
-    names = ["sdlab_correlate", "sdlab_correlate_c", "sdlab_correlate_avx2",
-             "sdlab_correlate_avx512"][:2 + lib.sdlab_simd()]
+    names = ["sdlab_correlate", "sdlab_correlate_c",
+             "sdlab_correlate_avx2"][:2 + lib.sdlab_simd()]
     p, ll = ctypes.c_void_p, ctypes.c_longlong
     paths = {}
     for name in names:
@@ -307,10 +309,9 @@ def _correlation_paths():
 
 
 def test_every_correlation_path_gives_the_same_bits():
-    # the AVX-512 (32-output blocks, four outputs per load), AVX2 and
-    # portable fma() paths, each through its own symbol, over every n mod 32
-    # and mod 16 remainder, n < 16, n_out mod 4 = 0..3 with and without
-    # 32-output blocks, and one-piece and two-piece dots
+    # the AVX2 and portable fma() paths, each through its own symbol, over
+    # every n mod 32 and mod 16 remainder, n < 16, several n_out, and
+    # one-piece and two-piece dots
     paths = _correlation_paths()
     rng = np.random.default_rng(5)
     values = rng.normal(size=2_100) * np.exp(rng.normal(0.0, 4.0, 2_100))
@@ -412,6 +413,122 @@ def test_reconstruct_memory_stays_bounded():
     unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes or KiB
     grew = int(proc.stdout.split()[-1]) * unit / 2**20
     assert grew <= 30.0, f"peak RSS {grew:.1f} MB above the imported interpreter"
+
+
+def _full_path_error(values, signal, T, filt):
+    """max|s - rec| over every grid point, every dot summed exactly."""
+    plan = sampling_plan(T, filt)
+    grid, rec = _reconstruct_polyphase(np.asarray(values, dtype=np.float64), plan, filt)
+    return float(np.max(np.abs(signal.eval(grid) - rec)))
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _scheme(chaotic, T):
+    return SchemeParams(1.0 + 1.0 / T, 1.0 + 1.0 / T, 0.5) if chaotic else SchemeParams()
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_screened_error_is_the_full_paths_bit_for_bit(filt_default, monkeypatch, backend):
+    # quantized streams of two seeds, plain and (where gains 1 + 1/T stay
+    # stable) chaotic, and exact samples; rates 1.5 and 2.5 reach past the
+    # samples and take the full path
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "_chosen", _kernels._PYTHON)
+    elif _kernels.BACKEND != "c":
+        pytest.skip("no C loop")
+    cases = []
+    for seed in (0, 7):
+        sig = gen_signal(seed, 8, 0.5)
+        for T in (1.5, 2.5, 32.0, 64.0, 128.0, 256.0):
+            plan = sampling_plan(T, filt_default)
+            samples = sig.eval(plan.times())
+            cases += [(sig, T, run(_scheme(chaotic, T), samples, plan.n_samples).q)
+                      for chaotic in (False, True)[:1 + (T >= 32.0)]]
+            if T <= 64.0:
+                cases.append((sig, T, samples))
+    for sig, T, values in cases:
+        want = _full_path_error(values, sig, T, filt_default)
+        for cores in (1, 2, None):
+            with monkeypatch.context() as m:
+                if cores is not None:
+                    m.setattr(_kernels, "cores", lambda: cores)
+                got = reconstruction_error_of(values, sig, T, filt_default)
+            assert _same_float(got, want), (T, cores, got, want)
+
+
+@pytest.mark.parametrize("chaotic", [False, True])
+def test_fft_screen_sits_far_inside_its_bound(filt_default, chaotic):
+    # the benchmark's inputs: against the exact reconstruction as s, the
+    # screen's err is |approx - exact|, which must stay under delta/1000;
+    # against the signal, few points may hold the maximum
+    sig = gen_signal(1, 8, 0.5)
+    for T in (32.0, 64.0, 128.0, 256.0):
+        plan = sampling_plan(T, filt_default)
+        q = run(_scheme(chaotic, T), sig.eval(plan.times()), plan.n_samples).q.astype(float)
+        grid, rec = _reconstruct_polyphase(q, plan, filt_default)
+        _, _, top, delta = _screen(q, rec, plan, filt_default)
+        assert top <= delta / 1000.0, (T, top, delta)
+        err, _, top, delta = _screen(q, sig.eval(grid), plan, filt_default)
+        assert 1 <= np.count_nonzero(err >= top - 2.0 * delta) <= 64, T
+
+
+def _zero_grid(plan):
+    c_lo, c_hi, _ = _grid_indices(plan)
+    return np.zeros(c_hi - c_lo + 1)
+
+
+def test_screen_takes_every_point_when_all_errors_are_zero(filt_fast):
+    zero = gen_signal(3, 0, 0.5)
+    plan = sampling_plan(16.0, filt_fast)
+    values = np.zeros(plan.n_samples)
+    err, _, top, delta = _screen(values, _zero_grid(plan), plan, filt_fast)
+    assert top == 0.0 and np.all(err >= top - 2.0 * delta)
+    assert reconstruction_error_of(values, zero, 16.0, filt_fast) == 0.0
+    assert _full_path_error(values, zero, 16.0, filt_fast) == 0.0
+
+
+@pytest.mark.parametrize("special", [np.nan, np.inf, 1e300, 1e306, 1.7e308, 1e-310])
+def test_screen_keeps_the_full_paths_result_on_extreme_samples(filt_fast, special):
+    # a nan, an inf, samples near overflow and subnormal samples
+    sig, T = gen_signal(2, 4, 0.5), 16.0
+    plan = sampling_plan(T, filt_fast)
+    rng = np.random.default_rng(4)
+    with np.errstate(all="ignore"):
+        spread = rng.normal(size=plan.n_samples) * special
+    for values in (spread, np.where(np.arange(plan.n_samples) == 300, special, 0.5)):
+        with np.errstate(all="ignore"):
+            want = _full_path_error(values, sig, T, filt_fast)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the screen itself warns of nothing
+            got = reconstruction_error_of(values, sig, T, filt_fast)
+        assert _same_float(got, want), (special, got, want)
+
+
+@pytest.mark.parametrize("seed", [10, 16, 35])
+def test_screen_separates_a_near_tie(filt_fast, seed):
+    # samples symmetric about N/2 with two equal spikes on grid points, on
+    # the zero signal: the two peaks are equal in exact arithmetic, and
+    # their dots, the same products summed in reverse order, differ by an
+    # ulp or so; the FFT ranks them the other way for these seeds, so only
+    # the 2 delta margin keeps the higher one a candidate
+    zero, T = gen_signal(3, 0, 0.5), 16.0
+    plan = sampling_plan(T, filt_fast)
+    N, (c_lo, _, _) = plan.n_samples, _grid_indices(plan)
+    f = np.random.default_rng(seed).normal(0.0, 0.01, N + 1)
+    n = np.arange(1, N + 1)
+    values = f[n] + f[N - n]
+    n0 = c_lo // 16 + 30 + seed % 5
+    values[[n0 - 1, N - n0 - 1]] += 10.0
+    peaks = [16 * n0 - c_lo, 16 * (N - n0) - c_lo]
+    exact = np.abs(_reconstruct_polyphase(values, plan, filt_fast)[1])
+    err, _, top, delta = _screen(values, _zero_grid(plan), plan, filt_fast)
+    assert 0.0 < abs(exact[peaks[0]] - exact[peaks[1]]) < delta
+    assert np.all(err[peaks] >= top - 2.0 * delta)
+    got = reconstruction_error_of(values, zero, T, filt_fast)
+    assert got == _full_path_error(values, zero, T, filt_fast) == np.max(exact)
 
 
 def test_reconstruct_rejects_uncovered_times(filt_fast):
