@@ -25,9 +25,11 @@ subtraction from s rounds by at most u|s - .|, so a = |s - approx| is
 within delta = 100 (d + 2u max a) of the exact error e (100 for safety)
 and the point of max e has a >= max a - 2 delta.  The exact errors
 there, by _reconstruct_polyphase's correlator and operations, give its
-result bit for bit.  A rate takes that full path where a phase's window
-passes the samples' ends, or where max a, delta or n |x|_1 |h|_1 (which
-bounds every FFT intermediate and dot partial sum) is not finite.
+result bit for bit.  A rate takes that full path where its dots are
+shorter than _SCREEN_TAPS (the screen's FFTs then cost more than every
+dot), where a phase's window passes the samples' ends, or where max a,
+delta or n |x|_1 |h|_1 (which bounds every FFT intermediate and dot
+partial sum) is not finite.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ _NORM_STEP = 1.0 / 2048.0
 _EVAL_PER_INTERVAL = 16
 _EVAL_ROWS = 4096   # time points per block of BandlimitedSignal.eval
 _NORM_ROWS = 34 * _EVAL_ROWS  # a quarter of the normalization grid
+_SCREEN_TAPS = 1500  # the AVX2 full pass's break-even, at kernel widths 7-27
 
 
 @dataclass(frozen=True)
@@ -174,8 +177,7 @@ def _taps(filt: FilterSpec, T: float, J: int, p: int) -> np.ndarray:
     return filt.g(((k - J) * _EVAL_PER_INTERVAL + p) / (_EVAL_PER_INTERVAL * T))
 
 
-def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig,
-                           filt: FilterSpec, taps=None):
+def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: FilterSpec):
     """Fast direct-summation reconstruction on the _grid_indices grid.
 
     Evaluation times c/(16T) split by phase p = c mod 16; each phase is
@@ -187,8 +189,8 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig,
     past the samples (rates below about 3, where the margin W + 1 holds
     fewer than J + 1 samples) the phase reads a full convolve's
     zero-padded edge sums instead.  The phases run through map_ordered,
-    each writing its own strided slice of out.  taps[r], if given, holds
-    _phases' r-th phase's taps.  Returns (grid, reconstruction).
+    each writing its own strided slice of out.  Returns (grid,
+    reconstruction).
     """
     T = plan.T
     c_lo, c_hi, step16 = _grid_indices(plan)
@@ -199,7 +201,7 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig,
 
     def phase(r):
         p, start, count = phases[r]
-        h = _taps(filt, T, J, p) if taps is None else taps[r]
+        h = _taps(filt, T, J, p)
         sel = slice(r, None, _EVAL_PER_INTERVAL)
         if start >= 0 and start + count + 2 * J <= plan.n_samples:
             correlate(start, h[::-1], out[sel])
@@ -214,14 +216,14 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig,
 def _screen(values, s, plan: SamplingConfig, filt: FilterSpec):
     """(err, taps, top, delta) of the module docstring's screen: |s - approx|,
     _phases' phase taps by row, max(err) and delta (inf where an FFT could
-    overflow); None where a phase's window reaches past the samples."""
+    overflow); None for short dots or a window past the samples."""
     from numpy import fft  # on use, not at import
 
     T, u = plan.T, np.finfo(float).eps / 2
     J, phases = _phases(plan, filt)
     a = min(start for _, start, _ in phases)
     b = max(start + count + 2 * J for _, start, count in phases)
-    if a < 0 or b > plan.n_samples:
+    if 2 * J + 1 < _SCREEN_TAPS or a < 0 or b > plan.n_samples:
         return None
     n = 1 << (b - a - 1).bit_length()
     x = values[a:b]
@@ -323,13 +325,12 @@ def reconstruction_error_of(q, signal, T: float, filt: FilterSpec) -> float:
     c_lo, c_hi, step16 = _grid_indices(plan)
     s = signal.eval(np.arange(c_lo, c_hi + 1) * step16)
     screened = _screen(q, s, plan, filt)
-    taps = None
     if screened is not None:
         err, taps, top, delta = screened
         if math.isfinite(top) and math.isfinite(delta):
             return _exact_max(q, s, np.flatnonzero(err >= top - 2.0 * delta),
                               plan, filt, taps)
-    return float(np.max(np.abs(s - _reconstruct_polyphase(q, plan, filt, taps)[1])))
+    return float(np.max(np.abs(s - _reconstruct_polyphase(q, plan, filt)[1])))
 
 
 def error_curve(signal, params, T_list, filt: FilterSpec):

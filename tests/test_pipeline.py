@@ -475,12 +475,23 @@ def test_fft_screen_sits_far_inside_its_bound(filt_default, chaotic):
         assert 1 <= np.count_nonzero(err >= top - 2.0 * delta) <= 64, T
 
 
+def test_short_dots_skip_the_screen(filt_default):
+    # below _SCREEN_TAPS taps the full pass costs less than the FFTs
+    for T, screened in ((24.0, False), (28.0, True), (32.0, True)):
+        plan = sampling_plan(T, filt_default)
+        J = pipeline._phases(plan, filt_default)[0]
+        assert (2 * J + 1 >= pipeline._SCREEN_TAPS) == screened, T
+        values = np.zeros(plan.n_samples)
+        assert (_screen(values, _zero_grid(plan), plan, filt_default) is None) != screened
+
+
 def _zero_grid(plan):
     c_lo, c_hi, _ = _grid_indices(plan)
     return np.zeros(c_hi - c_lo + 1)
 
 
-def test_screen_takes_every_point_when_all_errors_are_zero(filt_fast):
+def test_screen_takes_every_point_when_all_errors_are_zero(filt_fast, monkeypatch):
+    monkeypatch.setattr(pipeline, "_SCREEN_TAPS", 1)  # screen 233-tap dots too
     zero = gen_signal(3, 0, 0.5)
     plan = sampling_plan(16.0, filt_fast)
     values = np.zeros(plan.n_samples)
@@ -491,8 +502,10 @@ def test_screen_takes_every_point_when_all_errors_are_zero(filt_fast):
 
 
 @pytest.mark.parametrize("special", [np.nan, np.inf, 1e300, 1e306, 1.7e308, 1e-310])
-def test_screen_keeps_the_full_paths_result_on_extreme_samples(filt_fast, special):
+def test_screen_keeps_the_full_paths_result_on_extreme_samples(filt_fast, special,
+                                                              monkeypatch):
     # a nan, an inf, samples near overflow and subnormal samples
+    monkeypatch.setattr(pipeline, "_SCREEN_TAPS", 1)
     sig, T = gen_signal(2, 4, 0.5), 16.0
     plan = sampling_plan(T, filt_fast)
     rng = np.random.default_rng(4)
@@ -508,12 +521,13 @@ def test_screen_keeps_the_full_paths_result_on_extreme_samples(filt_fast, specia
 
 
 @pytest.mark.parametrize("seed", [10, 16, 35])
-def test_screen_separates_a_near_tie(filt_fast, seed):
+def test_screen_separates_a_near_tie(filt_fast, seed, monkeypatch):
     # samples symmetric about N/2 with two equal spikes on grid points, on
     # the zero signal: the two peaks are equal in exact arithmetic, and
     # their dots, the same products summed in reverse order, differ by an
     # ulp or so; the FFT ranks them the other way for these seeds, so only
     # the 2 delta margin keeps the higher one a candidate
+    monkeypatch.setattr(pipeline, "_SCREEN_TAPS", 1)
     zero, T = gen_signal(3, 0, 0.5), 16.0
     plan = sampling_plan(T, filt_fast)
     N, (c_lo, _, _) = plan.n_samples, _grid_indices(plan)
