@@ -9,9 +9,9 @@ probe_const and probe_input), _format_rows (trajectory CSV rows), _escapes
 dots).  The C loops are tested against these references bit for bit, so
 contraction stays off: IEEE evaluation order is part of the contract.
 
-map_ordered runs the sweeps' rows, verify_invariance's blocks, the
-formatter's lanes and the reconstruction's phases; a caller whose items
-call BLAS runs its map inside one_blas_thread, as map_blocks does.
+map_ordered runs the sweeps' rows, verify_invariance's blocks and the
+reconstruction's phases; a caller whose items call BLAS runs its map
+inside one_blas_thread, as map_blocks does.
 """
 
 from __future__ import annotations
@@ -113,11 +113,16 @@ def _recur(lam1, lam2, gamma, tau, f, beta, n_steps, ubound, vbound,
 _ROW = "%d,%.17g,%d,%.17g,%.17g\n"
 
 
-def _format_rows(n0, f, q, u, v):
-    """Rows n0+1 .. n0+len(f) of (n, f, q, u, v) as CSV text, in bytes."""
+def _format_rows(n0, f, q, u, v, out):
+    """Rows n0+1 .. n0+len(f) of (n, f, q, u, v) as CSV text, written into
+    the bytearray out; returns their length, IndexError if out is shorter."""
     n = range(n0 + 1, n0 + f.shape[0] + 1)
     rows = zip(n, f.tolist(), q.tolist(), u.tolist(), v.tolist())
-    return "".join(map(_ROW.__mod__, rows)).encode("ascii")
+    text = "".join(map(_ROW.__mod__, rows)).encode("ascii")
+    if len(text) > len(out):
+        raise IndexError(f"rows {n0 + 1}..{n0 + len(f)} overrun {len(out)} bytes")
+    out[:len(text)] = text
+    return len(text)
 
 
 def _excess(us, vs, deltas, gamma, lam, spec):
@@ -133,9 +138,10 @@ VIOLATION = np.dtype([("point_index", "i8"), ("delta_index", "i8"), ("u", "f8"),
 
 
 def _escapes(us, vs, deltas, gamma, lam, spec, tol, lo, rows):
-    """How many pairs _excess puts above tol, 4,096 points at a time; their
+    """(count, top): how many pairs _excess puts above tol, 4,096 points at
+    a time, and the largest of their excesses (-inf if none); their
     VIOLATION records, in (point, delta) order, go into rows unless None."""
-    count = 0
+    count, top = 0, -np.inf
     for a in range(0, us.shape[0], 4096):
         excess = _excess(us[a:a + 4096], vs[a:a + 4096], deltas, gamma, lam, spec)
         i, j = np.nonzero(excess > tol)  # row-major: (point, delta) order
@@ -145,7 +151,8 @@ def _escapes(us, vs, deltas, gamma, lam, spec, tol, lo, rows):
                 (lo + a + i, j, u, v, *step_region(u, v, deltas[j], gamma, lam),
                  excess[i, j]), dtype=VIOLATION)
         count += i.size
-    return count
+        top = max(top, float(excess[i, j].max(initial=-np.inf)))
+    return count, top
 
 
 # OpenBLAS's ddot sums up to this many terms on one thread; on two threads
@@ -194,11 +201,9 @@ _CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 _NUM_WIDTH = 24
 
 # a backend: the name BACKEND reports and loops like _recur, _escapes,
-# format_lanes and correlator
-_Backend = collections.namedtuple("_Backend", "name recur escapes format_lanes correlator")
-_PYTHON = _Backend("python", _recur, _escapes,
-                   lambda n0, f, q, u, v, lanes: [_format_rows(n0, f, q, u, v)],
-                   _correlator)
+# _format_rows and correlator
+_Backend = collections.namedtuple("_Backend", "name recur escapes format_rows correlator")
+_PYTHON = _Backend("python", _recur, _escapes, _format_rows, _correlator)
 _chosen = None
 _choose_lock = threading.Lock()
 
@@ -300,46 +305,30 @@ def _load_c():
     fmt.argtypes = [ll, p, p, p, p, ll, p, ll]
     fmt.restype = ll
 
-    def c_format_lanes(n0, f, q, u, v, lanes):
+    def c_format_rows(n0, f, q, u, v, out):
         count = f.shape[0]
         fp, up, vp = (_address(a, count, False) for a in (f, u, v))
-        qp = _address(q, count, False, np.int64)
-        q_width = max(len(str(q[:count].min(initial=0))),
-                      len(str(q[:count].max(initial=0))))
-        lanes = max(1, min(lanes, count))
-        cuts = [count * i // lanes for i in range(lanes + 1)]
-        bufs, outs = [], []
-        for lo, hi in zip(cuts, cuts[1:]):
-            # the widest row this lane can have, so its buffer cannot overflow
-            cap = (hi - lo) * (len(str(n0 + hi)) + q_width + 3 * _NUM_WIDTH + 5)
-            bufs.append(bytearray(cap))
-            outs.append((ctypes.c_char * cap).from_buffer(bufs[-1]))
-
-        def fill(i):
-            lo = cuts[i]
-            return fmt(n0 + lo, fp + 8 * lo, qp + 8 * lo, up + 8 * lo,
-                       vp + 8 * lo, cuts[i + 1] - lo, outs[i], len(bufs[i]))
-
-        written = map_ordered(fill, range(lanes), lanes)
-        del outs  # the exports, so the buffers can shrink
-        for buf, n in zip(bufs, written):
-            if n < 0:
-                raise RuntimeError(f"rows {n0 + 1}..{n0 + count} were not formatted")
-            del buf[n:]
-        return bufs
+        n = fmt(n0, fp, _address(q, count, False, np.int64), up, vp, count,
+                (ctypes.c_char * len(out)).from_buffer(out), len(out))
+        if n < 0:
+            raise IndexError(f"rows {n0 + 1}..{n0 + count} overrun {len(out)} bytes")
+        return n
 
     esc = lib.sdlab_escapes
-    esc.argtypes, esc.restype = [p, p, ll, p, ll, *[d] * 7, ll, p, ll], ll
+    esc.argtypes = [p, p, ll, p, ll, *[d] * 7, ll, p, ll, ctypes.POINTER(d)]
+    esc.restype = ll
 
     def c_escapes(us, vs, deltas, gamma, lam, spec, tol, lo, rows):
         n, nd, cap = us.shape[0], deltas.shape[0], 0 if rows is None else len(rows)
+        top = d()
         count = esc(_address(us, n, False), _address(vs, n, False), n,
                     _address(deltas, nd, False), nd, gamma, lam, spec.u0, spec.C,
                     spec.delta_H, spec.delta_L, tol, lo,
-                    None if rows is None else _address(rows, cap, True, VIOLATION), cap)
+                    None if rows is None else _address(rows, cap, True, VIOLATION), cap,
+                    ctypes.byref(top))
         if rows is not None and count > cap:
             raise IndexError(f"{count} escapes for {cap} rows")
-        return count
+        return count, top.value
 
     cor = lib.sdlab_correlate
     cor.argtypes, cor.restype = [p, ll, p, ll, ll, ll, p, ll], None
@@ -358,7 +347,7 @@ def _load_c():
                 _first_half(n_taps), n_out, out.ctypes.data, out.strides[0] // 8)
         return correlate
 
-    return _Backend("c", c_recur, c_escapes, c_format_lanes, c_correlator)
+    return _Backend("c", c_recur, c_escapes, c_format_rows, c_correlator)
 
 
 def _choose():
@@ -531,15 +520,19 @@ def probe_input(lam1, lam2, gamma, tau, f, bound):
                    HARD_BOUND, bound, None, None, None)
 
 
-def format_lanes(n0, f, q, u, v, lanes):
-    """CSV rows n0+1 .. n0+len(f) of a trajectory as ASCII bytes, in a list
-    of buffers (bytes or bytearrays) to write in order: on the C loop one
-    per lane, allocated here and formatted through map_ordered.
+def format_rows(n0, f, q, u, v, out):
+    """Write CSV rows n0+1 .. n0+len(f) of a trajectory as ASCII into the
+    bytearray out and return their length; IndexError if out is too short,
+    as it never is with row_width(n0 + len(f), q) bytes a row.  f, u, v
+    are float64 and q int64 arrays of one length; each row is "n,f,q,u,v"
+    and a newline, with the floats in %.17g and a NaN as "nan"."""
+    return (_chosen or _choose()).format_rows(n0, f, q, u, v, out)
 
-    f, u, v are float64 and q int64 arrays of one length; each row is
-    "n,f,q,u,v\\n" with the floats in %.17g and a NaN as "nan".
-    """
-    return (_chosen or _choose()).format_lanes(n0, f, q, u, v, lanes)
+
+def row_width(n, q):
+    """Bytes that hold any trajectory row numbered up to n with q's values."""
+    return (len(str(n)) + max(len(str(q.min(initial=0))), len(str(q.max(initial=0))))
+            + 3 * _NUM_WIDTH + 5)
 
 
 def correlator(values):
@@ -552,6 +545,8 @@ def correlator(values):
 
 def escapes(us, vs, deltas, gamma, lam, spec, tol, lo=0, rows=None):
     """_escapes of 1-D C-contiguous float64 us, vs, deltas, the first point
-    numbered lo; on the C loop IndexError if rows cannot hold them all."""
+    numbered lo; on the C loop IndexError if rows cannot hold them all.
+    The C loop skips a point's inner deltas when its excesses at the
+    smallest and largest delta bound them below tol (see _recur.c)."""
     return (_chosen or _choose()).escapes(us, vs, deltas, gamma, lam, spec,
                                           tol, lo, rows)

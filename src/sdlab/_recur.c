@@ -506,17 +506,44 @@ void sdlab_correlate(CORRELATE_ARGS)
    tol, with (u', v') the image of (us[i], vs[i]) under deltas[j].  The
    excess is, operation for operation, what _kernels._excess computes in
    numpy, with NaNs propagated as np.maximum does, so a NaN is no escape.
-   Returns the number of escapes.  Unless rows is NULL, the first cap of
+   Returns the number of escapes and stores the largest escape excess in
+   *top (-inf if there is none).  Unless rows is NULL, the first cap of
    them go into rows, in (point, delta) order, as the 56-byte records
    (lo + i, j, u, v, u', v', excess) of _kernels.VIOLATION.
    Two paths give the same count, picked per call by sdlab_simd: with
    AVX2 (which every AVX-512 CPU also has) the count runs branch-free over
-   4 points at a time, each through every delta, with the plain loop's
-   branches as lane masks (about 1.6 ns per pair on a 2-core AVX-512 Xeon,
-   against 5 for the plain loop, which gcc 12 at -O2 does not vectorize);
-   the plain loop takes the points left over, and all of them when rows
-   are written.  Each path has its own exported symbol, so tests can
-   compare them.
+   4 points at a time, with the plain loop's branches as lane masks; the
+   plain loop takes the points left over, and all of them when rows are
+   written.  Each path has its own exported symbol, so tests can compare
+   them.
+
+   Both paths first screen each point by the smallest and the largest
+   delta, dlo and dhi, and skip its other deltas when neither end can
+   leave a pair above tol.  Why that keeps every count and row:
+   - For one point, w = fl(lam u), s = fl(w + v) and the branch sign sg
+     are the same for every delta, so the exact image U = w + sg d,
+     V = s + sg d is affine in d.
+   - |U| - u0, -B1(-U) - V and V - B1(U) are convex in d, since B1 is
+     concave (two concave quadratics with the same slope 1/2 at 0).  So
+     the exact excess E(d) on [dlo, dhi] is at most max(E(dlo), E(dhi)).
+   - With P = |w| + D (D = max |d|, so |U| <= P), |V| <= |s| + D and
+     A = P^2 / (2 min(dH, dL)), each rounding of the computed excess
+     (u' and v' once, B1's square, quotient and two sums, the final
+     difference, and B1's slope times |u' - U|) adds at most eps times a
+     multiple of P, |s|, A, C or u0, eps = 2^-53; summed, the computed
+     excess is within 7.1 eps S of E(d) for
+       S = |w| + |s| + D + u0 + C + P^2 / (2 min(dH, dL)).
+     M = 2^10 eps S = 2^-43 S is 8 eps S with a safety factor of 128.
+     Below the normal range each operation errs by at most 2^-1075 more,
+     which the term 2^-1000 covers.
+   - So a computed interior excess is at most E(d) + M <= max(computed
+     ends) + 2M.  The test max(ends) + 2M <= tol rounds by under
+     3 eps S, far inside the factor, so every skipped pair stays at or
+     below tol and is no escape.
+   - A NaN end, a NaN or infinite delta, point or S (computed as 4 S, so
+     no step of an excess can overflow when it is finite) all make the
+     test false, and the point runs through every delta.
+   The Python _kernels._escapes stays unscreened, the reference for both.
 */
 struct escape {
     long long point, delta;
@@ -526,9 +553,9 @@ struct escape {
 #define ESCAPES_ARGS const double *us, const double *vs, long long n,       \
     const double *deltas, long long nd, double gamma, double lam, double u0, \
     double C, double dH, double dL, double tol, long long lo,               \
-    struct escape *rows, long long cap
+    struct escape *rows, long long cap, double *top
 #define ESCAPES_PASS us, vs, n, deltas, nd, gamma, lam, u0, C, dH, dL, tol, \
-    lo, rows, cap
+    lo, rows, cap, top
 #define ESCAPES(i) escapes(i, ESCAPES_PASS)
 
 static double b1(double u, double C, double dH, double dL)
@@ -541,22 +568,57 @@ static double nan_max(double a, double b)
     return (a >= b || isnan(a)) ? a : b;
 }
 
+static double excess(double u2, double v2, double u0, double C, double dH,
+                     double dL)
+{
+    double under = -b1(-u2, C, dH, dL) - v2;
+    double over = v2 - b1(u2, C, dH, dL);
+    return nan_max(nan_max(fabs(u2) - u0, under), over);
+}
+
+/* the smallest and largest delta and D = max |delta|, NaN if a delta is */
+static double delta_span(const double *deltas, long long nd, double *dlo,
+                         double *dhi)
+{
+    double big = nd > 0 ? 0.0 : NAN;
+    *dlo = *dhi = nd > 0 ? deltas[0] : NAN;
+    for (long long j = 0; j < nd; j++) {
+        *dlo = deltas[j] < *dlo ? deltas[j] : *dlo;
+        *dhi = deltas[j] > *dhi ? deltas[j] : *dhi;
+        big = nan_max(big, fabs(deltas[j]));
+    }
+    return big;
+}
+
+/* the screen's 2M for a point with w = fl(lam u) and s = fl(w + v) */
+static double margin(double w, double s, double D, double u0, double C,
+                     double h2)
+{
+    double p = fabs(w) + D;
+    return 0x1p-44 * (4.0 * (p + fabs(s) + u0 + C + p * p / h2)) + 0x1p-999;
+}
+
 /* the plain loop over points i.. */
 static long long escapes(long long i, ESCAPES_ARGS)
 {
+    double dlo, dhi, D = delta_span(deltas, nd, &dlo, &dhi);
+    double h2 = 2.0 * fmin(dH, dL);
     long long count = 0;
     for (; i < n; i++) {
-        double u = us[i], v = vs[i], w = lam * u;
+        double u = us[i], v = vs[i], w = lam * u, s = w + v;
         double sgn = u + gamma * v >= 0.0 ? -1.0 : 1.0;
+        double ends = nan_max(excess(w + sgn * dlo, s + sgn * dlo, u0, C, dH, dL),
+                              excess(w + sgn * dhi, s + sgn * dhi, u0, C, dH, dL));
+        if (ends + margin(w, s, D, u0, C, h2) <= tol)
+            continue;
         for (long long j = 0; j < nd; j++) {
             double u2 = w + sgn * deltas[j];
-            double v2 = w + v + sgn * deltas[j];
-            double under = -b1(-u2, C, dH, dL) - v2;
-            double over = v2 - b1(u2, C, dH, dL);
-            double e = nan_max(nan_max(fabs(u2) - u0, under), over);
+            double v2 = s + sgn * deltas[j];
+            double e = excess(u2, v2, u0, C, dH, dL);
             if (e > tol) {
                 if (count < cap && rows != NULL)
                     rows[count] = (struct escape){lo + i, j, u, v, u2, v2, e};
+                *top = e > *top ? e : *top;
                 count++;
             }
         }
@@ -566,14 +628,16 @@ static long long escapes(long long i, ESCAPES_ARGS)
 
 long long sdlab_escapes_c(ESCAPES_ARGS)
 {
+    *top = -INFINITY;
     return ESCAPES(0);
 }
 
 #if defined(__x86_64__)
 #define COUNT_ARGS const double *us, const double *vs, long long n,         \
     const double *deltas, long long nd, double gamma, double lam, double u0, \
-    double C, double dH, double dL, double tol
-#define COUNT(path) path(us, vs, n, deltas, nd, gamma, lam, u0, C, dH, dL, tol)
+    double C, double dH, double dL, double tol, double *top
+#define COUNT(path) path(us, vs, n, deltas, nd, gamma, lam, u0, C, dH, dL, tol, \
+    top)
 
 typedef double v4d __attribute__((vector_size(32)));
 typedef long long v4i __attribute__((vector_size(32)));
@@ -582,36 +646,47 @@ typedef long long v4i __attribute__((vector_size(32)));
 #define PICK(m, a, b) ((v4d)(((v4i)(m) & (v4i)(a)) | (~(v4i)(m) & (v4i)(b))))
 #define B1(x) (-((x) * (x)) / PICK((x) <= 0.0, h2, l2) + 0.5 * (x) + C)
 #define NAN_MAX(a, b) PICK((a) == (a), PICK((a) >= (b), a, b), a)
+#define ABS(x) ((v4d)((v4i)(x) & magnitude))
+#define EXCESS(u2, v2) NAN_MAX(NAN_MAX(ABS(u2) - u0, -B1(-(u2)) - (v2)), \
+                               (v2) - B1(u2))
 
 /* the plain loop's count over points 0 .. (n & -4) - 1, 4 at a time, in
    generic vectors that gcc lowers to AVX2 compares and blends */
 static AVX2 long long count_avx2(COUNT_ARGS)
 {
+    double dlo, dhi, D = delta_span(deltas, nd, &dlo, &dhi);
     const v4d zero = {0}, one = zero + 1.0, h2 = zero + 2.0 * dH,
-              l2 = zero + 2.0 * dL;
+              l2 = zero + 2.0 * dL, m2 = zero + 2.0 * fmin(dH, dL);
     const v4i magnitude = (v4i){0} + INT64_MAX;
     v4i hits = {0};
+    v4d best = zero - INFINITY;
     for (long long i = 0; i + 4 <= n; i += 4) {
         v4d u, v;
         memcpy(&u, us + i, sizeof u);
         memcpy(&v, vs + i, sizeof v);
-        v4d w = lam * u, sgn = PICK(u + gamma * v >= 0.0, -one, one);
+        v4d w = lam * u, s = w + v, sgn = PICK(u + gamma * v >= 0.0, -one, one);
+        v4d ends = NAN_MAX(EXCESS(w + sgn * dlo, s + sgn * dlo),
+                           EXCESS(w + sgn * dhi, s + sgn * dhi));
+        v4d p = ABS(w) + D;
+        v4d gap = 0x1p-44 * (4.0 * (p + ABS(s) + u0 + C + p * p / m2)) + 0x1p-999;
+        v4i skip = ends + gap <= tol;
+        if (skip[0] & skip[1] & skip[2] & skip[3])
+            continue;
         for (long long j = 0; j < nd; j++) {
-            v4d u2 = w + sgn * deltas[j];
-            v4d v2 = w + v + sgn * deltas[j];
-            v4d nu = -u2;
-            v4d under = -B1(nu) - v2;
-            v4d over = v2 - B1(u2);
-            v4d e = (v4d)((v4i)u2 & magnitude) - u0;
-            e = NAN_MAX(NAN_MAX(e, under), over);
-            hits -= (v4i)(e > tol);
+            v4d e = EXCESS(w + sgn * deltas[j], s + sgn * deltas[j]);
+            v4i hit = e > tol;
+            hits -= hit;
+            best = PICK(hit & (e > best), e, best);
         }
     }
+    for (int k = 0; k < 4; k++)
+        *top = best[k] > *top ? best[k] : *top;
     return hits[0] + hits[1] + hits[2] + hits[3];
 }
 
 long long sdlab_escapes_avx2(ESCAPES_ARGS)
 {
+    *top = -INFINITY;
     return rows != NULL ? ESCAPES(0) : COUNT(count_avx2) + ESCAPES(n & -4);
 }
 #endif
@@ -622,5 +697,5 @@ long long sdlab_escapes(ESCAPES_ARGS)
     if (sdlab_simd() > 0)
         return sdlab_escapes_avx2(ESCAPES_PASS);
 #endif
-    return ESCAPES(0);
+    return sdlab_escapes_c(ESCAPES_PASS);
 }

@@ -208,7 +208,7 @@ def thm2_certificate(
     if gamma_choice is None:
         gamma = 0.5 * (lo + hi)
     else:
-        slack = 1e-12 * max(1.0, hi)
+        slack = 1e-12 * hi
         if not (lo - slack <= gamma_choice <= hi + slack):
             raise InfeasibleError(
                 "gamma-range",

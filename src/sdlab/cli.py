@@ -236,7 +236,7 @@ def cmd_verify(args) -> int:
         cert = unchecked_certificate(args.alpha, args.lam, epsilon=args.epsilon,
                                      variant=_VARIANTS[args.variant])
         note = f"no certificate ({e.bound} bound fails)"
-    report = verify_invariance(cert, n_points=args.points,
+    report = verify_invariance(cert, n_points=args.points, keep=100,
                                n_deltas=args.deltas,
                                seed=_resolve_seed(args.seed),
                                workers=args.workers, tol=args.tol)
@@ -244,7 +244,7 @@ def cmd_verify(args) -> int:
         print(f"{note}: checking the nominal region anyway", file=sys.stderr)
     write_json(_out(args), report.to_json_dict())
     print(f"checked {report.n_checked} transitions: "
-          f"{len(report.violations)} violations", file=sys.stderr)
+          f"{report.n_violations} violations", file=sys.stderr)
     return 0 if report.ok else 2
 
 

@@ -22,17 +22,9 @@ class InvalidInputError(SdlabError, ValueError):
 
 
 class DivergenceError(SdlabError):
-    """State sequence diverged.
-
-    Attributes
-    ----------
-    step : int
-        1-based step index at which divergence was detected.
-    u, v : float
-        Last finite state pair (nan when the caller tracked none).
-    trajectory : object or None
-        Partial trajectory up to the divergence step, when available.
-    """
+    """State sequence diverged: step is the 1-based step of detection, (u, v)
+    the last finite state (nan when the caller tracked none) and trajectory
+    the partial trajectory up to that step, when available."""
 
     def __init__(self, message, step, u=float("nan"), v=float("nan"),
                  trajectory=None):
@@ -48,14 +40,8 @@ class InsufficientDataError(SdlabError, ValueError):
 
 
 class InfeasibleError(SdlabError):
-    """A required parameter inequality is violated.
-
-    Attributes
-    ----------
-    bound : str
-        Short name of the violated bound, one of
-        {"lowerc", "lambda2", "eps2", "gamma-range"}.
-    """
+    """A required parameter inequality is violated; bound names it, one of
+    "lowerc", "lambda2", "eps2" and "gamma-range"."""
 
     def __init__(self, bound, message):
         super().__init__(message)

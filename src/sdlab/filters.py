@@ -225,23 +225,12 @@ def design_filter(
 ) -> FilterSpec:
     """Design a kernel whose truncation tail stays below trunc_tol.
 
-    Parameters
-    ----------
-    T0 : float
-        Spectral support half-width, > 1.
-    trunc_tol : float
-        Bound on the tail mass 2*int_W^inf |g|; this caps the truncation
-        contribution to any sup reconstruction error since |q_n| <= 1.
-    rolloff : str
-        Taper profile name, see taper_profiles().
-
-    Raises
-    ------
-    InvalidInputError
-        For T0 <= 1, non-positive tolerances, or unknown profiles.
-    ResourceError
-        When the tail bound cannot be met within the tabulation cap, as
-        the raised-cosine-squared profile's at tight tolerances.
+    T0 > 1 is the spectral support half-width; trunc_tol > 0 bounds the
+    tail mass 2*int_W^inf |g|, which caps the truncation's share of any sup
+    reconstruction error since |q_n| <= 1; rolloff names a taper_profiles()
+    entry (InvalidInputError otherwise).  ResourceError means the tail
+    bound cannot be met within the tabulation cap, as for the
+    raised-cosine-squared profile at tight tolerances.
     """
     if not (isinstance(T0, (int, float)) and math.isfinite(T0) and T0 > 1.0):
         raise InvalidInputError(f"T0 must be > 1, got {T0!r}")

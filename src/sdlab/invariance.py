@@ -44,27 +44,24 @@ _DELTA_STREAM = 1_000_003  # sub-seed for the shared delta draws
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Outcome of one verify_invariance call.
-
-    violations is an np.recarray with the fields point_index, delta_index,
-    u, v, u_next, v_next, excess, sorted by (point_index, delta_index);
-    its length is the full violation count.
-    """
+    """Outcome of one verify_invariance call: n_violations counts every
+    escape, max_excess is the largest escape excess (0.0 if none), and
+    violations is an np.recarray of the first keep escapes (all for
+    keep=None), fields point_index, delta_index, u, v, u_next, v_next,
+    excess, sorted by (point_index, delta_index)."""
 
     n_points: int
     n_deltas: int
     seed: int
     tol: float
     n_checked: int
+    n_violations: int
+    max_excess: float
     violations: np.recarray
 
     @property
     def ok(self) -> bool:
-        return len(self.violations) == 0
-
-    @property
-    def max_excess(self) -> float:
-        return float(self.violations.excess.max()) if len(self.violations) else 0.0
+        return self.n_violations == 0
 
     def to_json_dict(self) -> dict:
         names = self.violations.dtype.names
@@ -74,7 +71,7 @@ class InvarianceReport:
             "n_points": self.n_points,
             "n_deltas": self.n_deltas,
             "n_checked": self.n_checked,
-            "n_violations": len(self.violations),
+            "n_violations": self.n_violations,
             "max_excess": self.max_excess,
             "seed": self.seed,
             "tol": self.tol,
@@ -120,31 +117,20 @@ def _sample_block(spec: RegionSpec, u1: float, gamma: float, rng, lo: int, hi: i
     return us, vs
 
 
-def _check_block(spec, u1, gamma, lam, deltas, seed, block, n_points, cuts, tol):
-    """(lo, escapes, us, vs) for one block of points; us and vs are None
-    when it has none, so a certified run holds only the blocks in flight."""
-    lo, hi = (block * n_points) // N_BLOCKS, ((block + 1) * n_points) // N_BLOCKS
-    us, vs = _sample_block(spec, u1, gamma, np.random.default_rng([seed, block]),
-                           lo, hi, cuts)
-    count = _kernels.escapes(us, vs, deltas, gamma, lam, spec, tol)
-    return (lo, count, us, vs) if count else (lo, 0, None, None)
-
-
-def _violations(blocks, deltas, gamma, lam, spec, tol, workers):
-    """All blocks' escapes as one record array, in block order: each block
-    with escapes fills its slice, on up to workers threads, of one anonymous
-    mapping; in malloc, a large report would raise glibc's trim thresholds."""
-    ends = np.cumsum([count for _, count, _, _ in blocks]).tolist()
-    mapping = mmap.mmap(-1, max(1, ends[-1] * _kernels.VIOLATION.itemsize))  # not 0 B
-    rows = np.frombuffer(mapping, _kernels.VIOLATION, count=ends[-1])
-
-    def fill(b):
-        lo, count, us, vs = blocks[b]
-        _kernels.escapes(us, vs, deltas, gamma, lam, spec, tol, lo,
-                         rows[ends[b] - count:ends[b]])
-
-    _kernels.map_ordered(fill, [b for b, blk in enumerate(blocks) if blk[1]], workers)
-    return rows.view(np.recarray)
+def _violations(check, counts, keep, workers):
+    """The first keep (None: all) escapes in block order: each block with one
+    of them is checked again, on up to workers threads, into its slice of
+    one anonymous mapping (in malloc, a large report would raise glibc's
+    trim thresholds)."""
+    ends = np.cumsum(counts).tolist()
+    keep = ends[-1] if keep is None else min(keep, ends[-1])
+    need = [b for b, count in enumerate(counts) if count and ends[b] - count < keep]
+    total = ends[need[-1]] if need else 0
+    mapping = mmap.mmap(-1, max(1, total * _kernels.VIOLATION.itemsize))  # not 0 B
+    rows = np.frombuffer(mapping, _kernels.VIOLATION, count=total)
+    _kernels.map_ordered(lambda b: check(b, rows[ends[b] - counts[b]:ends[b]]),
+                         need, workers)
+    return rows[:keep].view(np.recarray)
 
 
 def verify_invariance(
@@ -154,28 +140,16 @@ def verify_invariance(
     seed: int = 0,
     workers: int | None = None,
     tol: float = 1e-9,
+    keep: int | None = None,
 ) -> InvarianceReport:
     """Probe whether one step can leave the certificate's region.
 
-    Parameters
-    ----------
-    cert : StabilityCertificate
-        Supplies the region (alpha, C), the multiplier gamma, the gain
-        lambda, the input bound beta, and the segment abscissa u1.
-    n_points, n_deltas : int
-        Sample counts; n_deltas must be >= 2 (the two extremes are
-        always included).
-    seed : int
-    workers : int or None
-        Thread count (>= 1) for the blocks; None is one per core.  The
-        report is identical for every value.
-    tol : float
-        Absolute containment slack.
-
-    Returns
-    -------
-    InvarianceReport
-        Violations are data, not errors; report.ok means none were found.
+    Checks n_points sampled points of cert's region, each stepped by
+    n_deltas >= 2 error magnitudes (the two extremes 1 -+ beta always
+    among them), with the absolute slack tol.  workers (>= 1, None: one
+    per core) threads run the blocks; the report is identical for every
+    value.  It keeps the rows of the first keep escapes (None: all) and
+    counts all of them; escapes are data, not errors.
     """
     if n_points < 1:
         raise InvalidInputError("n_points must be >= 1")
@@ -185,6 +159,8 @@ def verify_invariance(
     _check_array_len(n_deltas, "deltas")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidInputError("tol must be finite and >= 0")
+    if not (keep is None or isinstance(keep, int) and keep >= 0):
+        raise InvalidInputError(f"keep must be None or an int >= 0, got {keep!r}")
     spec = cert.region
     # |u| <= u0, |v| <= v_extent, delta <= 1 + beta: a bound on every excess
     reach = cert.lam * spec.u0 + 1.0 + cert.beta
@@ -201,13 +177,18 @@ def verify_invariance(
     n1 = (4 * n_points) // 10
     cuts = (n1, 2 * n1, 2 * n1 + n_points // 10)
 
-    def check(block):
-        return _check_block(spec, cert.u1, cert.gamma, cert.lam, deltas, seed,
-                            block, n_points, cuts, tol)
+    def check(block, rows=None):
+        """(escapes, largest escape excess) of one block of points, its rows
+        into rows unless None; the points are drawn again on every call."""
+        lo, hi = (block * n_points) // N_BLOCKS, ((block + 1) * n_points) // N_BLOCKS
+        us, vs = _sample_block(spec, cert.u1, cert.gamma,
+                               np.random.default_rng([seed, block]), lo, hi, cuts)
+        return _kernels.escapes(us, vs, deltas, cert.gamma, cert.lam, spec, tol, lo, rows)
 
-    blocks = _kernels.map_ordered(check, range(N_BLOCKS), workers)
+    counts, tops = zip(*_kernels.map_ordered(check, range(N_BLOCKS), workers))
+    n_violations = sum(counts)
     # blocks cover ascending point ranges, so block order is sorted order
-    violations = _violations(blocks, deltas, cert.gamma, cert.lam, spec, tol,
-                             workers)
     return InvarianceReport(n_points=n_points, n_deltas=n_deltas, seed=seed, tol=tol,
-                            n_checked=n_points * n_deltas, violations=violations)
+                            n_checked=n_points * n_deltas, n_violations=n_violations,
+                            max_excess=max(tops) if n_violations else 0.0,
+                            violations=_violations(check, counts, keep, workers))

@@ -111,24 +111,10 @@ def _as_input_array(input, n_steps: int) -> np.ndarray:
 def run(params: SchemeParams, input, n_steps: int) -> Trajectory:
     """Run the recursion over the input from the zero state, recording history.
 
-    Parameters
-    ----------
-    params : SchemeParams
-    input : scalar, sequence, or iterable
-        A scalar is broadcast; anything else must yield n_steps values.
-    n_steps : int
-
-    Returns
-    -------
-    Trajectory
-
-    Raises
-    ------
-    DivergenceError
-        Carries the 1-based step index, the last finite state, and the
-        partial trajectory up to the failing step.
-    ResourceError
-        If the n_steps-long history cannot be allocated or indexed.
+    A scalar input is broadcast; any other must yield n_steps values.
+    DivergenceError carries the 1-based step, the last finite state and the
+    partial trajectory up to the failing step; ResourceError means the
+    n_steps-long history cannot be allocated or indexed.
     """
     if n_steps < 0:
         raise InvalidInputError("n_steps must be >= 0")

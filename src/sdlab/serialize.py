@@ -5,10 +5,6 @@ and repeated runs produce byte-identical files.  Missing or infeasible
 cells are the literal NA in CSV and null in JSON.  Writers accept a
 filesystem path or any object with a write method, so an io.StringIO
 gives the text of any of them as one string.
-
-Trajectories stream in CHUNK_ROWS-row chunks through
-_kernels.format_lanes; the bytes depend neither on the backend nor on
-the core count.
 """
 
 from __future__ import annotations
@@ -16,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from contextlib import contextmanager
 from io import StringIO
 
@@ -149,21 +146,87 @@ def _byte_writer(dest):
             yield fh.write
 
 
+def _pipelined(fn, items, lanes, sink):
+    """sink(fn(x)) for x in items, in item order, on the calling thread; with
+    lanes >= 2, one pool of lanes threads runs fn meanwhile, lane k on items
+    k, k + lanes, ..., at most 2 * lanes items ahead of the sink (it
+    included).  The lanes are joined on every exit; an item's error is
+    raised in place of its sink, so the first in item order is raised."""
+    if lanes < 2:  # nothing to overlap with
+        for x in items:
+            sink(fn(x))
+        return
+    items, cond, pool = list(items), threading.Condition(), []
+    done, sunk = [None] * len(items), 0  # sunk None: the lanes stop
+
+    def lane(k):
+        for i in range(k, len(items), lanes):
+            with cond:
+                cond.wait_for(lambda: sunk is None or i < sunk + 2 * lanes)
+                if sunk is None:
+                    return
+            try:
+                out = (fn(items[i]),)
+            except BaseException as e:  # raised on the calling thread
+                out = e
+            with cond:
+                done[i] = out
+                cond.notify_all()
+            del out  # so a written item is freed
+
+    try:
+        for k in range(lanes):
+            pool.append(threading.Thread(target=lane, args=(k,)))
+            pool[-1].start()
+        for i in range(len(items)):
+            with cond:
+                cond.wait_for(lambda: done[i] is not None)
+                out, done[i] = done[i], None
+            if isinstance(out, BaseException):
+                raise out
+            sink(*out)
+            del out
+            with cond:
+                sunk = i + 1
+                cond.notify_all()
+    finally:
+        with cond:
+            sunk = None
+            cond.notify_all()
+        for t in pool:
+            if t.ident is not None:
+                t.join()
+
+
 def write_trajectory_csv(dest, traj) -> None:
-    """Header n,f,q,u,v, then one row per step, streamed chunk by chunk."""
+    """Header n,f,q,u,v, then one row per step, in pieces of CHUNK_ROWS //
+    (2 lanes) rows that lanes threads format while this one writes the one
+    before: at most CHUNK_ROWS rows are alive, and the bytes depend neither
+    on the backend nor on the core count."""
     n = traj.n_steps
     f, u, v = (np.ascontiguousarray(a, dtype=np.float64)
                for a in (traj.f, traj.u, traj.v))
     q = np.ascontiguousarray(traj.q, dtype=np.int64)
-    lanes = min(2, _kernels.cores())
+    # the Python formatter holds the GIL: it runs serially, on this thread
+    lanes = min(2, _kernels.cores()) if _kernels.BACKEND == "c" else 1
+    rows = CHUNK_ROWS // (2 * lanes)
+    # one buffer per piece in flight, allocated on this thread: a lane's own
+    # malloc arena would keep the memory after the call
+    free = [bytearray(min(rows, n) * _kernels.row_width(n, q)) for _ in range(2 * lanes)]
+
+    def piece(lo):
+        hi, buf = min(lo + rows, n), free.pop()
+        return buf, _kernels.format_rows(lo, f[lo:hi], q[lo:hi], u[lo:hi], v[lo:hi], buf)
+
+    def sink(out):
+        buf, size = out
+        with memoryview(buf) as view:
+            write(view[:size])
+        free.append(buf)
+
     with _byte_writer(dest) as write:
         write(",".join(TRAJECTORY_FIELDS).encode() + b"\n")
-        for lo in range(0, n, CHUNK_ROWS):
-            hi = min(lo + CHUNK_ROWS, n)
-            for buf in _kernels.format_lanes(lo, f[lo:hi], q[lo:hi], u[lo:hi],
-                                             v[lo:hi], lanes):
-                write(buf)
-            del buf  # so each chunk is freed before the next is allocated
+        _pipelined(piece, range(0, n, rows), lanes, sink)
 
 
 def write_region_csv(dest, spec, n_points: int = 513) -> None:

@@ -219,6 +219,16 @@ def test_thm2_infeasibility_tags():
     assert exc.value.bound == "gamma-range"
 
 
+def test_thm2_gamma_just_past_a_tiny_range_is_out_of_range():
+    # near lambda = 1 the admissible gamma range ends at about 6e-8, so an
+    # absolute slack of 1e-12 let this gamma through to a u1 search with no
+    # root; the slack is relative to the range's end
+    with pytest.raises(InfeasibleError) as exc:
+        thm2_certificate(0.7581921665332395, 1.0000000000000004,
+                         0.19454975408439365, gamma_choice=5.810646268650321e-08)
+    assert exc.value.bound == "gamma-range"
+
+
 def test_thm2_past_the_epsilon_gate_never_finds_an_empty_c_interval():
     # epsilon >= eps_min (1 - 1e-14) gives c_max >= c_min (1 - 3e-14) after
     # rounding, so the smallest epsilon the gate passes gets C = c_min

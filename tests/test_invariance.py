@@ -1,5 +1,6 @@
 """One-step containment probes: certified regions hold, inflated gains leak."""
 
+import hashlib
 import mmap
 import os
 import shutil
@@ -11,8 +12,10 @@ import pytest
 
 from sdlab import _kernels, invariance
 from sdlab.certificates import thm1_certificate, thm2_certificate, unchecked_certificate
+from sdlab.cli import main
 from sdlab.errors import InvalidInputError
 from sdlab.invariance import verify_invariance
+from sdlab.serialize import json_text
 
 
 def test_certified_region_has_no_escapes():
@@ -190,6 +193,103 @@ def test_certified_verify_memory_does_not_grow_with_the_points():
     unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes or KiB
     peaks = []
     for points in ("200000", "2000000"):
+        proc = subprocess.run([sys.executable, "-c", code, points], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.split()[-1]) * unit / 2**20)
+    assert peaks[1] - peaks[0] <= 15.0, f"peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB"
+
+
+# sha256 of the JSON report and of violations.tobytes() for keep=None, as
+# the version before the extreme-delta screen and the keep argument wrote
+# them (n_points=3000, n_deltas=12, seed=4)
+_REPORT_HASHES = {
+    "certified": ("bc013873459bdc15cf58a88f111c0124c62effb7738bb4e425809aae3cef7c9c",
+                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "violating": ("1b9f7668b41136287a57f89bcdfa3a4beca929949d68ca084a2519aa60130ce0",
+                  "43189cd7730127458dbe64a494d529fbc5a82f2840f489fd50be2d641ab4e3da"),
+    "inadmissible": ("ce0fea803031ed52011c460ceee9743a1d7178a7b4fafb69f9fa1ac70f30d88b",
+                     "92e8a416a5037b160b06f3813abec806d45d7dda80142db85aef59f006aeb9a2"),
+    "huge-gain": ("2cf368c82a2c7e3ffaf1dd81b2c0c87fd1ce249dd4e20fb28932a06ea3d4d968",
+                  "24f41a4de18d2c9919b33b2f418f57d509aa05e0345e35cfc8622a271842e8ea"),
+}
+# sha256 of the benchmark's two verify commands' JSON, from the same version
+_CLI_HASHES = {
+    ("--lambda", "1.02", "--epsilon", "0.3", "--points", "200000"):
+        "ab614ee895144493df909d73f926ed89b8fc525c88fc0f1d1217d610067eb0d9",
+    ("--lambda", "2.0", "--points", "10000"):
+        "d19393707cf49eb2eefbb8837534f7861b4c0416053b2d3ce675973848084b7f",
+}
+
+
+def _backends():
+    if shutil.which(_kernels._CC[0]) is None:
+        pytest.skip("no C compiler on PATH")
+    return (_kernels._load_c(), _kernels._PYTHON)
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_reports_keep_their_bytes_on_every_backend_and_worker_count(monkeypatch):
+    certs = {"certified": thm2_certificate(0.5, 1.02, 0.3),
+             "violating": unchecked_certificate(0.5, 2.0),
+             "inadmissible": unchecked_certificate(0.5, 1.2, epsilon=0.2),
+             "huge-gain": unchecked_certificate(0.5, 1e150, epsilon=0.2)}
+    for chosen in _backends():
+        monkeypatch.setattr(_kernels, "_chosen", chosen)
+        for name, cert in certs.items():
+            for workers in (1, 2, None):
+                rep = verify_invariance(cert, n_points=3000, n_deltas=12, seed=4,
+                                        workers=workers)
+                got = (_sha(json_text(rep.to_json_dict()).encode()),
+                       _sha(rep.violations.tobytes()))
+                assert got == _REPORT_HASHES[name], (chosen.name, name, workers)
+
+
+def test_benchmark_verify_commands_keep_their_bytes(monkeypatch, capsys):
+    for chosen in _backends():
+        monkeypatch.setattr(_kernels, "_chosen", chosen)
+        for args, want in _CLI_HASHES.items():
+            for workers in (["--workers", "1"], ["--workers", "2"], []):
+                rc = main(["verify", "--alpha", "0.5", *args, *workers])
+                assert rc == (0 if args[1] == "1.02" else 2)
+                assert _sha(capsys.readouterr().out.encode()) == want, (chosen.name, args)
+
+
+def test_kept_rows_are_the_leading_rows_of_the_full_report():
+    cert = unchecked_certificate(0.5, 2.0)
+    full = verify_invariance(cert, n_points=5000, n_deltas=20, seed=2)
+    assert full.n_violations == len(full.violations) > 5000
+    for keep in (0, 1, 100, 2345, full.n_violations, full.n_violations + 1):
+        for workers in (1, 2):
+            rep = verify_invariance(cert, n_points=5000, n_deltas=20, seed=2,
+                                    keep=keep, workers=workers)
+            assert (rep.n_violations, rep.max_excess) == (full.n_violations,
+                                                          full.max_excess)
+            assert rep.violations.tobytes() == full.violations[:keep].tobytes()
+            assert not rep.ok
+    for keep in (-1, 1.5, "100"):
+        with pytest.raises(InvalidInputError, match="keep"):
+            verify_invariance(cert, n_points=50, keep=keep)
+
+
+def test_violating_verify_memory_does_not_grow_with_the_points():
+    # the count pass keeps no points and no rows, and the rows the command
+    # prints come from re-checking the leading block: 40 times the points
+    # cost at most that block's rows (about 12 MB at 400 k points)
+    pytest.importorskip("resource")
+    code = ("import os, resource, sys\n"
+            "import sdlab.cli\n"
+            "sdlab._kernels.cores = lambda: 2\n"
+            "assert sdlab.cli.main(['verify', '--alpha', '0.5', '--lambda', '2.0',\n"
+            "                       '--points', sys.argv[1], '--out', os.devnull]) == 2\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes or KiB
+    peaks = []
+    for points in ("10000", "400000"):
         proc = subprocess.run([sys.executable, "-c", code, points], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr

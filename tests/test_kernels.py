@@ -138,8 +138,13 @@ def c_recur(c_loops):
 
 @pytest.fixture(scope="module")
 def c_format_rows(c_loops):
-    # the C formatter on one lane, as one buffer
-    return lambda n0, f, q, u, v: c_loops.format_lanes(n0, f, q, u, v, 1)[0]
+    return lambda n0, f, q, u, v: _rows(n0, f, q, u, v, c_loops.format_rows)
+
+
+def _rows(n0, f, q, u, v, fmt=_kernels._format_rows):
+    """The rows fmt writes, as bytes, into a buffer that holds any row."""
+    out = bytearray(len(f) * _kernels.row_width(n0 + len(f), q))
+    return bytes(out[:fmt(n0, f, q, u, v, out)])
 
 
 non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -248,7 +253,7 @@ def test_c_formatter_matches_percent_formatting(c_format_rows, n0, cols):
                   zip(cols, (np.float64, np.int64, np.float64, np.float64)))
     expected = "".join("%d,%.17g,%d,%.17g,%.17g\n" % row for row in zip(
         range(n0 + 1, n0 + len(f) + 1), *(c.tolist() for c in (f, q, u, v))))
-    assert _kernels._format_rows(n0, f, q, u, v) == expected.encode()
+    assert _rows(n0, f, q, u, v) == expected.encode()
     assert bytes(c_format_rows(n0, f, q, u, v)) == expected.encode()
 
 
@@ -276,7 +281,7 @@ def test_c_formatter_refuses_arrays_it_could_overrun(c_format_rows):
         c_format_rows(0, f, q.astype(np.float64), u, v)
     with pytest.raises(TypeError):
         c_format_rows(0, f, q.astype(np.int32), u, v)
-    assert bytes(c_format_rows(0, f, q, u, v)) == _kernels._format_rows(0, f, q, u, v)
+    assert bytes(c_format_rows(0, f, q, u, v)) == _rows(0, f, q, u, v)
 
 
 def _sweep_doubles():
@@ -313,6 +318,20 @@ def _sweep_doubles():
     return x[: x.size - x.size % 3]
 
 
+@pytest.mark.parametrize("backend", ["chosen", "python"])
+def test_formatter_refuses_a_buffer_too_short_for_its_rows(backend, monkeypatch):
+    if backend == "python":
+        monkeypatch.setattr(_kernels, "_chosen", _kernels._PYTHON)
+    f = u = v = np.full(3, -2.2250738585072014e-308)
+    q = np.full(3, -1)
+    want = _rows(99, f, q, u, v)
+    assert len(want) == 3 * _kernels.row_width(102, q)  # the widest rows fit exactly
+    out = bytearray(len(want))
+    assert _kernels.format_rows(99, f, q, u, v, out) == len(want) and out == want
+    with pytest.raises(IndexError):
+        _kernels.format_rows(99, f, q, u, v, bytearray(len(want) - 1))
+
+
 def test_formatter_is_exact_over_a_million_doubles():
     x = _sweep_doubles()
     assert x.size >= 10**6
@@ -320,10 +339,12 @@ def test_formatter_is_exact_over_a_million_doubles():
     q = np.zeros(f.size, dtype=np.int64)
     want = ["%d,%.17g,0,%.17g,%.17g" % row for row in zip(
         range(1, f.size + 1), f.tolist(), u.tolist(), v.tolist())]
-    for lanes in (1, 2):
-        got = b"".join(_kernels.format_lanes(0, f, q, u, v, lanes)).split(b"\n")
+    n = f.size
+    for cuts in ((0, n), (0, n // 2, n)):  # whole, and in two pieces
+        got = b"".join(_rows(a, f[a:b], q[a:b], u[a:b], v[a:b], _kernels.format_rows)
+                       for a, b in zip(cuts, cuts[1:])).split(b"\n")
         bad = [(g, w) for g, w in zip(got, want) if g.decode() != w]
-        assert bad[:5] == [] and len(got) == f.size + 1
+        assert bad[:5] == [] and len(got) == n + 1
 
 
 def _spread_points(seed, n, nd, alpha, C, special):
@@ -355,17 +376,64 @@ def test_c_escapes_match_the_numpy_reference(c_loops, seed, n, nd, alpha, C,
     with np.errstate(all="ignore"):
         excess = _kernels._excess(us, vs, deltas, gamma, lam, spec)
         want = np.empty(n * nd, _kernels.VIOLATION)
-        count = _kernels._escapes(us, vs, deltas, gamma, lam, spec, tol, 7, want)
+        count, top = _kernels._escapes(us, vs, deltas, gamma, lam, spec, tol, 7, want)
     assert count == np.count_nonzero(excess > tol)  # a NaN excess is no escape
+    assert top == excess[excess > tol].max(initial=-np.inf)
     got = np.full(n * nd + 1, 3, _kernels.VIOLATION)
-    assert c_loops.escapes(us, vs, deltas, gamma, lam, spec, tol, 7, None) == count
-    assert c_loops.escapes(us, vs, deltas, gamma, lam, spec, tol, 7, got) == count
+    assert c_loops.escapes(us, vs, deltas, gamma, lam, spec, tol, 7, None) == (count, top)
+    assert c_loops.escapes(us, vs, deltas, gamma, lam, spec, tol, 7, got) == (count, top)
     assert got[:count].tobytes() == want[:count].tobytes()
     assert got[count:].tobytes() == np.full(n * nd + 1 - count, 3, _kernels.VIOLATION).tobytes()
     i, j = np.nonzero(excess > tol)
     assert np.array_equal(got["point_index"][:count], 7 + i)
     assert np.array_equal(got["delta_index"][:count], j)
     assert np.array_equal(got["excess"][:count], excess[i, j])
+
+
+def test_the_screen_counts_an_interior_excess_that_rounds_above_both_ends(c_loops):
+    # over deltas 2e-15 apart the exact excess is all but affine, so the
+    # computed one at the middle delta can round above both computed ends;
+    # with tol between them, only the screen's 2M margin keeps the middle
+    # escape, on the AVX2 pass (4 copies) and the plain loop (the 5th)
+    from sdlab.region import RegionSpec
+
+    spec, gamma, lam = RegionSpec(0.5, 6.0), 0.5, 1.05
+    rng = np.random.default_rng(0)
+    us = rng.uniform(-spec.u0, spec.u0, 20_000)
+    vs = rng.uniform(-spec.v_extent, spec.v_extent, 20_000)
+    deltas = np.array([1.0, 1.0 + 1e-15, 1.0 + 2e-15])
+    excess = _kernels._excess(us, vs, deltas, gamma, lam, spec)
+    ends = np.maximum(excess[:, 0], excess[:, 2])
+    ties = np.nonzero(excess[:, 1] > ends)[0]
+    assert ties.size >= 20
+    for k in ties[:20]:
+        u, v = np.full(5, us[k]), np.full(5, vs[k])
+        want = _kernels._escapes(u, v, deltas, gamma, lam, spec, ends[k], 0, None)
+        assert want == (5, excess[k, 1])
+        rows = np.empty(5, _kernels.VIOLATION)
+        for out in (None, rows):
+            assert c_loops.escapes(u, v, deltas, gamma, lam, spec, ends[k], 0, out) == want
+        assert np.all(rows["delta_index"] == 1)
+
+
+def test_the_screen_takes_the_extreme_deltas_wherever_they_lie(c_loops):
+    # points that escape only at deltas other than the first two: a screen
+    # that took deltas[:2] for the ends would skip them
+    from sdlab.region import RegionSpec
+
+    spec, gamma, lam, tol = RegionSpec(0.5, 6.0), 0.5, 1.2, 1e-9
+    rng = np.random.default_rng(1)
+    us = rng.uniform(-spec.u0, spec.u0, 4_001)
+    vs = rng.uniform(-spec.v_extent, spec.v_extent, 4_001)
+    for seed in range(5):
+        deltas = np.random.default_rng(seed).permutation(np.linspace(0.5, 1.5, 7))
+        excess = _kernels._excess(us, vs, deltas, gamma, lam, spec)
+        skipped = excess[:, :2].max(axis=1) <= tol - 1e-6
+        assert np.count_nonzero(excess[skipped] > tol) > 0
+        want = _kernels._escapes(us, vs, deltas, gamma, lam, spec, tol, 0, None)
+        assert c_loops.escapes(us, vs, deltas, gamma, lam, spec, tol, 0, None) == want
+        rows = np.empty(want[0], _kernels.VIOLATION)
+        assert c_loops.escapes(us, vs, deltas, gamma, lam, spec, tol, 0, rows) == want
 
 
 def test_c_escapes_refuse_arrays_they_could_overrun(c_loops):
@@ -392,15 +460,16 @@ def test_c_escapes_refuse_arrays_they_could_overrun(c_loops):
     with pytest.raises(IndexError):  # writes the 11 that fit, then refuses
         c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, rows[:11])
     assert rows[11:].tobytes() == np.full(2, 3, _kernels.VIOLATION).tobytes()
-    assert c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, None) == 12
-    assert c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, rows[:12]) == 12
+    assert c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, None)[0] == 12
+    assert c_escapes(us, vs, deltas, 0.5, 1.01, spec, 0.0, 0, rows[:12])[0] == 12
     assert rows[12].tobytes() == np.full(1, 3, _kernels.VIOLATION).tobytes()
 
 
 def test_every_escape_path_gives_the_same_count_and_rows(c_loops):
     # the AVX2 (4 points a pass) and plain paths, each through its own
     # symbol, counting (rows NULL) and writing, over every n mod 4 left to
-    # the plain loop, inside and around a region
+    # the plain loop, inside and around a region; each gives the unscreened
+    # numpy reference's count, largest escape excess and rows
     import ctypes
 
     lib = ctypes.CDLL(_kernels._library_path())
@@ -408,7 +477,8 @@ def test_every_escape_path_gives_the_same_count_and_rows(c_loops):
              "sdlab_escapes_avx2"][:2 + lib.sdlab_simd()]
     d, p, ll = ctypes.c_double, ctypes.c_void_p, ctypes.c_longlong
     for name in names:
-        getattr(lib, name).argtypes = [p, p, ll, p, ll, *[d] * 7, ll, p, ll]
+        getattr(lib, name).argtypes = [p, p, ll, p, ll, *[d] * 7, ll, p, ll,
+                                       ctypes.POINTER(d)]
         getattr(lib, name).restype = ll
     cases = 0
     for seed, special in enumerate([np.nan, np.inf, -np.inf, -0.0, 1e300] * 3):
@@ -418,14 +488,20 @@ def test_every_escape_path_gives_the_same_count_and_rows(c_loops):
             for gamma, lam, tol in ((0.4, 1.01, 1e-9), (1.3, 1.6, 0.0), (0.9, 1e308, 0.5)):
                 args = (us.ctypes.data, vs.ctypes.data, n, deltas.ctypes.data, 5,
                         gamma, lam, spec.u0, spec.C, spec.delta_H, spec.delta_L, tol, 11)
-                out = {}
+                rows = np.zeros(5 * n, _kernels.VIOLATION)
+                with np.errstate(all="ignore"):
+                    out = {"numpy": (*_kernels._escapes(us, vs, deltas, gamma, lam, spec,
+                                                        tol, 11, rows), rows.tobytes())}
                 for name in names:
-                    rows = np.zeros(5 * n, _kernels.VIOLATION)
-                    count = getattr(lib, name)(*args, None, 0)
-                    assert getattr(lib, name)(*args, rows.ctypes.data, 5 * n) == count
-                    out[name] = count, rows.tobytes()
+                    rows, top = np.zeros(5 * n, _kernels.VIOLATION), d()
+                    count = getattr(lib, name)(*args, None, 0, ctypes.byref(top))
+                    counted = top.value
+                    assert getattr(lib, name)(*args, rows.ctypes.data, 5 * n,
+                                              ctypes.byref(top)) == count
+                    assert top.value == counted
+                    out[name] = count, top.value, rows.tobytes()
                 assert len(set(out.values())) == 1, (seed, n, gamma, out)
-                cases += 0 < out[names[0]][0] < 5 * n
+                cases += 0 < out["numpy"][0] < 5 * n
     assert cases > 100  # most cases have escapes and pairs that stay
 
 

@@ -1,9 +1,11 @@
 """Table and report writers: exact float text, NA cells, stable layouts."""
 
+import hashlib
 import io
 import json
 import math
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -102,7 +104,7 @@ def test_chunked_output_is_the_same_for_every_backend_and_worker_count(
     f = np.random.default_rng(n).uniform(-0.4, 0.4, n)
     tr = run(SchemeParams(lambda1=1.01, lambda2=1.01, gamma=0.5), f, n)
     expected = _reference_text(tr)
-    c_lanes = _kernels.BACKEND == "c" and _kernels._chosen.format_lanes
+    c_rows = _kernels.BACKEND == "c" and _kernels._chosen.format_rows
     outputs = []
     for backend in ("chosen", "python"):
         if backend == "python":
@@ -118,10 +120,14 @@ def test_chunked_output_is_the_same_for_every_backend_and_worker_count(
             assert path.read_bytes() == buf.getvalue().encode("ascii")
             outputs.append(path.read_bytes().decode("ascii"))
     assert outputs == [expected] * len(outputs)
-    if n > 1 and c_lanes:
-        # the C formatter's two lanes are the two halves of the rows
+    if n > 1 and c_rows:
+        # the C formatter's rows in two pieces are its rows in one
         q = np.ascontiguousarray(tr.q, dtype=np.int64)
-        halves = c_lanes(0, tr.f, q, tr.u, tr.v, 2)
+        h = n // 2
+        halves = []
+        for a, b in ((0, h), (h, n)):
+            out = bytearray((b - a) * _kernels.row_width(b, q))
+            halves.append(out[:c_rows(a, tr.f[a:b], q[a:b], tr.u[a:b], tr.v[a:b], out)])
         assert [bytes(h).count(b"\n") for h in halves] == [n // 2, n - n // 2]
         assert b"".join(halves) == expected.encode("ascii")[len("n,f,q,u,v\n"):]
     if n > CHUNK_ROWS:
@@ -253,3 +259,82 @@ def test_trajectory_writer_to_file(tmp_path):
     body = p.read_text()
     assert body == trajectory_text(tr)
     assert body.splitlines()[1].startswith("1,0.29999999999999999,1,")
+
+
+# sha256 of the CSV that the chunk-at-a-time writer, before the lane pool,
+# wrote for run(SchemeParams(1.01, 1.01, 0.5), default_rng(n).uniform(-0.4,
+# 0.4, n), n)
+_TRAJECTORY_HASHES = {
+    1: "7d9d59142881fabf1e76937d6aa8ec4a24b50f5059e3d5dcb325ae8726fe653a",
+    CHUNK_ROWS // 2: "12203f20926f2c2cfe41ec70f1ddc398d1a0b137171ada24272129d3a444c11b",
+    CHUNK_ROWS: "4ee446019ca2aea63cb2d680dff94432ca7b37d79f2788fb2aba0d29a4cf6428",
+    CHUNK_ROWS + 1: "fc961ecc844ada5f10b26e7dfaa355b83d592aa6ccf67ebe4bef25aaf4dbea8c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_TRAJECTORY_HASHES))
+def test_pipelined_trajectory_keeps_its_bytes(n, monkeypatch, tmp_path):
+    f = np.random.default_rng(n).uniform(-0.4, 0.4, n)
+    tr = run(SchemeParams(lambda1=1.01, lambda2=1.01, gamma=0.5), f, n)
+    for workers in (1, 2):
+        monkeypatch.setattr(serialize._kernels, "cores", lambda: workers)
+        buf = io.StringIO()
+        write_trajectory_csv(buf, tr)
+        path = tmp_path / f"{workers}.csv"
+        write_trajectory_csv(path, tr)
+        for data in (buf.getvalue().encode("ascii"), path.read_bytes()):
+            assert hashlib.sha256(data).hexdigest() == _TRAJECTORY_HASHES[n]
+
+
+class _Failed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad", [0, 1, 5, 6])
+def test_a_failing_lane_raises_in_item_order_and_leaves_no_thread(bad):
+    # items 5 and 6 fail on different lanes; the first in item order wins,
+    # nothing at or after it is sunk, and every lane is joined
+    before, sunk = set(threading.enumerate()), []
+
+    def fn(x):
+        if x in (bad, 6) and x >= bad:
+            raise _Failed(x)
+        time.sleep(0.001 * (x % 3))
+        return x
+
+    with pytest.raises(_Failed) as exc:
+        serialize._pipelined(fn, range(20), 2, sunk.append)
+    assert exc.value.args == (bad,)
+    assert sunk == list(range(bad))
+    assert set(threading.enumerate()) == before
+
+
+def test_a_failing_sink_stops_the_lanes_within_their_window():
+    before, started = set(threading.enumerate()), []
+
+    def sink(x):
+        time.sleep(0.01)  # time for the lanes to run ahead as far as they may
+        raise _Failed(x)
+
+    with pytest.raises(_Failed) as exc:
+        serialize._pipelined(lambda x: started.append(x) or x, range(50), 2, sink)
+    assert exc.value.args == (0,)
+    assert sorted(started) == [0, 1, 2, 3]  # 2 * lanes items, the sunk one included
+    assert set(threading.enumerate()) == before
+
+
+def test_a_failing_write_leaves_no_lane_running(monkeypatch):
+    monkeypatch.setattr(serialize._kernels, "cores", lambda: 2)
+    tr = run(SchemeParams(), 0.3, 3 * CHUNK_ROWS)
+    before, writes = set(threading.enumerate()), []
+
+    class Full(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            if len(writes) > 3:
+                raise OSError(28, "No space left on device")
+            return super().write(text)
+
+    with pytest.raises(OSError):
+        write_trajectory_csv(Full(), tr)
+    assert set(threading.enumerate()) == before
