@@ -303,6 +303,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+_EXITS = (  # (classes, exit code, stderr prefix): the first match is printed
+    ((OSError,), 1, "error: {e}"),  # after main's BrokenPipeError, a subclass
+    ((InvalidInputError,), 1, "invalid input: {e}"),
+    ((InsufficientDataError,), 1, "insufficient data: {e}"),
+    ((InfeasibleError, ResourceError, NoSolutionError,
+      DegenerateConfigurationError), 3, "infeasible: {e}"),
+    ((DivergenceError,), 4, "divergence at step {e.step}: {e}"),
+    ((MemoryError,), 3, "infeasible: out of memory: {e}"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -322,25 +333,10 @@ def main(argv=None) -> int:
         # the reader is gone: keep the interpreter's final flush quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except OSError as e:  # after BrokenPipeError, one of its subclasses
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except InvalidInputError as e:
-        print(f"invalid input: {e}", file=sys.stderr)
-        return 1
-    except InsufficientDataError as e:
-        print(f"insufficient data: {e}", file=sys.stderr)
-        return 1
-    except (InfeasibleError, ResourceError, NoSolutionError,
-            DegenerateConfigurationError) as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return 3
-    except DivergenceError as e:
-        print(f"divergence at step {e.step}: {e}", file=sys.stderr)
-        return 4
-    except MemoryError as e:
-        print(f"infeasible: out of memory: {e}", file=sys.stderr)
-        return 3
+    except tuple(c for classes, _, _ in _EXITS for c in classes) as e:
+        _, code, prefix = next(x for x in _EXITS if isinstance(e, x[0]))
+        print(prefix.format(e=e), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ exit codes) can dispatch on class alone.
 
 from __future__ import annotations
 
+import numbers
 import sys
 
 __all__ = ["SdlabError", "InvalidInputError", "DivergenceError",
@@ -69,3 +70,10 @@ def _check_array_len(n, what: str):
     if not n < _MAX_FLOATS:
         raise ResourceError(f"{n:.3g} {what}: more than one array can hold")
     return n
+
+
+def _check_count(n, lo: int, what: str):
+    """n, if an integer >= lo (numpy's too, not a bool); else InvalidInputError."""
+    if isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= lo:
+        return n
+    raise InvalidInputError(f"{what} must be an integer >= {lo}, got {n!r}")

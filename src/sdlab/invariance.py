@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .certificates import StabilityCertificate
-from .errors import InvalidInputError, _check_array_len
+from .errors import InvalidInputError, _check_array_len, _check_count
 from .region import RegionSpec, b1_eval, b2_eval
 
 __all__ = ["InvarianceReport", "verify_invariance"]
@@ -151,16 +151,12 @@ def verify_invariance(
     value.  It keeps the rows of the first keep escapes (None: all) and
     counts all of them; escapes are data, not errors.
     """
-    if n_points < 1:
-        raise InvalidInputError("n_points must be >= 1")
-    if n_deltas < 2:
-        raise InvalidInputError("n_deltas must be >= 2")
-    _check_array_len(n_points, "points")
-    _check_array_len(n_deltas, "deltas")
+    _check_array_len(_check_count(n_points, 1, "n_points"), "points")
+    _check_array_len(_check_count(n_deltas, 2, "n_deltas"), "deltas")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidInputError("tol must be finite and >= 0")
-    if not (keep is None or isinstance(keep, int) and keep >= 0):
-        raise InvalidInputError(f"keep must be None or an int >= 0, got {keep!r}")
+    if keep is not None:
+        _check_count(keep, 0, "keep")
     spec = cert.region
     # |u| <= u0, |v| <= v_extent, delta <= 1 + beta: a bound on every excess
     reach = cert.lam * spec.u0 + 1.0 + cert.beta

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .modulator import SchemeParams, run
 
 __all__ = [
     "BandlimitedSignal",
-    "SamplingConfig",
     "gen_signal",
     "sampling_plan",
     "sup_error",
@@ -96,19 +96,12 @@ class BandlimitedSignal:
         return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
+class _Plan(NamedTuple):
     """Sampling rate, sample count, and the covered time window."""
 
     T: float
     n_samples: int
     window: tuple
-
-    def __post_init__(self):
-        if not (isinstance(self.T, (int, float)) and self.T > 1.0):
-            raise InvalidInputError(f"oversampling rate must exceed 1, got {self.T!r}")
-        if self.n_samples < 1:
-            raise InvalidInputError("need at least one sample")
 
     def times(self) -> np.ndarray:
         # samples are taken at n/T for n = 1..N
@@ -143,16 +136,16 @@ def gen_signal(seed, n_components: int, beta: float) -> BandlimitedSignal:
     return BandlimitedSignal(freqs, amps, phases, sup_bound=float(beta))
 
 
-def sampling_plan(T: float, filt: FilterSpec) -> SamplingConfig:
+def sampling_plan(T: float, filt: FilterSpec) -> _Plan:
     """Window and sample count giving a W + 1 margin around the middle half."""
-    if not math.isfinite(T):
-        raise InvalidInputError(f"oversampling rate must be finite, got {T!r}")
+    if not (math.isfinite(T) and T > 1.0):
+        raise InvalidInputError(f"oversampling rate must be finite and exceed 1, got {T!r}")
     L = 4.0 * (filt.W + 1.0)
     _check_array_len(L * T, f"samples at rate {T!r}")
-    return SamplingConfig(T=float(T), n_samples=int(round(L * T)), window=(0.0, L))
+    return _Plan(T=float(T), n_samples=int(round(L * T)), window=(0.0, L))
 
 
-def _grid_indices(plan: SamplingConfig):
+def _grid_indices(plan: _Plan):
     """Central-half grid c/(16T), c = c_lo..c_hi, as (c_lo, c_hi, step)."""
     L = plan.window[1]
     step16 = 1.0 / (_EVAL_PER_INTERVAL * plan.T)
@@ -161,7 +154,7 @@ def _grid_indices(plan: SamplingConfig):
     return c_lo, c_hi, step16
 
 
-def _phases(plan: SamplingConfig, filt: FilterSpec):
+def _phases(plan: _Plan, filt: FilterSpec):
     """J and, per r < 16, the phase p = c mod 16 of grid points r, r + 16,
     ..., the sample their "valid" correlation starts at, and their count."""
     c_lo, c_hi, _ = _grid_indices(plan)
@@ -177,7 +170,7 @@ def _taps(filt: FilterSpec, T: float, J: int, p: int) -> np.ndarray:
     return filt.g(((k - J) * _EVAL_PER_INTERVAL + p) / (_EVAL_PER_INTERVAL * T))
 
 
-def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: FilterSpec):
+def _reconstruct_polyphase(values: np.ndarray, plan: _Plan, filt: FilterSpec):
     """Fast direct-summation reconstruction on the _grid_indices grid.
 
     Evaluation times c/(16T) split by phase p = c mod 16; each phase is
@@ -213,7 +206,7 @@ def _reconstruct_polyphase(values: np.ndarray, plan: SamplingConfig, filt: Filte
     return grid, out
 
 
-def _screen(values, s, plan: SamplingConfig, filt: FilterSpec):
+def _screen(values, s, plan: _Plan, filt: FilterSpec):
     """(err, taps, top, delta) of the module docstring's screen: |s - approx|,
     _phases' phase taps by row, max(err) and delta (inf where an FFT could
     overflow); None for short dots or a window past the samples."""
@@ -302,8 +295,8 @@ def perfect_sample_error(signal, T: float, filt: FilterSpec) -> float:
 def first_order_quantize(samples) -> np.ndarray:
     """Single-accumulator scheme q_n = sign(u_{n-1} + f_n): the K = 1 case."""
     f = np.ascontiguousarray(samples, dtype=np.float64)
-    if f.ndim != 1 or f.size == 0:
-        raise InvalidInputError("samples must be a nonempty 1-D sequence")
+    if f.ndim != 1 or f.size == 0 or not np.all(np.isfinite(f)):
+        raise InvalidInputError("samples must be a nonempty 1-D sequence of finite values")
     q = []
     u = 0.0
     for fi in f.tolist():

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from contextlib import contextmanager
 from io import StringIO
 
@@ -148,54 +147,24 @@ def _byte_writer(dest):
 
 def _pipelined(fn, items, lanes, sink):
     """sink(fn(x)) for x in items, in item order, on the calling thread; with
-    lanes >= 2, one pool of lanes threads runs fn meanwhile, lane k on items
-    k, k + lanes, ..., at most 2 * lanes items ahead of the sink (it
-    included).  The lanes are joined on every exit; an item's error is
-    raised in place of its sink, so the first in item order is raised."""
+    lanes >= 2, a pool of lanes threads runs fn meanwhile, at most 2 * lanes
+    items ahead of the sink (it included), and is joined on every exit.  An
+    item's error is raised in place of its sink: the first in item order."""
     if lanes < 2:  # nothing to overlap with
         for x in items:
             sink(fn(x))
         return
-    items, cond, pool = list(items), threading.Condition(), []
-    done, sunk = [None] * len(items), 0  # sunk None: the lanes stop
-
-    def lane(k):
-        for i in range(k, len(items), lanes):
-            with cond:
-                cond.wait_for(lambda: sunk is None or i < sunk + 2 * lanes)
-                if sunk is None:
-                    return
-            try:
-                out = (fn(items[i]),)
-            except BaseException as e:  # raised on the calling thread
-                out = e
-            with cond:
-                done[i] = out
-                cond.notify_all()
-            del out  # so a written item is freed
-
+    from concurrent.futures import ThreadPoolExecutor  # not at import: loads logging
+    pool, ahead = ThreadPoolExecutor(lanes), []
     try:
-        for k in range(lanes):
-            pool.append(threading.Thread(target=lane, args=(k,)))
-            pool[-1].start()
-        for i in range(len(items)):
-            with cond:
-                cond.wait_for(lambda: done[i] is not None)
-                out, done[i] = done[i], None
-            if isinstance(out, BaseException):
-                raise out
-            sink(*out)
-            del out
-            with cond:
-                sunk = i + 1
-                cond.notify_all()
-    finally:
-        with cond:
-            sunk = None
-            cond.notify_all()
-        for t in pool:
-            if t.ident is not None:
-                t.join()
+        for x in items:
+            if len(ahead) == 2 * lanes:
+                sink(ahead.pop(0).result())
+            ahead.append(pool.submit(fn, x))
+        while ahead:
+            sink(ahead.pop(0).result())
+    finally:  # after a failure, no queued item starts
+        pool.shutdown(cancel_futures=True)
 
 
 def write_trajectory_csv(dest, traj) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .certificates import VARIANT_REMARK, max_beta_theoretical, thm1_certificate
 from .errors import (DegenerateConfigurationError, DivergenceError,
-                     InvalidInputError)
+                     InvalidInputError, _check_count)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -73,7 +73,7 @@ class SweepConfig:
             raise InvalidInputError("bisect_tol must be positive")
         if not self.divergence_bound > 10.0:
             raise InvalidInputError("divergence_bound must exceed 10")
-        if not 1 <= self.max_iters <= 2**63 - 1:  # the C loop's long long
+        if not _check_count(self.max_iters, 1, "max_iters") <= 2**63 - 1:  # C long long
             raise InvalidInputError("max_iters must lie in [1, 2^63 - 1]")
         if not (0.0 < self.alpha_cap < 1.0):
             raise InvalidInputError("alpha_cap must lie in (0, 1)")

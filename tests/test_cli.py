@@ -8,7 +8,17 @@ import warnings
 
 import pytest
 
+from sdlab import cli
 from sdlab.cli import main
+from sdlab.errors import (
+    DegenerateConfigurationError,
+    DivergenceError,
+    InfeasibleError,
+    InsufficientDataError,
+    InvalidInputError,
+    NoSolutionError,
+    ResourceError,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -477,3 +487,49 @@ def test_unknown_command_or_flag_is_a_usage_error(capsys):
     assert main(["simulate", "--beta", "0.3", "--steps", "3", "--bogus"]) == 1
     assert main(["sweep", "fig5"]) == 1
     capsys.readouterr()
+
+
+def test_importing_the_cli_loads_neither_concurrent_futures_nor_logging():
+    # the trajectory writer imports its thread pool when it first needs one,
+    # so a command's cold start pays for neither module
+    code = ("import sys, sdlab.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (OSError(28, "No space left on device"), 1,
+     "error: [Errno 28] No space left on device"),
+    (InvalidInputError("bad {x}"), 1, "invalid input: bad {x}"),
+    (InsufficientDataError("few"), 1, "insufficient data: few"),
+    (InfeasibleError("lowerc", "C too small"), 3, "infeasible: C too small"),
+    (ResourceError("too big"), 3, "infeasible: too big"),
+    (NoSolutionError("none"), 3, "infeasible: none"),
+    (DegenerateConfigurationError("floor"), 3, "infeasible: floor"),
+    (DivergenceError("|v| grew", 7), 4, "divergence at step 7: |v| grew"),
+    (MemoryError("heap"), 3, "infeasible: out of memory: heap"),
+])
+def test_each_error_class_exits_with_its_code_and_one_line(exc, code, line,
+                                                           monkeypatch, capsys):
+    # README's exit-code table, one row per class
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_certificate", fail)
+    assert main(["certificate", "--alpha", "0.5", "--lambda", "1.0"]) == code
+    cap = capsys.readouterr()
+    assert cap.err == line + "\n"
+    assert cap.out == ""
+
+
+def test_an_error_outside_the_exit_table_propagates(monkeypatch):
+    def fail(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_certificate", fail)
+    with pytest.raises(KeyError):
+        main(["certificate", "--alpha", "0.5", "--lambda", "1.0"])

@@ -295,3 +295,23 @@ def test_violating_verify_memory_does_not_grow_with_the_points():
         assert proc.returncode == 0, proc.stderr
         peaks.append(int(proc.stdout.split()[-1]) * unit / 2**20)
     assert peaks[1] - peaks[0] <= 15.0, f"peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB"
+
+
+@pytest.mark.parametrize("kw", [
+    {"n_points": 200.0}, {"n_points": True}, {"n_points": "200"},
+    {"n_deltas": 5.0}, {"n_deltas": np.float64(5)}, {"n_deltas": True},
+    {"keep": True}, {"keep": 1.0}, {"keep": -1},
+])
+def test_counts_that_are_not_integers_are_refused(kw):
+    # before, 200.0 and 5.0 raised numpy's TypeError and True was taken as 1
+    with pytest.raises(InvalidInputError, match=next(iter(kw))):
+        verify_invariance(thm1_certificate(0.5, 1.0), **kw)
+
+
+def test_numpy_integer_counts_give_the_int_report():
+    cert = unchecked_certificate(0.5, 1.2, epsilon=0.2)
+    want = json_text(verify_invariance(cert, n_points=200, n_deltas=5,
+                                       keep=3).to_json_dict())
+    got = verify_invariance(cert, n_points=np.int64(200), n_deltas=np.int32(5),
+                            keep=np.uint8(3))
+    assert json_text(got.to_json_dict()) == want

@@ -11,6 +11,7 @@ C escape loop the same count and rows as the numpy reference
 _kernels._escapes.
 """
 
+import io
 import os
 import shutil
 import subprocess
@@ -951,3 +952,24 @@ def test_probe_input_vmax_is_a_python_float(backend, monkeypatch):
     # sweeps pass gains straight from a numpy grid
     _, vmax = _kernels.probe_input(np.float64(1.01), 1.0, 0.7, 0.0, f, 50.0)
     assert type(vmax) is float
+
+
+def test_a_process_pinned_to_one_cpu_writes_its_trajectory_on_no_thread(monkeypatch):
+    # the trajectory writer's lanes are a thread pool only with 2 or more CPUs
+    from sdlab.modulator import SchemeParams, run
+    from sdlab.serialize import CHUNK_ROWS, write_trajectory_csv
+
+    tr = run(SchemeParams(), 0.3, CHUNK_ROWS + 1)  # more pieces than lanes
+    want = io.StringIO()
+    write_trajectory_csv(want, tr)
+    monkeypatch.setattr(_kernels.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert _kernels.cores() == 1
+
+    def start(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    got = io.StringIO()
+    write_trajectory_csv(got, tr)
+    assert got.getvalue() == want.getvalue()

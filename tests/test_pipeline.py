@@ -655,3 +655,20 @@ def test_order_fit_drops_unusable_points():
     assert order_fit(rows) == order_fit(usable)
     with pytest.raises(InsufficientDataError):
         order_fit([(8.0, 1.0), (16.0, 0.0), (32.0, 0.5)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_first_order_quantizer_refuses_non_finite_samples(bad):
+    # as run does; [0.1, nan] gave [1, -1] before
+    with pytest.raises(InvalidInputError, match="finite"):
+        first_order_quantize([0.1, bad])
+
+
+def test_sampling_plan_takes_numpy_rates_and_refuses_rates_not_above_one(filt_fast):
+    plan = sampling_plan(np.float32(32), filt_fast)
+    assert plan == sampling_plan(32.0, filt_fast)
+    assert type(plan.T) is float
+    assert np.array_equal(plan.times(), np.arange(1, plan.n_samples + 1) / 32.0)
+    for T in (1.0, 0.5, -2.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="oversampling rate"):
+            sampling_plan(T, filt_fast)

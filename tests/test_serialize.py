@@ -338,3 +338,56 @@ def test_a_failing_write_leaves_no_lane_running(monkeypatch):
     with pytest.raises(OSError):
         write_trajectory_csv(Full(), tr)
     assert set(threading.enumerate()) == before
+
+
+def test_the_writer_formats_at_most_two_pieces_per_lane_ahead_of_the_sink(monkeypatch):
+    # at 2 cores, 2 lanes: while piece k is written, at most pieces k..k+3
+    # have been started, and a slow sink lets the lanes reach that bound
+    if _kernels.BACKEND != "c":
+        pytest.skip("the Python formatter runs serially, on the calling thread")
+    lanes, rows = 2, CHUNK_ROWS // 4
+    tr = run(SchemeParams(), 0.3, 12 * rows)
+    want = trajectory_text(tr)
+    monkeypatch.setattr(serialize._kernels, "cores", lambda: lanes)
+    started, ahead, fmt = [], [], _kernels.format_rows
+
+    def format_rows(n0, *arrays):
+        started.append(n0)
+        return fmt(n0, *arrays)
+
+    class Slow(io.StringIO):
+        lines = 0
+
+        def write(self, text):
+            if self.lines:  # past the header: the text is of piece (lines - 1) // rows
+                ahead.append(len(started) - (self.lines - 1) // rows)
+                time.sleep(0.002)
+            self.lines += text.count("\n")
+            return super().write(text)
+
+    monkeypatch.setattr(serialize._kernels, "format_rows", format_rows)
+    out = Slow()
+    write_trajectory_csv(out, tr)
+    assert out.getvalue() == want
+    assert sorted(started) == list(range(0, 12 * rows, rows))
+    assert min(ahead) >= 1 and max(ahead) == 2 * lanes
+
+
+def test_pipelined_keeps_item_order_and_its_window_with_more_lanes_than_cores():
+    # x is submitted only once item x - 2 * lanes is sunk; a short switch
+    # interval interleaves the lanes and the sink as often as it can
+    lanes, sunk = 4, []
+    before = set(threading.enumerate())
+
+    def fn(x):
+        assert x < len(sunk) + 2 * lanes
+        return x
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serialize._pipelined(fn, range(2000), lanes, sunk.append)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sunk == list(range(2000))
+    assert set(threading.enumerate()) == before

@@ -288,3 +288,17 @@ def test_a_random_probe_holds_no_input_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("max_iters", [1000.0, 2.5, True, "1000", None])
+def test_a_max_iters_that_is_not_an_integer_is_refused(max_iters):
+    # before, 1000.0 reached the C probe (ctypes ArgumentError) or range
+    # (TypeError), and True ran a 1-step bisection
+    with pytest.raises(InvalidInputError, match="max_iters"):
+        SweepConfig(max_iters=max_iters, lambda_grid=[1.01])
+
+
+def test_a_numpy_integer_max_iters_gives_the_int_table():
+    want = run_fig2(small_cfg(lambda_grid=[1.01], max_iters=1000))
+    for n in (np.int64(1000), np.uint16(1000)):
+        assert run_fig2(small_cfg(lambda_grid=[1.01], max_iters=n)) == want
